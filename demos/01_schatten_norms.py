@@ -1,8 +1,8 @@
 """Schatten quasi-norms on small matrices.
 
-Walks through the basic norm machinery: singular values via the Jacobi
-eigensolver, the p-triangle inequality for p < 1, Hoelder, and how the
-exponent bookkeeping ties (alpha, s, r) to the derived pair (p, q).
+Walks through the basic norm machinery: singular values from LAPACK's SVD,
+the p-triangle inequality for p < 1, Hoelder, and how the exponent
+bookkeeping ties (alpha, s, r) to the derived pair (p, q).
 """
 
 import math

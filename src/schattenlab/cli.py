@@ -21,7 +21,7 @@ import time
 from . import __version__, verify
 from .estimator import (InstanceSpec, OBJECTIVES, maximize, replay_witness,
                         review_flagged)
-from .matcore import NumericalError, ValidationError
+from .matcore import DomainError, NumericalError, ValidationError
 from .schatten import ExponentConfig
 
 SCHEMA_VERSION = 1
@@ -352,7 +352,7 @@ def main(argv=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, DomainError, FloatingPointError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 

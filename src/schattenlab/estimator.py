@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import TMapParams, rx_kernel, t_map
-from .matcore import PositiveDefiniteMatrix, ValidationError
+from .matcore import (DomainError, NumericalError, PositiveDefiniteMatrix,
+                      ValidationError)
 from .mazur import (eq1_ratio, interp_corollary_ratio, main_ratio,
                     mazur_lipschitz_ratio, powers_diff_ratio)
 from .schatten import (ExponentConfig, schatten_norm,
@@ -400,14 +401,23 @@ def _step_at(schedule, i, budget):
 def _run_start(args):
     (objective_id, params, spec, start_index, budget, schedule, diagonal) = args
     obj = OBJECTIVES[objective_id]
-    evaluate = obj.make_eval(params)
+    score = obj.make_eval(params)
     rng = _rng_for(spec.seed, start_index)
+
+    def evaluate(state, iteration):
+        try:
+            return score(state)
+        except (NumericalError, DomainError) as exc:
+            raise type(exc)("objective %s, start %d, iteration %d, seed %d: %s"
+                            % (objective_id, start_index, iteration, spec.seed,
+                               exc)) from exc
+
     st = _initial_state(obj.kind, spec, rng, diagonal)
     sign = 1.0 if obj.direction == "max" else -1.0
     flagged = 0
     flagged_states = []
 
-    val = evaluate(st)
+    val = evaluate(st, 0)
     if math.isinf(val) and obj.direction == "max":
         flagged += 1
         flagged_states.append(_serialize_state(st))
@@ -427,7 +437,7 @@ def _run_start(args):
             step = _step_at(schedule, i, budget)
             cand = _perturb(obj.kind, best_st, rng, step, spec.x_law, diagonal)
         try:
-            v = evaluate(cand)
+            v = evaluate(cand, i + 1)
         except ValidationError:
             delta = None
             continue

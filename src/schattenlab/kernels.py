@@ -16,7 +16,7 @@ import numpy as np
 
 from .matcore import (ComplexMatrix, DomainError, HermitianMatrix,
                       PositiveDefiniteMatrix, ValidationError, _as_array,
-                      _jacobi, herm_eig)
+                      _eigh, herm_eig)
 
 # relative eigenvalue gap below which divided differences switch to the
 # derivative convention; the quotient is catastrophic near coincidences
@@ -124,7 +124,7 @@ def loewner_min_eig(values, gamma):
                 k[i, j] = k[j, i] = 1.0
             else:
                 k[i, j] = k[j, i] = _divided_difference(vals[i], vals[j], gamma)
-    lam, _ = _jacobi(k.astype(complex), want_vectors=False)
+    lam, _ = _eigh(k, want_vectors=False)
     return float(lam[0])
 
 

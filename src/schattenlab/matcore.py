@@ -1,18 +1,13 @@
 """Dense complex linear algebra and functional calculus on small matrices.
 
 Everything here operates on square complex matrices of dimension at most 64.
-The eigensolver is a cyclic Jacobi iteration for Hermitian matrices: slow but
-unconditionally stable and bit-reproducible across platforms, which is what
-the rest of the package needs.
+Eigenvalues and singular values come from LAPACK via numpy (eigh and svd),
+so results are identical on one machine and BLAS, not across platforms.
 """
 
 import numpy as np
 
 MAX_DIM = 64
-
-# Jacobi iteration budget and convergence tolerance (relative to ||A||_F)
-JACOBI_MAX_SWEEPS = 100
-JACOBI_TOL = 1e-13
 
 
 class ValidationError(ValueError):
@@ -24,7 +19,7 @@ class DomainError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Raised when an iterative routine fails to converge."""
+    """Raised when a LAPACK routine fails or meets non-finite input."""
 
 
 class ComplexMatrix:
@@ -111,7 +106,7 @@ class PositiveDefiniteMatrix(HermitianMatrix):
 
     def __init__(self, entries):
         super().__init__(entries)
-        lam, v = _jacobi(self.mat)
+        lam, v = _eigh(self.mat)
         s = SpectralDecomposition(lam, v)
         if lam[0] <= 1e-12 * lam[-1] or lam[0] <= 0.0:
             raise ValidationError(
@@ -148,87 +143,46 @@ def _as_array(a):
     return a.mat if isinstance(a, ComplexMatrix) else np.asarray(a, dtype=complex)
 
 
-def _jacobi(H, want_vectors=True):
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
+def _lapack(routine, a, **kwargs):
+    """Run a numpy.linalg routine on a finite matrix; failures raise NumericalError.
 
-    Returns (eigenvalues ascending, unitary of eigenvectors or None).
+    LAPACK answers some non-finite inputs with NaN instead of an error, so
+    those are refused before the call.
     """
-    n = H.shape[0]
-    A = np.array(H, dtype=complex)
-    A = 0.5 * (A + A.conj().T)
-    V = np.eye(n, dtype=complex) if want_vectors else None
-    if n == 1:
-        return np.array([A[0, 0].real]), V
-
-    # normalize by the largest entry so that squared magnitudes never
-    # underflow for matrices far from unit scale
-    amax = np.abs(A).max()
-    if amax == 0.0:
-        return np.zeros(n), V
-    A /= amax
-
-    fro = np.linalg.norm(A)
-    tol = JACOBI_TOL * fro
-    skip = tol / n
-
-    offmask = ~np.eye(n, dtype=bool)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = np.sqrt((np.abs(A[offmask]) ** 2).sum())
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                r = abs(apq)
-                if r <= skip:
-                    continue
-                u = apq / r
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * r)
-                # stable small root of t^2 - 2 tau t - 1 = 0
-                t = -1.0 / (tau + np.hypot(tau, 1.0)) if tau >= 0.0 \
-                    else 1.0 / (np.hypot(tau, 1.0) - tau)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                su = s * u
-                suc = s * np.conj(u)
-                # rows: A <- G* A with G = [[c, -su], [suc, c]]
-                rp = A[p, :].copy()
-                rq = A[q, :]
-                A[p, :] = c * rp + su * rq
-                A[q, :] = c * rq - suc * rp
-                # columns: A <- A G
-                cp = A[:, p].copy()
-                cq = A[:, q]
-                A[:, p] = c * cp + suc * cq
-                A[:, q] = c * cq - su * cp
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                if want_vectors:
-                    vp = V[:, p].copy()
-                    vq = V[:, q]
-                    V[:, p] = c * vp + suc * vq
-                    V[:, q] = c * vq - su * vp
-    else:
+    if not np.isfinite(a).all():
+        raise NumericalError("%s: %dx%d matrix has non-finite entries"
+                             % (routine.__name__, a.shape[0], a.shape[1]))
+    try:
+        return routine(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            "Jacobi iteration did not converge in %d sweeps" % JACOBI_MAX_SWEEPS)
+            "LAPACK %s failed on a %dx%d matrix: %s"
+            % (routine.__name__, a.shape[0], a.shape[1], exc)) from exc
 
-    lam = amax * np.diagonal(A).real.copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
+
+def _eigh(h, want_vectors=True):
+    """Eigenvalues of a Hermitian matrix, ascending, and a unitary of
+    eigenvectors (None unless want_vectors)."""
     if want_vectors:
-        V = V[:, order]
-    return lam, V
+        return _lapack(np.linalg.eigh, h)
+    return _lapack(np.linalg.eigvalsh, h), None
+
+
+def _svdvals(a):
+    """Singular values, descending."""
+    return _lapack(np.linalg.svd, a, compute_uv=False)
 
 
 def herm_eig(A):
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations."""
+    """Eigenvalues (ascending) and unitary eigenvectors of a Hermitian matrix.
+
+    A PositiveDefiniteMatrix returns its cached decomposition.
+    """
     if isinstance(A, PositiveDefiniteMatrix):
         return A.spectral
     if not isinstance(A, HermitianMatrix):
         A = HermitianMatrix(_as_array(A))
-    lam, v = _jacobi(A.mat)
+    lam, v = _eigh(A.mat)
     return SpectralDecomposition(lam, v)
 
 
@@ -256,21 +210,16 @@ def positive_power(d, t):
 
 
 def polar_decompose(A):
-    """Polar decomposition A = U P with P = (A*A)^(1/2) positive.
+    """Polar decomposition A = U P with P = (A*A)^(1/2) positive semidefinite.
 
-    U is a partial isometry with U*U the orthogonal projection onto the
-    range of P; rank-deficient input is handled on its support.
+    Both factors come from one SVD A = W S V*: U = W V* and P = V S V*.
+    U is unitary; for rank-deficient A it is one of several unitaries with
+    A = U P.
     """
-    m = _as_array(A)
-    n = m.shape[0]
-    lam, w = _jacobi(m.conj().T @ m)
-    sig = np.sqrt(np.clip(lam, 0.0, None))
-    P = (w * sig) @ w.conj().T
-    P = 0.5 * (P + P.conj().T)
-    smax = sig.max() if n else 0.0
-    inv = np.where(sig > 1e-13 * (smax + 1e-300), 1.0 / np.where(sig == 0, 1.0, sig), 0.0)
-    U = m @ ((w * inv) @ w.conj().T)
-    return U, P
+    w, sig, vh = _lapack(np.linalg.svd, _as_array(A))
+    v = vh.conj().T
+    P = (v * sig) @ vh
+    return w @ vh, 0.5 * (P + P.conj().T)
 
 
 def imaginary_power(d, h):

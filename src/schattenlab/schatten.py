@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import ComplexMatrix, ValidationError, _as_array, _jacobi
+from .matcore import ValidationError, _as_array, _svdvals
 
 # singular values below this fraction of the largest are treated as exact
 # zeros before raising to powers below 1
@@ -47,11 +47,8 @@ class ExponentConfig:
 
 
 def singular_values(A):
-    """Singular values of A, descending, via the eigenvalues of A*A."""
-    m = _as_array(A)
-    lam, _ = _jacobi(m.conj().T @ m, want_vectors=False)
-    sig = np.sqrt(np.clip(lam, 0.0, None))
-    return sig[::-1].copy()
+    """Singular values of A, descending, from LAPACK's SVD of A itself."""
+    return _svdvals(_as_array(A))
 
 
 def _power_sum_norm(sig, p):

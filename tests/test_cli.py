@@ -3,7 +3,8 @@ import textwrap
 
 import pytest
 
-from schattenlab import cli
+from schattenlab import cli, estimator
+from schattenlab.matcore import NumericalError
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -190,3 +191,25 @@ class TestRuns:
         entry = report["tables"]["poisson_mass"][0]
         assert abs(entry["boundary1"] - 0.5) <= 1e-6
         assert abs(entry["full"] - 1.0) <= 1e-6
+
+    def test_numerical_failure_exit_code_names_the_start(
+            self, tmp_path, monkeypatch, capsys, failing_objective):
+        monkeypatch.setitem(estimator.OBJECTIVES, "main",
+                            failing_objective(NumericalError, 2))
+        cfg = write_config(tmp_path, """\
+            [experiment]
+            kind = estimate
+            seed = 11
+            [instances]
+            dim = 3
+            budget = 5
+            starts = 1
+            [objective.main]
+            alpha = 1
+            s = 2
+            r = inf
+        """)
+        status = cli.main(["--config", cfg, "--out", str(tmp_path / "r.json")])
+        assert status == cli.EXIT_NUMERICAL_FAILURE
+        err = capsys.readouterr().err
+        assert "objective main, start 0, iteration 2, seed 11" in err

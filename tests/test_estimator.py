@@ -7,7 +7,7 @@ import pytest
 from schattenlab.estimator import (InstanceSpec, OBJECTIVES, deserialize_state,
                                    maximize, random_instance, replay_witness,
                                    review_flagged)
-from schattenlab.matcore import ValidationError
+from schattenlab.matcore import DomainError, NumericalError, ValidationError
 
 
 class TestInstanceSpec:
@@ -121,3 +121,22 @@ class TestSearch:
             assert review_flagged(rep) == []
         else:
             assert all(v["benign"] for v in review_flagged(rep))
+
+
+class TestFailureContext:
+    @pytest.mark.parametrize("exc_type", [NumericalError, DomainError])
+    def test_names_objective_start_iteration_seed(self, monkeypatch, exc_type,
+                                                  failing_objective):
+        monkeypatch.setitem(OBJECTIVES, "main", failing_objective(exc_type, 3))
+        spec = InstanceSpec(dim=3, seed=5)
+        with pytest.raises(exc_type, match="objective main, start 0, iteration 3,"
+                           " seed 5: solver gave up"):
+            maximize("main", {"alpha": 1.0, "s": 2.0, "r": math.inf}, spec,
+                     budget=10, starts=2)
+
+    def test_initial_state_is_iteration_zero(self, monkeypatch, failing_objective):
+        monkeypatch.setitem(OBJECTIVES, "main", failing_objective(NumericalError, 0))
+        spec = InstanceSpec(dim=3, seed=5)
+        with pytest.raises(NumericalError, match="start 0, iteration 0,"):
+            maximize("main", {"alpha": 1.0, "s": 2.0, "r": math.inf}, spec,
+                     budget=10, starts=1)

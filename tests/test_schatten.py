@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.matcore import ValidationError
+from schattenlab.matcore import NumericalError, ValidationError
 from schattenlab.schatten import (ExponentConfig, schatten_norm,
                                   schatten_norm_from_singular_values,
                                   singular_values)
@@ -25,10 +25,31 @@ class TestSingularValues:
         sig = singular_values(m)
         assert np.abs(sig - [3.0, 1.0, 0.5]).max() <= 1e-12
 
-    def test_matches_numpy_svd(self):
-        a = rand_complex(9)
-        ref = np.linalg.svd(a, compute_uv=False)
-        assert np.abs(singular_values(a) - ref).max() <= 1e-10 * ref[0]
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 1.0])
+    def test_rank_one_quasinorm(self, n, p):
+        # u v* has the single nonzero singular value |u| |v|, so every
+        # Schatten p-norm equals it; a floor of noise singular values would
+        # inflate the p < 1 quasinorms
+        u = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
+        v = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
+        exact = np.linalg.norm(u) * np.linalg.norm(v)
+        assert abs(schatten_norm(np.outer(u, v.conj()), p) - exact) <= 1e-12 * exact
+
+    def test_graded_singular_values(self):
+        # rounding U diag(sig) V* already moves sig_min by about n eps sig_max,
+        # which is 7e-6 relative for sig_min = 1e-10 at n = 3
+        sig = np.array([1.0, 1e-4, 1e-10])
+        u, _ = np.linalg.qr(rand_complex(3))
+        v, _ = np.linalg.qr(rand_complex(3))
+        got = singular_values((u * sig) @ v.conj().T)
+        assert np.all(np.abs(got - sig) <= 1e-5 * sig)
+
+    def test_non_finite_input_raises(self):
+        a = rand_complex(3)
+        a[1, 2] = np.nan
+        with pytest.raises(NumericalError):
+            singular_values(a)
 
 
 class TestNormValues:
