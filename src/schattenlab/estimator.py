@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit it
 
 from .kernels import TMapParams, rx_kernel, t_map
 from .matcore import (DomainError, NumericalError, PositiveDefiniteMatrix,

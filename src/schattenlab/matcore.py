@@ -173,6 +173,11 @@ def _svdvals(a):
     return _lapack(np.linalg.svd, a, compute_uv=False)
 
 
+def _svd(a):
+    """The SVD a = W diag(sigma) V* as (W, sigma descending, V*)."""
+    return _lapack(np.linalg.svd, _as_array(a))
+
+
 def herm_eig(A):
     """Eigenvalues (ascending) and unitary eigenvectors of a Hermitian matrix.
 
@@ -216,7 +221,7 @@ def polar_decompose(A):
     U is unitary; for rank-deficient A it is one of several unitaries with
     A = U P.
     """
-    w, sig, vh = _lapack(np.linalg.svd, _as_array(A))
+    w, sig, vh = _svd(A)
     v = vh.conj().T
     P = (v * sig) @ vh
     return w @ vh, 0.5 * (P + P.conj().T)

@@ -14,8 +14,7 @@ import numpy as np
 from .kernels import (DEGENERATE_GAP, TMapParams, mixed_kernel_map, t_map,
                       _divided_difference)
 from .matcore import (ComplexMatrix, PositiveDefiniteMatrix, ValidationError,
-                      _as_array, anticommutator, commutator, herm_eig,
-                      polar_decompose, positive_power)
+                      _as_array, _svd, anticommutator, positive_power)
 from .schatten import schatten_norm
 
 # denominators below this fraction of the numerator scale are flagged as
@@ -32,15 +31,11 @@ def _safe_ratio(num, den):
 
 
 def mazur_map(f, p, q):
-    """M_{p,q}(f) = U |f|^(p/q) with (U, |f|) the polar parts of f."""
+    """M_{p,q}(f) = U |f|^(p/q) = W S^(p/q) V* from the SVD f = W S V*."""
     if not (p > 0 and q > 0):
         raise ValidationError("Mazur map exponents must be positive")
-    u, pos = polar_decompose(f)
-    s = herm_eig(pos)
-    lam = np.clip(s.eigenvalues, 0.0, None) ** (p / q)
-    v = s.vectors
-    powered = (v * lam) @ v.conj().T
-    return ComplexMatrix(u @ powered)
+    w, sig, vh = _svd(f)
+    return ComplexMatrix((w * sig ** (p / q)) @ vh)
 
 
 def main_ratio(d, x, cfg):
@@ -105,12 +100,8 @@ def mazur_lipschitz_ratio(x, y, p, q, variant="mazur"):
     if variant == "mazur":
         diff = mazur_map(xm, p, q).mat - mazur_map(ym, p, q).mat
     elif variant == "abs-power":
-        _, px = polar_decompose(xm)
-        _, py = polar_decompose(ym)
-        sx, sy = herm_eig(px), herm_eig(py)
-        ax = (sx.vectors * np.clip(sx.eigenvalues, 0, None) ** (p / q)) @ sx.vectors.conj().T
-        ay = (sy.vectors * np.clip(sy.eigenvalues, 0, None) ** (p / q)) @ sy.vectors.conj().T
-        diff = ax - ay
+        (_, sx, vx), (_, sy, vy) = _svd(xm), _svd(ym)
+        diff = (vx.conj().T * sx ** (p / q)) @ vx - (vy.conj().T * sy ** (p / q)) @ vy
     else:
         raise ValidationError("unknown variant %r" % (variant,))
     num = schatten_norm(diff, q)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +217,17 @@ class TestRuns:
         assert status == cli.EXIT_NUMERICAL_FAILURE
         err = capsys.readouterr().err
         assert "objective main, start 0, iteration 2, seed 11" in err
+
+
+def test_cli_import_modules():
+    # scipy's import dominated start-up time and memory while the strip
+    # measures needed it; the closed forms need numpy only.  numpy.random
+    # must be loaded before the search forks its pool workers, or each
+    # worker imports it again
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import schattenlab.cli, sys; assert 'scipy' not in sys.modules;"
+         " assert 'numpy.random' in sys.modules"],
+        env=env, check=True, timeout=60)

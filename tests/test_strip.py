@@ -76,6 +76,73 @@ class TestPoisson:
             poisson_density(1.5, 0, 0.0)
 
 
+def gauss_legendre(f, a, b, panel=0.05, order=16):
+    """Composite Gauss-Legendre rule for f on [a, b]; f takes an array."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, max(1, int(math.ceil((b - a) / panel))) + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return float((half * wg * f(mid + half * xg)).sum())
+
+
+def density(gamma0, k):
+    """The harmonic-measure density on Re z = k, on arrays."""
+    sign = 1.0 if k == 0 else -1.0
+    return lambda t: np.sin(gamma0 * np.pi) / (
+        2.0 * (np.cosh(np.pi * t) - sign * np.cos(gamma0 * np.pi)))
+
+
+def random_intervals(count):
+    ivs = []
+    for _ in range(count):
+        a = float(RNG.uniform(-6, 6))
+        ivs.append((a, a + float(RNG.uniform(0.01, 3.0))))
+    return tuple(ivs)
+
+
+class TestClosedFormMeasure:
+    """The closed-form measures against quadrature of the densities, so that
+    the Poisson-mass and doubling checks do not test the formula against
+    itself."""
+
+    def test_density_matches_module(self):
+        for g in (0.1, 0.5, 0.9):
+            for k in (0, 1):
+                assert abs(density(g, k)(np.array(0.7)) - poisson_density(g, k, 0.7)) \
+                    <= 1e-15
+
+    @pytest.mark.parametrize("gamma0", [0.1, 0.25, 0.5, 0.75, 0.9])
+    def test_random_sets_on_both_lines(self, gamma0):
+        for _ in range(10):
+            aset = BoundarySet(random_intervals(int(RNG.integers(1, 4))),
+                               random_intervals(int(RNG.integers(1, 4))))
+            want = sum(gauss_legendre(density(gamma0, k), a, b)
+                       for k, ivs in ((0, aset.intervals0), (1, aset.intervals1))
+                       for a, b in ivs)
+            assert abs(boundary_measure(gamma0, aset) - want) <= 1e-12
+
+    def test_cosh_measure(self):
+        for _ in range(20):
+            aset = BoundarySet(random_intervals(2), random_intervals(1))
+            want = sum(gauss_legendre(lambda t: 1.0 / np.cosh(np.pi * t), a, b)
+                       for a, b in aset.intervals0 + aset.intervals1)
+            assert abs(cosh_measure(aset) - want) <= 1e-12
+
+    @pytest.mark.parametrize("a,b", [(5.9, 6.0), (11.8, 12.0)])
+    def test_short_interval_in_the_tail(self, a, b):
+        # the measure is about 2e-10 and 4e-18 here; a plain difference of
+        # arctangents loses it to cancellation
+        for k in (0, 1):
+            aset = BoundarySet(((a, b),), ()) if k == 0 else BoundarySet((), ((a, b),))
+            want = gauss_legendre(density(0.1, k), a, b)
+            assert abs(boundary_measure(0.1, aset) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("gamma0", [0.0, 1.5])
+    def test_rejects_gamma_out_of_range(self, gamma0):
+        with pytest.raises(ValidationError):
+            boundary_measure(gamma0, BoundarySet(((0.0, 1.0),), ()))
+
+
 class TestDoubling:
     def test_ratio_below_bound(self):
         for _ in range(20):
