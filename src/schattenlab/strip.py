@@ -22,14 +22,12 @@ TAIL_CUT = 40.0
 
 
 def _merge(intervals):
-    ivs = sorted((float(a), float(b)) for a, b in intervals)
-    for a, b in ivs:
+    merged = []
+    for a, b in sorted((float(a), float(b)) for a, b in intervals):
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValidationError("interval endpoints must be finite")
         if b < a:
             raise ValidationError("interval [%r, %r] reversed" % (a, b))
-    merged = []
-    for a, b in ivs:
         if merged and a <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], b))
         else:

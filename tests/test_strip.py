@@ -37,6 +37,37 @@ class TestBoundarySet:
         with pytest.raises(ValidationError):
             BoundarySet(((0.0, math.inf),), ())
 
+    def test_merges_touching(self):
+        a = BoundarySet(((0.0, 1.0), (1.0, 2.0)), ())
+        assert a.intervals0 == ((0.0, 2.0),)
+
+    def test_contained_interval_does_not_shrink(self):
+        a = BoundarySet(((0.0, 5.0), (1.0, 2.0)), ((1.0, 2.0), (0.0, 5.0)))
+        assert a.intervals0 == a.intervals1 == ((0.0, 5.0),)
+
+    def test_unsorted_mixed_pairs(self):
+        a = BoundarySet(([np.float64(3.0), 4], (np.float32(0.5), 1.0),
+                         np.array([-2.0, -1.0])), ())
+        assert a.intervals0 == ((-2.0, -1.0), (0.5, 1.0), (3.0, 4.0))
+        assert all(type(x) is float for iv in a.intervals0 for x in iv)
+
+    def test_rejects_nan_endpoint(self):
+        with pytest.raises(ValidationError):
+            BoundarySet(((0.0, 1.0), (math.nan, 2.0)), ())
+        with pytest.raises(ValidationError):
+            BoundarySet((), ((0.0, math.nan),))
+
+    def test_rejects_bad_interval_after_valid_ones(self):
+        valid = ((0.0, 1.0), (0.5, 2.0), (3.0, 4.0))
+        # the last two start inside a valid interval, where a merge step
+        # taken before the check would swallow them
+        for bad in ((6.0, 5.0), (5.0, math.inf), (4.5, math.nan),
+                    (3.5, 3.2), (3.5, math.inf)):
+            with pytest.raises(ValidationError):
+                BoundarySet(valid + (bad,), ())
+        with pytest.raises(ValidationError):
+            BoundarySet((), valid + ((10.0, 9.0),))
+
     def test_dilate(self):
         a = BoundarySet(((-1.0, 2.0),), ((0.5, 1.0),))
         b = dilate(a)

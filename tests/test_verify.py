@@ -1,6 +1,9 @@
+import inspect
+
+import numpy as np
 import pytest
 
-from schattenlab import verify
+from schattenlab import strip, verify
 from schattenlab.matcore import ValidationError
 
 
@@ -31,3 +34,77 @@ class TestConvexityDefectEnsemble:
         monkeypatch.setattr(verify, "BoundaryGridCache", broken)
         with pytest.raises(ZeroDivisionError):
             verify.verify_convexity_defect(seed=0, families=3)
+
+
+class TestRandomBoundarySets:
+    def test_is_lazy(self):
+        # building a whole batch at once costs several MB of peak memory
+        sets = verify._random_boundary_sets(np.random.default_rng(0), 3000)
+        assert inspect.isgenerator(sets)
+
+    def test_same_seed_same_sets(self):
+        def draw():
+            return list(verify._random_boundary_sets(
+                np.random.default_rng(5), 200))
+        assert draw() == draw()
+
+    def test_line_choice_shares(self):
+        count = 20000
+        shares = {"line0": 0, "line1": 0, "both": 0}
+        for a in verify._random_boundary_sets(np.random.default_rng(1), count):
+            if a.intervals0 and a.intervals1:
+                shares["both"] += 1
+            else:
+                shares["line0" if a.intervals0 else "line1"] += 1
+        for key, expected in (("line0", 0.2), ("line1", 0.2), ("both", 0.6)):
+            assert abs(shares[key] / count - expected) <= 0.015, shares
+
+    def test_interval_law(self, monkeypatch):
+        raw = []
+        real = verify.BoundarySet
+
+        def record(intervals0, intervals1):
+            raw.append((intervals0, intervals1))
+            return real(intervals0, intervals1)
+        monkeypatch.setattr(verify, "BoundarySet", record)
+        list(verify._random_boundary_sets(np.random.default_rng(2), 2000))
+        assert len(raw) == 2000
+        counts = set()
+        for line0, line1 in raw:
+            for ivs in (line0, line1):
+                if ivs:
+                    counts.add(len(ivs))
+                for a, b in ivs:
+                    assert -4.0 <= a < 4.0
+                    assert 0.05 - 1e-12 <= b - a <= 2.0 + 1e-12
+        assert counts == {1, 2, 3}
+
+
+class TestDoubling:
+    def test_reruns_identical(self):
+        assert verify.verify_doubling(seed=0) == verify.verify_doubling(seed=0)
+
+    def test_detail_counts_sets(self):
+        bound, cosh = verify.verify_doubling(seed=0, sets_per_gamma=10,
+                                             gammas=(0.2, 0.6, 0.7))
+        assert bound["detail"].endswith("over 30 sets")
+        assert cosh["detail"].endswith("over 10 sets")
+
+    def test_one_measure_pair_per_set(self, monkeypatch):
+        # the random sets may be drawn in batches, but every set is still
+        # measured on its own: two measures per set, none shared
+        calls = {"boundary": 0, "cosh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(strip, "boundary_measure",
+                            counted("boundary", strip.boundary_measure))
+        monkeypatch.setattr(verify, "cosh_measure",
+                            counted("cosh", verify.cosh_measure))
+        results = verify.verify_doubling(seed=3, sets_per_gamma=50,
+                                         gammas=(0.1, 0.5))
+        assert all(r["passed"] for r in results)
+        assert calls == {"boundary": 2 * 50 * 2, "cosh": 2 * 50}
