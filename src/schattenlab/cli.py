@@ -22,7 +22,6 @@ from . import __version__, verify
 from .estimator import (InstanceSpec, OBJECTIVES, maximize, replay_witness,
                         review_flagged)
 from .matcore import DomainError, NumericalError, ValidationError
-from .schatten import ExponentConfig
 
 SCHEMA_VERSION = 1
 
@@ -30,24 +29,6 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
-
-# exponent grid keys accepted per objective; all are float-valued
-# ("inf" allowed where an infinite Schatten index makes sense)
-OBJECTIVE_KEYS = {
-    "main": ("alpha", "s", "r"),
-    "interp": ("eps", "s", "r"),
-    "eq1-plus": ("p", "q"),
-    "eq1-minus": ("p", "q"),
-    "eq2": ("p", "q"),
-    "mazur": ("p", "q"),
-    "abs-power": ("p", "q"),
-    "tmap": ("beta", "gamma", "s", "r"),
-    "triangular-probe": ("p",),
-    "rx-probe": ("alpha",),
-    "convexity-defect-min": ("alpha", "q", "gamma0"),
-}
-
-OPTIONAL_KEYS = {"convexity-defect-min": ("gamma0",)}
 
 
 class ConfigError(Exception):
@@ -71,55 +52,23 @@ def _parse_list(text, key):
     return vals
 
 
-def _validate_grid_point(objective_id, point):
-    """Reject exponent combinations the objectives cannot accept."""
-    try:
-        if objective_id == "main":
-            ExponentConfig(point["alpha"], point["s"], point["r"])
-        elif objective_id == "interp":
-            if not 0 < point["eps"] < 1:
-                raise ConfigError("key 'eps': must be in (0, 1)")
-            if not point["s"] > 0:
-                raise ConfigError("key 's': must be positive")
-        elif objective_id in ("eq1-plus", "eq1-minus", "eq2", "mazur", "abs-power"):
-            if not 0 < point["q"] < point["p"]:
-                raise ConfigError("keys 'p','q': need 0 < q < p")
-        elif objective_id == "tmap":
-            if not point["beta"] >= 0:
-                raise ConfigError("key 'beta': must be >= 0")
-            if not 0 < point["gamma"] < 1:
-                raise ConfigError("key 'gamma': must be in (0, 1)")
-        elif objective_id == "triangular-probe":
-            if not point["p"] > 0:
-                raise ConfigError("key 'p': must be positive")
-        elif objective_id == "rx-probe":
-            if not point["alpha"] > 0:
-                raise ConfigError("key 'alpha': must be positive")
-        elif objective_id == "convexity-defect-min":
-            if not point["alpha"] > 0:
-                raise ConfigError("key 'alpha': must be positive")
-            if not 0 < point["q"] <= 2:
-                raise ConfigError("key 'q': must be in (0, 2]")
-    except ValidationError as exc:
-        raise ConfigError("objective %r grid point %r rejected: %s"
-                          % (objective_id, point, exc))
-
-
 def _expand_grid(objective_id, section):
-    """Cartesian product of the per-key value lists, one dict per point."""
-    if objective_id not in OBJECTIVE_KEYS:
+    """Cartesian product of the per-key value lists, one dict per point.
+
+    A point is valid when its objective's evaluator can be built for it.
+    """
+    if objective_id not in OBJECTIVES:
         raise ConfigError("unknown objective %r (known: %s)"
-                          % (objective_id, ", ".join(sorted(OBJECTIVE_KEYS))))
-    keys = OBJECTIVE_KEYS[objective_id]
-    optional = OPTIONAL_KEYS.get(objective_id, ())
+                          % (objective_id, ", ".join(sorted(OBJECTIVES))))
+    obj = OBJECTIVES[objective_id]
     for key in section:
-        if key not in keys:
+        if key not in obj.keys:
             raise ConfigError("objective %r: unexpected key %r" % (objective_id, key))
     lists = []
     used_keys = []
-    for key in keys:
+    for key in obj.keys:
         if key not in section:
-            if key in optional:
+            if key in obj.optional:
                 continue
             raise ConfigError("objective %r: missing key %r" % (objective_id, key))
         lists.append(_parse_list(section[key], key))
@@ -128,7 +77,11 @@ def _expand_grid(objective_id, section):
     for key, vals in zip(used_keys, lists):
         points = [dict(pt, **{key: v}) for pt in points for v in vals]
     for pt in points:
-        _validate_grid_point(objective_id, pt)
+        try:
+            obj.make_eval(pt)
+        except ValidationError as exc:
+            raise ConfigError("objective %r grid point %r rejected: %s"
+                              % (objective_id, pt, exc))
     return points
 
 

@@ -18,9 +18,9 @@ import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit
 from .kernels import TMapParams, rx_kernel, t_map
 from .matcore import (DomainError, NumericalError, PositiveDefiniteMatrix,
                       ValidationError)
-from .mazur import (eq1_ratio, interp_corollary_ratio, main_ratio,
+from .mazur import (_safe_ratio, eq1_ratio, interp_corollary_ratio, main_ratio,
                     mazur_lipschitz_ratio, powers_diff_ratio)
-from .schatten import (ExponentConfig, schatten_norm,
+from .schatten import (ExponentConfig, _exponents, schatten_norm,
                        schatten_norm_from_singular_values, singular_values)
 from .strip import AnalyticFamily, BoundaryGridCache, convexity_defect
 
@@ -173,21 +173,13 @@ def _normalized_pdm(logspec, unitary, s):
 def _tmap_ratio(d, params, delta, p, q, s):
     num = schatten_norm(t_map(d, params, delta), q)
     den = schatten_norm(delta, p) * schatten_norm(d.mat, s) ** params.alpha
-    if num == 0.0 and den == 0.0:
-        return 0.0
-    if den <= 1e-13 * max(num, 1e-14):
-        return math.inf
-    return num / den
+    return _safe_ratio(num, den)
 
 
 def _triangular_ratio(d, x, p):
     num = schatten_norm(x @ d.mat, p)
     den = schatten_norm(d.mat @ x + x @ d.mat, p)
-    if num == 0.0 and den == 0.0:
-        return 0.0
-    if den <= 1e-13 * max(num, 1e-14):
-        return math.inf
-    return num / den
+    return _safe_ratio(num, den)
 
 
 def _rx_ratio(logspec, x, alpha):
@@ -201,12 +193,23 @@ def _rx_ratio(logspec, x, alpha):
 
 
 class _Objective:
-    """One registered ratio objective: state layout plus evaluation."""
+    """One registered ratio objective: state layout, exponent keys, evaluation.
 
-    def __init__(self, kind, direction, make_eval):
+    make_eval raises ValidationError for an exponent point it cannot
+    evaluate; the config parser relies on that to validate grid points.
+    """
+
+    def __init__(self, kind, direction, make_eval, keys, optional=()):
         self.kind = kind            # "dx", "pair-pos", "pair-gen", "rx", "family"
         self.direction = direction  # "max" or "min"
         self.make_eval = make_eval  # params dict -> callable(state) -> float
+        self.keys = keys            # float-valued exponent keys, grid order
+        self.optional = optional    # the keys a grid may leave out
+
+
+def _check_pq(p, q):
+    if not 0 < q < p < math.inf:
+        raise ValidationError("need 0 < q < p < inf, got p=%r, q=%r" % (p, q))
 
 
 def _make_main(params):
@@ -217,6 +220,9 @@ def _make_main(params):
 
 def _make_interp(params):
     eps, s, r = params["eps"], params["s"], params["r"]
+    if not 0 < eps < 1:
+        raise ValidationError("eps must be in (0, 1), got %r" % (eps,))
+    _exponents(s, r)
     return lambda st: interp_corollary_ratio(
         _normalized_pdm(st["logspec"], st["unitary"], s), st["x"], eps, s, r)
 
@@ -224,6 +230,7 @@ def _make_interp(params):
 def _make_eq1(sign):
     def make(params):
         p, q = params["p"], params["q"]
+        _check_pq(p, q)
         return lambda st: eq1_ratio(_normalized_pdm(st["logspec"], st["unitary"], p),
                                     st["x"], p, q, sign)
     return make
@@ -231,6 +238,7 @@ def _make_eq1(sign):
 
 def _make_eq2(params):
     p, q = params["p"], params["q"]
+    _check_pq(p, q)
 
     def ev(st):
         x = _normalized_pdm(st["logspec"], st["unitary"], p)
@@ -244,6 +252,7 @@ def _make_eq2(params):
 def _make_mazur(variant):
     def make(params):
         p, q = params["p"], params["q"]
+        _check_pq(p, q)
 
         def ev(st):
             if np.abs(st["x"] - st["y"]).max() < 1e-14:
@@ -256,27 +265,35 @@ def _make_mazur(variant):
 def _make_tmap(params):
     tp = TMapParams(params["beta"], params["gamma"])
     s, r = params["s"], params["r"]
-    inv_r = 0.0 if math.isinf(r) else 1.0 / r
-    p = 1.0 / (1.0 / s + inv_r)
-    q = 1.0 / ((1.0 + tp.alpha) / s + inv_r)
+    p, q = _exponents(s, r, tp.alpha)
     return lambda st: _tmap_ratio(_normalized_pdm(st["logspec"], st["unitary"], s),
                                   tp, st["x"], p, q, s)
 
 
 def _make_triangular(params):
     p = params["p"]
+    if not p > 0:
+        raise ValidationError("p must be positive, got %r" % (p,))
     return lambda st: _triangular_ratio(
         _normalized_pdm(st["logspec"], st["unitary"], p), st["x"], p)
 
 
 def _make_rx(params):
     alpha = params["alpha"]
+    if not 0 < alpha < math.inf:
+        raise ValidationError("alpha must be in (0, inf), got %r" % (alpha,))
     return lambda st: _rx_ratio(st["logspec"], st["x"], alpha)
 
 
 def _make_defect_min(params):
     alpha, q = params["alpha"], params["q"]
+    if not 0 < alpha < math.inf:
+        raise ValidationError("alpha must be in (0, inf), got %r" % (alpha,))
+    if not 0 < q <= 2:
+        raise ValidationError("q must be in (0, 2], got %r" % (q,))
     gamma0 = params.get("gamma0", alpha / (1.0 + alpha))
+    if not 0 < gamma0 < 1:
+        raise ValidationError("gamma0 must be in (0, 1), got %r" % (gamma0,))
 
     def ev(st):
         d = _normalized_pdm(st["logspec"], st["unitary"], 2.0)
@@ -289,18 +306,22 @@ def _make_defect_min(params):
     return ev
 
 
+# the only objective registry: the config parser reads each objective's
+# exponent keys from here, all float-valued ("inf" where it makes sense)
 OBJECTIVES = {
-    "main": _Objective("dx", "max", _make_main),
-    "interp": _Objective("dx", "max", _make_interp),
-    "eq1-plus": _Objective("dx", "max", _make_eq1(+1)),
-    "eq1-minus": _Objective("dx", "max", _make_eq1(-1)),
-    "eq2": _Objective("pair-pos", "max", _make_eq2),
-    "mazur": _Objective("pair-gen", "max", _make_mazur("mazur")),
-    "abs-power": _Objective("pair-gen", "max", _make_mazur("abs-power")),
-    "tmap": _Objective("dx", "max", _make_tmap),
-    "triangular-probe": _Objective("dx", "max", _make_triangular),
-    "rx-probe": _Objective("rx", "max", _make_rx),
-    "convexity-defect-min": _Objective("family", "min", _make_defect_min),
+    "main": _Objective("dx", "max", _make_main, ("alpha", "s", "r")),
+    "interp": _Objective("dx", "max", _make_interp, ("eps", "s", "r")),
+    "eq1-plus": _Objective("dx", "max", _make_eq1(+1), ("p", "q")),
+    "eq1-minus": _Objective("dx", "max", _make_eq1(-1), ("p", "q")),
+    "eq2": _Objective("pair-pos", "max", _make_eq2, ("p", "q")),
+    "mazur": _Objective("pair-gen", "max", _make_mazur("mazur"), ("p", "q")),
+    "abs-power": _Objective("pair-gen", "max", _make_mazur("abs-power"),
+                            ("p", "q")),
+    "tmap": _Objective("dx", "max", _make_tmap, ("beta", "gamma", "s", "r")),
+    "triangular-probe": _Objective("dx", "max", _make_triangular, ("p",)),
+    "rx-probe": _Objective("rx", "max", _make_rx, ("alpha",)),
+    "convexity-defect-min": _Objective("family", "min", _make_defect_min,
+                                       ("alpha", "q", "gamma0"), ("gamma0",)),
 }
 
 

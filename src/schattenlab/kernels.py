@@ -43,26 +43,19 @@ class TMapParams:
 
 
 class EigenGrouping:
-    """Tolerance-clustered eigenspaces: representative values and projections."""
+    """Tolerance-clustered eigenspaces: representative values and the
+    eigenvector columns spanning each group."""
 
-    __slots__ = ("values", "projections", "indices", "vectors", "dim")
+    __slots__ = ("values", "indices", "vectors", "dim")
 
-    def __init__(self, values, projections, indices, vectors, dim):
+    def __init__(self, values, indices, vectors, dim):
         self.values = values            # representative eigenvalue per group
-        self.projections = projections  # list of Hermitian projection matrices
         self.indices = indices          # eigenvector-column indices per group
         self.vectors = vectors          # eigenvector matrix of the source
         self.dim = dim
 
     def __len__(self):
         return len(self.values)
-
-    def column_values(self):
-        """Representative value assigned to each eigenvector column."""
-        out = np.empty(self.dim)
-        for val, idx in zip(self.values, self.indices):
-            out[idx] = val
-        return out
 
 
 def group_spectrum(S, tol=CLUSTER_TOL):
@@ -80,12 +73,7 @@ def group_spectrum(S, tol=CLUSTER_TOL):
             groups.append(list(range(start, i)))
             start = i
     values = np.array([lam[g].mean() for g in groups])
-    projections = []
-    for g in groups:
-        cols = v[:, g]
-        p = cols @ cols.conj().T
-        projections.append(0.5 * (p + p.conj().T))
-    return EigenGrouping(values, projections, groups, v, n)
+    return EigenGrouping(values, groups, v, n)
 
 
 def _divided_difference(a, b, gamma):

@@ -15,7 +15,7 @@ from .kernels import (DEGENERATE_GAP, TMapParams, mixed_kernel_map, t_map,
                       _divided_difference)
 from .matcore import (ComplexMatrix, PositiveDefiniteMatrix, ValidationError,
                       _as_array, _svd, anticommutator, positive_power)
-from .schatten import schatten_norm
+from .schatten import _exponents, schatten_norm
 
 # denominators below this fraction of the numerator scale are flagged as
 # near-kernel instances rather than divided
@@ -54,8 +54,7 @@ def interp_corollary_ratio(d, x, eps, s, r):
     """||xd||_p / ((||d||_s ||x||_r)^eps ||dx+xd||_p^(1-eps))."""
     if not 0 < eps < 1:
         raise ValidationError("eps must be in (0, 1)")
-    inv_r = 0.0 if math.isinf(r) else 1.0 / r
-    p = 1.0 / (1.0 / s + inv_r)
+    p, _ = _exponents(s, r)
     xm = _as_array(x)
     num = schatten_norm(xm @ d.mat, p)
     den = (schatten_norm(d.mat, s) * schatten_norm(xm, r)) ** eps \

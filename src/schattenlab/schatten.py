@@ -16,6 +16,26 @@ from .matcore import ValidationError, _as_array, _svdvals
 ZERO_CUT = 1e-14
 
 
+def _exponents(s, r, alpha=0.0):
+    """(p, q) with 1/p = 1/s + 1/r and 1/q = (1+alpha)/s + 1/r, 1/inf = 0.
+
+    Raises ValidationError unless s > 0, r > 0 and both p and q lie in
+    (0, inf).
+    """
+    if not (s > 0 and r > 0):
+        raise ValidationError("s and r must be positive, got s=%r, r=%r" % (s, r))
+    inv_r = 0.0 if math.isinf(r) else 1.0 / r
+    try:
+        p = 1.0 / (1.0 / s + inv_r)
+        q = 1.0 / ((1.0 + alpha) / s + inv_r)
+    except ZeroDivisionError:
+        p = q = math.inf
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise ValidationError("s=%r, r=%r, alpha=%r give exponents outside"
+                              " (0, inf)" % (s, r, alpha))
+    return p, q
+
+
 @dataclass(frozen=True)
 class ExponentConfig:
     """The exponent tuple (alpha, s, r) with derived p and q.
@@ -34,11 +54,9 @@ class ExponentConfig:
             raise ValidationError("alpha must be positive, got %r" % (self.alpha,))
         if not 0 < self.s < math.inf:
             raise ValidationError("s must be in (0, inf), got %r" % (self.s,))
-        if not 0 < self.r:
-            raise ValidationError("r must be in (0, inf], got %r" % (self.r,))
-        inv_r = 0.0 if math.isinf(self.r) else 1.0 / self.r
-        object.__setattr__(self, "p", 1.0 / (1.0 / self.s + inv_r))
-        object.__setattr__(self, "q", 1.0 / ((1.0 + self.alpha) / self.s + inv_r))
+        p, q = _exponents(self.s, self.r, self.alpha)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def gamma(self):

@@ -19,7 +19,8 @@ from .matcore import (ComplexMatrix, HermitianMatrix, PositiveDefiniteMatrix,
                       positive_power)
 from .mazur import (decomposition_residual, main_ratio, mazur_map,
                     powers_diff_ratio)
-from .schatten import ExponentConfig, schatten_norm, singular_values
+from .schatten import (ExponentConfig, _exponents, schatten_norm,
+                       singular_values)
 from .strip import (AnalyticFamily, BoundaryGridCache, BoundarySet,
                     boundary_measure, boundary_norm_profile, convexity_defect,
                     cosh_measure, dilate, doubling_bound, doubling_ratio)
@@ -132,7 +133,7 @@ def verify_schatten(seed=0, trials=40):
         n = int(rng.integers(2, 7))
         s = float(rng.uniform(0.4, 4.0))
         r = float(rng.uniform(0.4, 4.0)) if rng.uniform() < 0.7 else math.inf
-        p = 1.0 / (1.0 / s + (0.0 if math.isinf(r) else 1.0 / r))
+        p, _ = _exponents(s, r)
         a, b = _random_complex(rng, n), _random_complex(rng, n)
         lhs = schatten_norm(a @ b, p)
         rhs = schatten_norm(a, s) * schatten_norm(b, r)

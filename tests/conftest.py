@@ -5,8 +5,8 @@ from schattenlab import estimator
 
 @pytest.fixture
 def failing_objective():
-    """Factory of 'dx' objectives whose evaluator raises exc_type once it has
-    been called fail_at times."""
+    """Factory of 'dx' objectives with the keys of 'main' whose evaluator
+    raises exc_type once it has been called fail_at times."""
     def make_objective(exc_type, fail_at):
         def make_eval(params):
             calls = []
@@ -17,5 +17,5 @@ def failing_objective():
                     raise exc_type("solver gave up")
                 return float(len(calls))
             return evaluate
-        return estimator._Objective("dx", "max", make_eval)
+        return estimator._Objective("dx", "max", make_eval, ("alpha", "s", "r"))
     return make_objective

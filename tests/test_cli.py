@@ -6,6 +6,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schattenlab import cli, estimator
 from schattenlab.matcore import NumericalError
@@ -217,6 +219,80 @@ class TestRuns:
         assert status == cli.EXIT_NUMERICAL_FAILURE
         err = capsys.readouterr().err
         assert "objective main, start 0, iteration 2, seed 11" in err
+
+
+def small_estimate(objective_id, point, budget):
+    lines = ["[experiment]", "kind = estimate", "[instances]", "dim = 2",
+             "budget = %d" % budget, "starts = 1",
+             "[objective.%s]" % objective_id]
+    lines += ["%s = %s" % kv for kv in point.items()]
+    return "\n".join(lines) + "\n"
+
+
+# exponent points each objective's evaluator cannot handle; all must stop
+# at the config parser with exit 2
+UNEVALUABLE_POINTS = [
+    ("interp", {"eps": "0.5", "s": "inf", "r": "inf"}),
+    ("interp", {"eps": "0.5", "s": "1", "r": "-1"}),
+    ("interp", {"eps": "0.5", "s": "1", "r": "nan"}),
+    ("tmap", {"beta": "0.3", "gamma": "0.7", "s": "inf", "r": "inf"}),
+    ("tmap", {"beta": "0.3", "gamma": "0.7", "s": "1", "r": "-2"}),
+    ("tmap", {"beta": "inf", "gamma": "0.7", "s": "1", "r": "inf"}),
+    ("main", {"alpha": "inf", "s": "1", "r": "inf"}),
+    ("mazur", {"p": "inf", "q": "2"}),
+    ("eq2", {"p": "inf", "q": "2"}),
+    ("eq1-minus", {"p": "inf", "q": "2"}),
+    ("convexity-defect-min", {"alpha": "1", "q": "1", "gamma0": "1.5"}),
+    ("convexity-defect-min", {"alpha": "inf", "q": "1"}),
+    ("rx-probe", {"alpha": "inf"}),
+]
+
+
+@pytest.mark.parametrize(
+    "objective_id, point", UNEVALUABLE_POINTS,
+    ids=["%s:%s" % (oid, ",".join("%s=%s" % kv for kv in pt.items()))
+         for oid, pt in UNEVALUABLE_POINTS])
+def test_unevaluable_grid_point_is_a_config_error(tmp_path, capsys,
+                                                  objective_id, point):
+    cfg = write_config(tmp_path, small_estimate(objective_id, point, budget=3))
+    status = cli.main(["--config", cfg, "--out", str(tmp_path / "r.json")])
+    assert status == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: objective %r grid point" % objective_id)
+    assert "Traceback" not in err
+
+
+FUZZ_VALUES = ("-1", "0", "0.5", "1", "2", "inf", "-inf", "nan")
+
+
+@st.composite
+def fuzz_configs(draw):
+    objective_id = draw(st.sampled_from(sorted(estimator.OBJECTIVES)))
+    obj = estimator.OBJECTIVES[objective_id]
+    point = {}
+    for key in obj.keys:
+        if key in obj.optional and draw(st.booleans()):
+            continue
+        point[key] = draw(st.sampled_from(FUZZ_VALUES))
+    return objective_id, point
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(fuzz_configs())
+def test_config_fuzz_exit_code(tmp_path_factory, case):
+    objective_id, point = case
+    root = tmp_path_factory.getbasetemp()
+    cfg = root / "fuzz.ini"
+    cfg.write_text(small_estimate(objective_id, point, budget=1))
+    try:
+        cli.load_config(str(cfg))
+        rejected = False
+    except cli.ConfigError:
+        rejected = True
+    status = cli.main(["--config", str(cfg), "--out", str(root / "fuzz.json")])
+    assert status in (cli.EXIT_OK, cli.EXIT_PROPERTY_FAILURE,
+                      cli.EXIT_CONFIG_ERROR, cli.EXIT_NUMERICAL_FAILURE)
+    assert (status == cli.EXIT_CONFIG_ERROR) == rejected
 
 
 def test_cli_import_modules():

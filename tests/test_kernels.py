@@ -52,10 +52,16 @@ class TestGrouping:
         g = group_spectrum(herm_eig(d))
         assert len(g) == 3
 
+    @staticmethod
+    def projections(g):
+        return [g.vectors[:, idx] @ g.vectors[:, idx].conj().T
+                for idx in g.indices]
+
     def test_projections_resolve_identity(self):
         d = rand_pdm(6)
         g = group_spectrum(herm_eig(d))
-        total = sum(g.projections)
+        assert sorted(i for idx in g.indices for i in idx) == list(range(6))
+        total = sum(self.projections(g))
         assert np.abs(total - np.eye(6)).max() <= 1e-11
 
     def test_projections_idempotent(self):
@@ -63,7 +69,8 @@ class TestGrouping:
         q, _ = np.linalg.qr(rand_complex(3))
         d = PositiveDefiniteMatrix.from_spectral(lam, q)
         g = group_spectrum(herm_eig(d))
-        for p in g.projections:
+        assert len(g) == 2
+        for p in self.projections(g):
             assert np.abs(p @ p - p).max() <= 1e-11
 
 

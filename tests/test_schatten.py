@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schattenlab.matcore import NumericalError, ValidationError
-from schattenlab.schatten import (ExponentConfig, schatten_norm,
+from schattenlab.schatten import (ExponentConfig, _exponents, schatten_norm,
                                   schatten_norm_from_singular_values,
                                   singular_values)
 
@@ -157,3 +157,34 @@ class TestExponentConfig:
         cfg = ExponentConfig(alpha=1.0, s=1.0, r=math.inf)
         with pytest.raises(Exception):
             cfg.alpha = 2.0
+
+
+class TestExponentHelper:
+    S_VALUES = (0.1, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 2.0, 7.3, 1e300, math.inf)
+    R_VALUES = (0.3, 1.0, 1.0 / 3.0, 2.0, 5.5, 1e300, math.inf)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 2.5, -0.4])
+    def test_matches_inline_formulas_bitwise(self, alpha):
+        for s in self.S_VALUES:
+            for r in self.R_VALUES:
+                if math.isinf(s) and math.isinf(r):
+                    continue
+                inv_r = 0.0 if math.isinf(r) else 1.0 / r
+                p, q = _exponents(s, r, alpha)
+                assert p == 1.0 / (1.0 / s + inv_r)
+                assert q == 1.0 / ((1.0 + alpha) / s + inv_r)
+
+    def test_exponent_config_uses_it(self):
+        cfg = ExponentConfig(alpha=0.7, s=1.3, r=2.9)
+        assert (cfg.p, cfg.q) == _exponents(1.3, 2.9, 0.7)
+
+    @pytest.mark.parametrize("s, r, alpha", [
+        (0.0, 1.0, 1.0), (-1.0, math.inf, 1.0), (1.0, 0.0, 1.0),
+        (1.0, -2.0, 1.0), (1.0, -math.inf, 1.0), (math.nan, 1.0, 1.0),
+        (1.0, math.nan, 1.0), (1.0, 1.0, math.nan), (math.inf, math.inf, 1.0),
+        (1.0, math.inf, math.inf), (math.inf, 2.0, math.inf),
+        (1.0, math.inf, -1.0), (1.0, math.inf, -3.0),
+    ])
+    def test_rejects(self, s, r, alpha):
+        with pytest.raises(ValidationError):
+            _exponents(s, r, alpha)
