@@ -6,6 +6,12 @@ perturbations of the off-diagonal element, and the best witness is
 reported with a monotone improvement trace.  Identical inputs give
 byte-identical reports; parallel workers merge in start-index order so the
 worker count never changes the result.
+
+The validated matrix classes of matcore are for input to the public API.
+The search computes on plain arrays: each objective's evaluator calls the
+same array function as the public ratio function, with the same
+arithmetic, so both give the same bits on the same state.  Finiteness and
+positivity are checked on every evaluation; unitarity once per unitary.
 """
 
 import math
@@ -15,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit it
 
-from .kernels import TMapParams, rx_kernel, t_map
+from .kernels import CLUSTER_TOL, TMapParams, _group_spectrum, _t_map, rx_kernel
 from .matcore import (DomainError, NumericalError, PositiveDefiniteMatrix,
-                      ValidationError)
-from .mazur import (_safe_ratio, eq1_ratio, interp_corollary_ratio, main_ratio,
-                    mazur_lipschitz_ratio, powers_diff_ratio)
-from .schatten import (ExponentConfig, _exponents, schatten_norm,
-                       schatten_norm_from_singular_values, singular_values)
+                      ValidationError, _as_array, _check_unitary, _finite,
+                      _spectral_arrays, _svdvals)
+from .mazur import (_eq1, _interp, _main, _mazur_lipschitz, _powers_diff,
+                    _safe_ratio)
+from .schatten import (ExponentConfig, _exponents, _power_sum_norm,
+                       schatten_norm, schatten_norm_from_singular_values)
 from .strip import AnalyticFamily, BoundaryGridCache, convexity_defect
 
 SPECTRUM_LAWS = ("log-uniform", "clustered-pairs", "geometric")
@@ -163,23 +170,50 @@ def random_instance(spec):
 
 # --- objective machinery -------------------------------------------------
 
+def _normalized_spectrum(logspec, s):
+    """Spectrum exp(logspec), clipped, scaled to unit Schatten s-norm."""
+    lam = np.exp(np.clip(logspec, -LOG_SPEC_CLIP, LOG_SPEC_CLIP))
+    return lam / schatten_norm_from_singular_values(np.sort(lam)[::-1], s)
+
+
 def _normalized_pdm(logspec, unitary, s):
     """Positive matrix from log-spectrum and unitary, scaled to ||d||_s = 1."""
-    lam = np.exp(np.clip(logspec, -LOG_SPEC_CLIP, LOG_SPEC_CLIP))
-    norm = schatten_norm_from_singular_values(np.sort(lam)[::-1], s)
-    return PositiveDefiniteMatrix.from_spectral(lam / norm, unitary)
+    return PositiveDefiniteMatrix.from_spectral(_normalized_spectrum(logspec, s),
+                                                unitary)
 
 
-def _tmap_ratio(d, params, delta, p, q, s):
-    num = schatten_norm(t_map(d, params, delta), q)
-    den = schatten_norm(delta, p) * schatten_norm(d.mat, s) ** params.alpha
-    return _safe_ratio(num, den)
+def _spectrum_reader(s, log_key="logspec", unitary_key="unitary"):
+    """state -> the arrays (dm, lam, V) of _normalized_pdm(state[log_key],
+    state[unitary_key], s), with the checks of from_spectral.
+
+    Positivity and finiteness are checked on every call.  A search never
+    changes a start's unitary, so unitarity is checked once per unitary
+    array, on its first use; the arrays of a state are never modified in
+    place.
+    """
+    checked = None
+
+    def read(st):
+        nonlocal checked
+        u = st[unitary_key]
+        dm, lam, v = _spectral_arrays(_normalized_spectrum(st[log_key], s), u)
+        _finite(dm)
+        if u is not checked:
+            _check_unitary(np.asarray(u, dtype=complex), lam.shape[0])
+            checked = u
+        return dm, lam, v
+    return read
 
 
-def _triangular_ratio(d, x, p):
-    num = schatten_norm(x @ d.mat, p)
-    den = schatten_norm(d.mat @ x + x @ d.mat, p)
-    return _safe_ratio(num, den)
+def _tmap_ratio(dm, lam, v, x, params, p, q, s):
+    out = _finite(_t_map(_group_spectrum(lam, v, CLUSTER_TOL), params, x))
+    sv = _svdvals(np.stack((x, dm)))
+    return _safe_ratio(schatten_norm(out, q),
+                       _power_sum_norm(sv[0], p) * _power_sum_norm(sv[1], s) ** params.alpha)
+
+
+def _triangular_ratio(dm, x, p):
+    return _safe_ratio(schatten_norm(x @ dm, p), schatten_norm(dm @ x + x @ dm, p))
 
 
 def _rx_ratio(logspec, x, alpha):
@@ -214,38 +248,39 @@ def _check_pq(p, q):
 
 def _make_main(params):
     cfg = ExponentConfig(params["alpha"], params["s"], params["r"])
-    return lambda st: main_ratio(_normalized_pdm(st["logspec"], st["unitary"], cfg.s),
-                                 st["x"], cfg)
+    spectrum = _spectrum_reader(cfg.s)
+    return lambda st: _main(*spectrum(st), _as_array(st["x"]), cfg)
 
 
 def _make_interp(params):
     eps, s, r = params["eps"], params["s"], params["r"]
     if not 0 < eps < 1:
         raise ValidationError("eps must be in (0, 1), got %r" % (eps,))
-    _exponents(s, r)
-    return lambda st: interp_corollary_ratio(
-        _normalized_pdm(st["logspec"], st["unitary"], s), st["x"], eps, s, r)
+    p, _ = _exponents(s, r)
+    spectrum = _spectrum_reader(s)
+    return lambda st: _interp(spectrum(st)[0], _as_array(st["x"]), eps, s, r, p)
 
 
 def _make_eq1(sign):
     def make(params):
         p, q = params["p"], params["q"]
         _check_pq(p, q)
-        return lambda st: eq1_ratio(_normalized_pdm(st["logspec"], st["unitary"], p),
-                                    st["x"], p, q, sign)
+        spectrum = _spectrum_reader(p)
+        return lambda st: _eq1(*spectrum(st), _as_array(st["x"]), p, q, sign)
     return make
 
 
 def _make_eq2(params):
     p, q = params["p"], params["q"]
     _check_pq(p, q)
+    first = _spectrum_reader(p)
+    second = _spectrum_reader(p, "logspec2", "unitary2")
 
     def ev(st):
-        x = _normalized_pdm(st["logspec"], st["unitary"], p)
-        y = _normalized_pdm(st["logspec2"], st["unitary2"], p)
-        if np.abs(x.mat - y.mat).max() < 1e-14:
+        x, y = first(st), second(st)
+        if np.abs(x[0] - y[0]).max() < 1e-14:
             return 0.0
-        return powers_diff_ratio(x, y, p, q)
+        return _powers_diff(*x, *y, p, q)
     return ev
 
 
@@ -257,7 +292,8 @@ def _make_mazur(variant):
         def ev(st):
             if np.abs(st["x"] - st["y"]).max() < 1e-14:
                 return 0.0
-            return mazur_lipschitz_ratio(st["x"], st["y"], p, q, variant=variant)
+            return _mazur_lipschitz(_as_array(st["x"]), _as_array(st["y"]),
+                                    p, q, variant)
         return ev
     return make
 
@@ -266,16 +302,16 @@ def _make_tmap(params):
     tp = TMapParams(params["beta"], params["gamma"])
     s, r = params["s"], params["r"]
     p, q = _exponents(s, r, tp.alpha)
-    return lambda st: _tmap_ratio(_normalized_pdm(st["logspec"], st["unitary"], s),
-                                  tp, st["x"], p, q, s)
+    spectrum = _spectrum_reader(s)
+    return lambda st: _tmap_ratio(*spectrum(st), _as_array(st["x"]), tp, p, q, s)
 
 
 def _make_triangular(params):
     p = params["p"]
     if not p > 0:
         raise ValidationError("p must be positive, got %r" % (p,))
-    return lambda st: _triangular_ratio(
-        _normalized_pdm(st["logspec"], st["unitary"], p), st["x"], p)
+    spectrum = _spectrum_reader(p)
+    return lambda st: _triangular_ratio(spectrum(st)[0], _as_array(st["x"]), p)
 
 
 def _make_rx(params):

@@ -62,8 +62,11 @@ def group_spectrum(S, tol=CLUSTER_TOL):
     """Cluster eigenvalues within relative distance tol into eigenspace groups."""
     if not tol > 0:
         raise ValidationError("clustering tolerance must be positive")
-    lam = S.eigenvalues
-    v = S.vectors
+    return _group_spectrum(S.eigenvalues, S.vectors, tol)
+
+
+def _group_spectrum(lam, v, tol):
+    """group_spectrum on ascending eigenvalues lam and eigenvectors v."""
     n = lam.shape[0]
     scale = max(abs(lam[0]), abs(lam[-1]), 1e-300)
     groups = []
@@ -116,18 +119,30 @@ def loewner_min_eig(values, gamma):
     return float(lam[0])
 
 
+def _column_groups(grouping):
+    """The group index of every eigenvector column."""
+    cols = np.empty(grouping.dim, dtype=np.intp)
+    for g, idx in enumerate(grouping.indices):
+        cols[idx] = g
+    return cols
+
+
 def _schur_apply(grouping_left, grouping_right, kernel_matrix, delta):
-    """sum_ij k_ij P_i delta Q_j computed in the joint eigenbases."""
+    """sum_ij k_ij P_i delta Q_j computed in the joint eigenbases, as an array."""
     vl = grouping_left.vectors
     vr = grouping_right.vectors
-    d = vl.conj().T @ _as_array(delta) @ vr
-    # expand the group-level kernel to eigenvector columns
-    n_l, n_r = grouping_left.dim, grouping_right.dim
-    k = np.empty((n_l, n_r))
-    for gi, idx_i in enumerate(grouping_left.indices):
-        for gj, idx_j in enumerate(grouping_right.indices):
-            k[np.ix_(idx_i, idx_j)] = kernel_matrix[gi, gj]
-    return ComplexMatrix(vl @ (k * d) @ vr.conj().T)
+    d = vl.conj().T @ delta @ vr
+    # the group-level kernel expanded to eigenvector columns
+    rows = _column_groups(grouping_left)
+    cols = rows if grouping_right is grouping_left else _column_groups(grouping_right)
+    k = kernel_matrix[rows[:, None], cols]
+    return vl @ (k * d) @ vr.conj().T
+
+
+def _t_map(grouping, params, delta):
+    """t_map of the array delta over a grouped spectrum, as an array."""
+    kernel = divided_difference_kernel(grouping.values, params)
+    return _schur_apply(grouping, grouping, kernel, delta)
 
 
 def t_map(d, params, delta, tol=CLUSTER_TOL):
@@ -135,9 +150,7 @@ def t_map(d, params, delta, tol=CLUSTER_TOL):
     dm = _as_array(delta)
     if dm.shape[0] != d.dim:
         raise ValidationError("dimension mismatch: %d vs %d" % (d.dim, dm.shape[0]))
-    grouping = group_spectrum(herm_eig(d), tol)
-    kernel = divided_difference_kernel(grouping.values, params)
-    return _schur_apply(grouping, grouping, kernel, dm)
+    return ComplexMatrix(_t_map(group_spectrum(herm_eig(d), tol), params, dm))
 
 
 def unital_cp_map(d, gamma, y):
@@ -174,7 +187,7 @@ def mixed_kernel_map(x, y, kernel, delta):
                 raise DomainError(
                     "kernel non-finite at eigenvalue pair (%r, %r)" % (a, b))
             k[i, j] = val
-    return _schur_apply(gx, gy, k, dm)
+    return ComplexMatrix(_schur_apply(gx, gy, k, dm))
 
 
 def rx_kernel(values, alpha):

@@ -3,6 +3,12 @@
 Everything here operates on square complex matrices of dimension at most 64.
 Eigenvalues and singular values come from LAPACK via numpy (eigh and svd),
 so results are identical on one machine and BLAS, not across platforms.
+
+The validated classes (ComplexMatrix, HermitianMatrix, PositiveDefiniteMatrix,
+SpectralDecomposition) are for input to the public API.  The search computes
+on plain arrays through the private helpers below (_spectral_arrays, _power,
+_finite, _check_unitary, _svdvals), which the classes and the public
+functions share, so each piece of arithmetic exists once.
 """
 
 import numpy as np
@@ -34,8 +40,7 @@ class ComplexMatrix:
         n = m.shape[0]
         if n < 1 or n > MAX_DIM:
             raise ValidationError("dimension %d outside [1, %d]" % (n, MAX_DIM))
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("matrix has non-finite entries")
+        _finite(m)
         m.setflags(write=False)
         self._m = m
 
@@ -81,10 +86,7 @@ class SpectralDecomposition:
         v = np.asarray(vectors, dtype=complex)
         if np.any(np.diff(lam) < 0):
             raise ValidationError("eigenvalues must be nondecreasing")
-        n = lam.shape[0]
-        ortho = np.abs(v.conj().T @ v - np.eye(n)).max()
-        if ortho > 1e-10:
-            raise ValidationError("eigenvector matrix not unitary (%.3e)" % ortho)
+        _check_unitary(v, lam.shape[0])
         lam.setflags(write=False)
         v.setflags(write=False)
         self.eigenvalues = lam
@@ -121,14 +123,7 @@ class PositiveDefiniteMatrix(HermitianMatrix):
         Skips the redundant re-diagonalization; used by generators that
         construct d from an explicit spectrum and unitary.
         """
-        lam = np.asarray(eigenvalues, dtype=float)
-        if np.any(lam <= 0.0) or lam.min() <= 1e-12 * lam.max():
-            raise ValidationError("spectrum not strictly positive definite")
-        order = np.argsort(lam, kind="stable")
-        lam = lam[order]
-        v = np.asarray(vectors, dtype=complex)[:, order]
-        m = (v * lam) @ v.conj().T
-        m = 0.5 * (m + m.conj().T)
+        m, lam, v = _spectral_arrays(eigenvalues, vectors)
         obj = cls.__new__(cls)
         HermitianMatrix.__init__(obj, m)
         obj._spectral = SpectralDecomposition(lam, v)
@@ -143,21 +138,54 @@ def _as_array(a):
     return a.mat if isinstance(a, ComplexMatrix) else np.asarray(a, dtype=complex)
 
 
+def _finite(a, error=ValidationError):
+    """a itself when all its entries are finite; otherwise raise error."""
+    if not np.isfinite(a).all():
+        raise error("matrix has non-finite entries")
+    return a
+
+
+def _check_unitary(v, n):
+    """Raise ValidationError unless the n columns of v are orthonormal."""
+    ortho = np.abs(v.conj().T @ v - np.eye(n)).max()
+    if ortho > 1e-10:
+        raise ValidationError("eigenvector matrix not unitary (%.3e)" % ortho)
+
+
+def _spectral_arrays(eigenvalues, vectors):
+    """(V diag(lam) V* symmetrized, lam ascending, V's columns in that order);
+    ValidationError unless min lam > 1e-12 max lam > 0."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    if np.any(lam <= 0.0) or lam.min() <= 1e-12 * lam.max():
+        raise ValidationError("spectrum not strictly positive definite")
+    order = np.argsort(lam, kind="stable")
+    lam = lam[order]
+    v = np.asarray(vectors, dtype=complex)[:, order]
+    m = (v * lam) @ v.conj().T
+    return 0.5 * (m + m.conj().T), lam, v
+
+
+def _power(lam, v, t):
+    """V diag(lam^t) V*, symmetrized."""
+    m = (v * lam ** t) @ v.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
 def _lapack(routine, a, **kwargs):
-    """Run a numpy.linalg routine on a finite matrix; failures raise NumericalError.
+    """Run a numpy.linalg routine on finite input; failures raise NumericalError.
 
     LAPACK answers some non-finite inputs with NaN instead of an error, so
     those are refused before the call.
     """
+    shape = "x".join(map(str, a.shape))
     if not np.isfinite(a).all():
-        raise NumericalError("%s: %dx%d matrix has non-finite entries"
-                             % (routine.__name__, a.shape[0], a.shape[1]))
+        raise NumericalError("%s: %s input has non-finite entries"
+                             % (routine.__name__, shape))
     try:
         return routine(a, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            "LAPACK %s failed on a %dx%d matrix: %s"
-            % (routine.__name__, a.shape[0], a.shape[1], exc)) from exc
+        raise NumericalError("LAPACK %s failed on %s input: %s"
+                             % (routine.__name__, shape, exc)) from exc
 
 
 def _eigh(h, want_vectors=True):
@@ -169,7 +197,8 @@ def _eigh(h, want_vectors=True):
 
 
 def _svdvals(a):
-    """Singular values, descending."""
+    """Singular values, descending; for a stack of matrices, one row per
+    matrix from one call, bit for bit what one call per matrix gives."""
     return _lapack(np.linalg.svd, a, compute_uv=False)
 
 
@@ -205,13 +234,15 @@ def matrix_function(S, f):
     return HermitianMatrix(0.5 * (m + m.conj().T))
 
 
+def _spectral_of(d):
+    """The cached decomposition of a PositiveDefiniteMatrix, else herm_eig(d)."""
+    return d.spectral if isinstance(d, PositiveDefiniteMatrix) else herm_eig(d)
+
+
 def positive_power(d, t):
     """d**t for positive definite d, via the cached eigendecomposition."""
-    s = d.spectral if isinstance(d, PositiveDefiniteMatrix) else herm_eig(d)
-    lam = s.eigenvalues ** t
-    v = s.vectors
-    m = (v * lam) @ v.conj().T
-    return 0.5 * (m + m.conj().T)
+    s = _spectral_of(d)
+    return _power(s.eigenvalues, s.vectors, t)
 
 
 def polar_decompose(A):
@@ -229,7 +260,7 @@ def polar_decompose(A):
 
 def imaginary_power(d, h):
     """The unitary d^(ih) = V diag(exp(i h log lam)) V* for d > 0."""
-    s = d.spectral if isinstance(d, PositiveDefiniteMatrix) else herm_eig(d)
+    s = _spectral_of(d)
     lam = s.eigenvalues
     if np.any(lam <= 0.0):
         raise DomainError("imaginary power needs a strictly positive spectrum")

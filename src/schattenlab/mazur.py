@@ -13,9 +13,10 @@ import numpy as np
 
 from .kernels import (DEGENERATE_GAP, TMapParams, mixed_kernel_map, t_map,
                       _divided_difference)
-from .matcore import (ComplexMatrix, PositiveDefiniteMatrix, ValidationError,
-                      _as_array, _svd, anticommutator, positive_power)
-from .schatten import _exponents, schatten_norm
+from .matcore import (ComplexMatrix, NumericalError, PositiveDefiniteMatrix,
+                      ValidationError, _as_array, _finite, _power, _spectral_of,
+                      _svd, _svdvals, positive_power)
+from .schatten import _exponents, _power_sum_norm, schatten_norm
 
 # denominators below this fraction of the numerator scale are flagged as
 # near-kernel instances rather than divided
@@ -30,12 +31,32 @@ def _safe_ratio(num, den):
     return num / den
 
 
+def _mazur_matrix(f, p, q):
+    """W S^(p/q) V* from the SVD f = W S V*, as an array."""
+    w, sig, vh = _svd(f)
+    return (w * sig ** (p / q)) @ vh
+
+
 def mazur_map(f, p, q):
     """M_{p,q}(f) = U |f|^(p/q) = W S^(p/q) V* from the SVD f = W S V*."""
     if not (p > 0 and q > 0):
         raise ValidationError("Mazur map exponents must be positive")
-    w, sig, vh = _svd(f)
-    return ComplexMatrix((w * sig ** (p / q)) @ vh)
+    return ComplexMatrix(_mazur_matrix(f, p, q))
+
+
+# Each ratio below has one array function over d = V diag(lam) V* (its
+# matrix dm, lam ascending and V) and x, which the public function calls
+# after validating its input and the search calls on its state.  The
+# numerator's norm comes from schatten_norm, the denominator's from one
+# stacked SVD.  Matrices that the public API once wrapped in ComplexMatrix
+# get _finite where they are formed, in the original order, so a bad state
+# raises the class it always did.
+
+def _main(dm, lam, v, x, cfg):
+    num = schatten_norm(x @ _power(lam, v, 1.0 + cfg.alpha), cfg.q)
+    sv = _svdvals(np.stack((dm, _finite(dm @ x + x @ dm))))
+    return _safe_ratio(num, _power_sum_norm(sv[0], cfg.s) ** cfg.alpha
+                       * _power_sum_norm(sv[1], cfg.p))
 
 
 def main_ratio(d, x, cfg):
@@ -43,11 +64,16 @@ def main_ratio(d, x, cfg):
     xm = _as_array(x)
     if xm.shape[0] != d.dim:
         raise ValidationError("dimension mismatch")
-    d_pow = positive_power(d, 1.0 + cfg.alpha)
-    num = schatten_norm(xm @ d_pow, cfg.q)
-    den = schatten_norm(d.mat, cfg.s) ** cfg.alpha \
-        * schatten_norm(anticommutator(d, xm), cfg.p)
-    return _safe_ratio(num, den)
+    s = _spectral_of(d)
+    return _main(d.mat, s.eigenvalues, s.vectors, xm, cfg)
+
+
+def _interp(dm, x, eps, s, r, p):
+    num = schatten_norm(x @ dm, p)
+    sv = _svdvals(np.stack((dm, _finite(x, NumericalError),
+                            _finite(dm @ x + x @ dm))))
+    return _safe_ratio(num, (_power_sum_norm(sv[0], s) * _power_sum_norm(sv[1], r)) ** eps
+                       * _power_sum_norm(sv[2], p) ** (1.0 - eps))
 
 
 def interp_corollary_ratio(d, x, eps, s, r):
@@ -55,11 +81,16 @@ def interp_corollary_ratio(d, x, eps, s, r):
     if not 0 < eps < 1:
         raise ValidationError("eps must be in (0, 1)")
     p, _ = _exponents(s, r)
-    xm = _as_array(x)
-    num = schatten_norm(xm @ d.mat, p)
-    den = (schatten_norm(d.mat, s) * schatten_norm(xm, r)) ** eps \
-        * schatten_norm(anticommutator(d, xm), p) ** (1.0 - eps)
-    return _safe_ratio(num, den)
+    return _interp(d.mat, _as_array(x), eps, s, r, p)
+
+
+def _eq1(dm, lam, v, x, p, q, sign):
+    d_pow = _power(lam, v, p / q)
+    num = schatten_norm(x @ d_pow + sign * d_pow @ x, q)
+    base = _finite(dm @ x + x @ dm if sign == +1 else x @ dm - dm @ x)
+    sv = _svdvals(np.stack((base, dm)))
+    return _safe_ratio(num, _power_sum_norm(sv[0], p)
+                       * _power_sum_norm(sv[1], p) ** (p / q - 1.0))
 
 
 def eq1_ratio(d, x, p, q, sign):
@@ -68,23 +99,40 @@ def eq1_ratio(d, x, p, q, sign):
         raise ValidationError("need 0 < q < p")
     if sign not in (+1, -1):
         raise ValidationError("sign must be +1 or -1")
-    xm = _as_array(x)
-    d_pow = positive_power(d, p / q)
-    num = schatten_norm(xm @ d_pow + sign * d_pow @ xm, q)
-    base = anticommutator(d, xm) if sign == +1 else \
-        ComplexMatrix(xm @ d.mat - d.mat @ xm)
-    den = schatten_norm(base, p) * schatten_norm(d.mat, p) ** (p / q - 1.0)
-    return _safe_ratio(num, den)
+    s = _spectral_of(d)
+    return _eq1(d.mat, s.eigenvalues, s.vectors, _as_array(x), p, q, sign)
+
+
+def _powers_diff(xm, lx, vx, ym, ly, vy, p, q):
+    num = schatten_norm(_power(lx, vx, p / q) - _power(ly, vy, p / q), q)
+    return _safe_ratio(num, _lipschitz_den(xm, ym, p, q))
+
+
+def _lipschitz_den(x, y, p, q):
+    """max(||x||_p, ||y||_p)^(p/q-1) ||x-y||_p."""
+    sv = _svdvals(np.stack((x, y, x - y)))
+    return max(_power_sum_norm(sv[0], p), _power_sum_norm(sv[1], p)) ** (p / q - 1.0) \
+        * _power_sum_norm(sv[2], p)
 
 
 def powers_diff_ratio(x, y, p, q):
     """||x^(p/q) - y^(p/q)||_q / (max(||x||_p,||y||_p)^(p/q-1) ||x-y||_p)."""
     if not 0 < q < p:
         raise ValidationError("need 0 < q < p")
-    num = schatten_norm(positive_power(x, p / q) - positive_power(y, p / q), q)
-    den = max(schatten_norm(x.mat, p), schatten_norm(y.mat, p)) ** (p / q - 1.0) \
-        * schatten_norm(x.mat - y.mat, p)
-    return _safe_ratio(num, den)
+    sx, sy = _spectral_of(x), _spectral_of(y)
+    return _powers_diff(x.mat, sx.eigenvalues, sx.vectors,
+                        y.mat, sy.eigenvalues, sy.vectors, p, q)
+
+
+def _mazur_lipschitz(x, y, p, q, variant):
+    if variant == "mazur":
+        diff = _finite(_mazur_matrix(x, p, q)) - _finite(_mazur_matrix(y, p, q))
+    elif variant == "abs-power":
+        (_, sx, vx), (_, sy, vy) = _svd(x), _svd(y)
+        diff = (vx.conj().T * sx ** (p / q)) @ vx - (vy.conj().T * sy ** (p / q)) @ vy
+    else:
+        raise ValidationError("unknown variant %r" % (variant,))
+    return _safe_ratio(schatten_norm(diff, q), _lipschitz_den(x, y, p, q))
 
 
 def mazur_lipschitz_ratio(x, y, p, q, variant="mazur"):
@@ -95,18 +143,7 @@ def mazur_lipschitz_ratio(x, y, p, q, variant="mazur"):
     """
     if not 0 < q < p:
         raise ValidationError("need 0 < q < p")
-    xm, ym = _as_array(x), _as_array(y)
-    if variant == "mazur":
-        diff = mazur_map(xm, p, q).mat - mazur_map(ym, p, q).mat
-    elif variant == "abs-power":
-        (_, sx, vx), (_, sy, vy) = _svd(xm), _svd(ym)
-        diff = (vx.conj().T * sx ** (p / q)) @ vx - (vy.conj().T * sy ** (p / q)) @ vy
-    else:
-        raise ValidationError("unknown variant %r" % (variant,))
-    num = schatten_norm(diff, q)
-    den = max(schatten_norm(xm, p), schatten_norm(ym, p)) ** (p / q - 1.0) \
-        * schatten_norm(xm - ym, p)
-    return _safe_ratio(num, den)
+    return _mazur_lipschitz(_as_array(x), _as_array(y), p, q, variant)
 
 
 def _weighted_dd_kernel(t):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.kernels import (DEGENERATE_GAP, TMapParams,
+from schattenlab.kernels import (DEGENERATE_GAP, TMapParams, _schur_apply,
                                  divided_difference_kernel, group_spectrum,
                                  loewner_min_eig, mixed_kernel_map, rx_kernel,
                                  t_map, unital_cp_map)
@@ -192,6 +192,28 @@ class TestMixedKernel:
         x, y = rand_pdm(3), rand_pdm(3)
         with pytest.raises(DomainError):
             mixed_kernel_map(x, y, lambda a, b: float("nan"), rand_complex(3))
+
+
+def test_schur_apply_expands_the_kernel_per_group_pair():
+    # ragged groups on both sides; the kernel expanded one group pair at a
+    # time must give the same bits
+    q1, _ = np.linalg.qr(rand_complex(6))
+    q2, _ = np.linalg.qr(rand_complex(6))
+    gl = group_spectrum(herm_eig(PositiveDefiniteMatrix.from_spectral(
+        np.array([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]), q1)))
+    gr = group_spectrum(herm_eig(PositiveDefiniteMatrix.from_spectral(
+        np.array([0.5, 4.0, 4.0, 4.0, 4.0, 7.0]), q2)))
+    assert [len(i) for i in gl.indices] == [3, 1, 2]
+    assert [len(i) for i in gr.indices] == [1, 4, 1]
+    kernel = RNG.uniform(0.5, 2.0, (len(gl), len(gr)))
+    delta = rand_complex(6)
+    k = np.empty((6, 6))
+    for gi, idx_i in enumerate(gl.indices):
+        for gj, idx_j in enumerate(gr.indices):
+            k[np.ix_(idx_i, idx_j)] = kernel[gi, gj]
+    d = gl.vectors.conj().T @ delta @ gr.vectors
+    want = gl.vectors @ (k * d) @ gr.vectors.conj().T
+    assert np.array_equal(_schur_apply(gl, gr, kernel, delta), want)
 
 
 class TestRxKernel:
