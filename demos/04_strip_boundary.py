@@ -11,7 +11,7 @@ import numpy as np
 from schattenlab import (AnalyticFamily, BoundaryGridCache, BoundarySet,
                         PositiveDefiniteMatrix, boundary_measure,
                         boundary_norm_profile, convexity_defect,
-                        doubling_ratio, schatten_norm)
+                        doubling_ratio)
 
 rng = np.random.default_rng(3)
 

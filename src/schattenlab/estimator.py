@@ -16,12 +16,12 @@ positivity are checked on every evaluation; unitarity once per unitary.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit it
 
-from .kernels import CLUSTER_TOL, TMapParams, _group_spectrum, _t_map, rx_kernel
+from .kernels import TMapParams, _group_spectrum, _t_map, rx_kernel
 from .matcore import (DomainError, NumericalError, PositiveDefiniteMatrix,
                       ValidationError, _as_array, _check_unitary, _finite,
                       _spectral_arrays, _svdvals)
@@ -38,6 +38,7 @@ LOG_SPEC_RANGE = math.log(1e3)   # spectra drawn log-uniform over [1e-3, 1e3]
 LOG_SPEC_CLIP = 8.0              # hill climbing keeps log-eigenvalues in [-8, 8]
 
 DEFAULT_SCHEDULE = (0.5, 1e-3)   # geometric step decay over the budget
+REVIEW_JITTER = 1e-6             # step of the flag review's jittered copies
 
 
 @dataclass(frozen=True)
@@ -92,21 +93,9 @@ class RatioReport:
         return abs(final - at_cut) / abs(at_cut)
 
     def to_dict(self):
-        return {
-            "objective_id": self.objective_id,
-            "exponents": self.exponents,
-            "best_ratio": self.best_ratio,
-            "witness": self.witness,
-            "trace": self.trace,
-            "seed": self.seed,
-            "flagged_instances": self.flagged_instances,
-            "flagged_witnesses": self.flagged_witnesses,
-            "starts": self.starts,
-            "budget": self.budget,
-            "spec": self.spec,
-            "direction": self.direction,
-            "plateau_improvement": self.plateau_improvement(),
-        }
+        # the fields themselves: asdict would deep-copy every witness and trace
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(out, plateau_improvement=self.plateau_improvement())
 
 
 def _rng_for(seed, start_index):
@@ -206,7 +195,7 @@ def _spectrum_reader(s, log_key="logspec", unitary_key="unitary"):
 
 
 def _tmap_ratio(dm, lam, v, x, params, p, q, s):
-    out = _finite(_t_map(_group_spectrum(lam, v, CLUSTER_TOL), params, x))
+    out = _finite(_t_map(_group_spectrum(lam, v), params, x))
     sv = _svdvals(np.stack((x, dm)))
     return _safe_ratio(schatten_norm(out, q),
                        _power_sum_norm(sv[0], p) * _power_sum_norm(sv[1], s) ** params.alpha)
@@ -449,15 +438,15 @@ def deserialize_state(blob):
     return out
 
 
-def _step_at(schedule, i, budget):
-    lo, hi = schedule[1], schedule[0]
+def _step_at(i, budget):
+    hi, lo = DEFAULT_SCHEDULE
     if budget <= 1:
         return hi
     return hi * (lo / hi) ** (i / (budget - 1))
 
 
 def _run_start(args):
-    (objective_id, params, spec, start_index, budget, schedule, diagonal) = args
+    (objective_id, params, spec, start_index, budget, diagonal) = args
     obj = OBJECTIVES[objective_id]
     score = obj.make_eval(params)
     rng = _rng_for(spec.seed, start_index)
@@ -492,7 +481,7 @@ def _run_start(args):
             cand = {k: best_st[k] + delta[k] if k in delta else best_st[k]
                     for k in best_st}
         else:
-            step = _step_at(schedule, i, budget)
+            step = _step_at(i, budget)
             cand = _perturb(obj.kind, best_st, rng, step, spec.x_law, diagonal)
         try:
             v = evaluate(cand, i + 1)
@@ -517,8 +506,8 @@ def _run_start(args):
     return best, _serialize_state(best_st), events, flagged, flagged_states
 
 
-def maximize(objective_id, exponents, spec, budget, schedule=None, starts=16,
-             jobs=1, diagonal=False):
+def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
+             diagonal=False):
     """Multi-start hill climbing of a registered ratio objective.
 
     Returns a RatioReport; 'convexity-defect-min' minimizes instead.
@@ -530,8 +519,7 @@ def maximize(objective_id, exponents, spec, budget, schedule=None, starts=16,
     if starts < 1:
         raise ValidationError("needs at least one start")
     obj = OBJECTIVES[objective_id]
-    schedule = tuple(schedule) if schedule else DEFAULT_SCHEDULE
-    tasks = [(objective_id, dict(exponents), spec, idx, budget, schedule, diagonal)
+    tasks = [(objective_id, dict(exponents), spec, idx, budget, diagonal)
              for idx in range(starts)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -591,7 +579,7 @@ def replay_witness(report):
     return evaluate(deserialize_state(report.witness))
 
 
-def review_flagged(report, jitter=1e-6, trials=3):
+def review_flagged(report, trials=3):
     """Replay each flagged near-kernel witness under small jitter.
 
     A flagged instance is benign when jittered copies yield finite,
@@ -609,7 +597,7 @@ def review_flagged(report, jitter=1e-6, trials=3):
             entropy=report.seed, spawn_key=(0xF1A6, widx)))
         ratios = []
         for _ in range(trials):
-            cand = _perturb(obj.kind, st, rng, jitter,
+            cand = _perturb(obj.kind, st, rng, REVIEW_JITTER,
                             report.spec.get("x_law", "gaussian-complex"),
                             report.spec.get("diagonal", False))
             try:

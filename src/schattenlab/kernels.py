@@ -58,21 +58,20 @@ class EigenGrouping:
         return len(self.values)
 
 
-def group_spectrum(S, tol=CLUSTER_TOL):
-    """Cluster eigenvalues within relative distance tol into eigenspace groups."""
-    if not tol > 0:
-        raise ValidationError("clustering tolerance must be positive")
-    return _group_spectrum(S.eigenvalues, S.vectors, tol)
+def group_spectrum(S):
+    """Cluster eigenvalues within relative distance CLUSTER_TOL into
+    eigenspace groups."""
+    return _group_spectrum(S.eigenvalues, S.vectors)
 
 
-def _group_spectrum(lam, v, tol):
+def _group_spectrum(lam, v):
     """group_spectrum on ascending eigenvalues lam and eigenvectors v."""
     n = lam.shape[0]
     scale = max(abs(lam[0]), abs(lam[-1]), 1e-300)
     groups = []
     start = 0
     for i in range(1, n + 1):
-        if i == n or lam[i] - lam[i - 1] > tol * max(scale, abs(lam[i])):
+        if i == n or lam[i] - lam[i - 1] > CLUSTER_TOL * max(scale, abs(lam[i])):
             groups.append(list(range(start, i)))
             start = i
     values = np.array([lam[g].mean() for g in groups])
@@ -85,19 +84,25 @@ def _divided_difference(a, b, gamma):
     return (a ** gamma - b ** gamma) / (a - b)
 
 
-def divided_difference_kernel(values, params):
-    """Loewner kernel of t -> t^gamma with d_i^beta d_j^beta weights."""
-    vals = np.asarray(values, dtype=float)
-    if np.any(vals <= 0):
-        raise DomainError("divided-difference kernel needs positive values")
-    gamma, beta = params.gamma, params.beta
+def _loewner_matrix(vals, gamma):
+    """The matrix of divided differences of t -> t^gamma on vals, entry by
+    entry in scalar arithmetic (array ** can differ from scalar ** by an
+    ulp)."""
     n = vals.shape[0]
     k = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
             k[i, j] = k[j, i] = _divided_difference(vals[i], vals[j], gamma)
-    w = vals ** beta
-    return k * np.outer(w, w)
+    return k
+
+
+def divided_difference_kernel(values, params):
+    """Loewner kernel of t -> t^gamma with d_i^beta d_j^beta weights."""
+    vals = np.asarray(values, dtype=float)
+    if np.any(vals <= 0):
+        raise DomainError("divided-difference kernel needs positive values")
+    w = vals ** params.beta
+    return _loewner_matrix(vals, params.gamma) * np.outer(w, w)
 
 
 def loewner_min_eig(values, gamma):
@@ -107,15 +112,7 @@ def loewner_min_eig(values, gamma):
     vals = np.asarray(values, dtype=float)
     if np.any(vals <= 0):
         raise DomainError("Loewner matrix needs positive values")
-    n = vals.shape[0]
-    k = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            if gamma == 1.0:
-                k[i, j] = k[j, i] = 1.0
-            else:
-                k[i, j] = k[j, i] = _divided_difference(vals[i], vals[j], gamma)
-    lam, _ = _eigh(k, want_vectors=False)
+    lam, _ = _eigh(_loewner_matrix(vals, gamma), want_vectors=False)
     return float(lam[0])
 
 
@@ -145,12 +142,12 @@ def _t_map(grouping, params, delta):
     return _schur_apply(grouping, grouping, kernel, delta)
 
 
-def t_map(d, params, delta, tol=CLUSTER_TOL):
+def t_map(d, params, delta):
     """The weighted Loewner-kernel Schur multiplier applied to delta."""
     dm = _as_array(delta)
     if dm.shape[0] != d.dim:
         raise ValidationError("dimension mismatch: %d vs %d" % (d.dim, dm.shape[0]))
-    return ComplexMatrix(_t_map(group_spectrum(herm_eig(d), tol), params, dm))
+    return ComplexMatrix(_t_map(group_spectrum(herm_eig(d)), params, dm))
 
 
 def unital_cp_map(d, gamma, y):

@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .kernels import (DEGENERATE_GAP, TMapParams, mixed_kernel_map, t_map,
-                      _divided_difference)
+from .kernels import TMapParams, mixed_kernel_map, t_map, _divided_difference
 from .matcore import (ComplexMatrix, NumericalError, PositiveDefiniteMatrix,
                       ValidationError, _as_array, _finite, _power, _spectral_of,
                       _svd, _svdvals, positive_power)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ComplexMatrix, ValidationError, herm_eig
+from .matcore import (ComplexMatrix, ValidationError, _as_array, _svdvals,
+                      herm_eig)
 from .schatten import schatten_norm_from_singular_values, singular_values
 
 # tail truncation for unbounded boundary integrals: the density at |t| = 40
@@ -47,8 +48,8 @@ class BoundarySet:
         object.__setattr__(self, "intervals1", _merge(self.intervals1))
 
     @staticmethod
-    def full(T=TAIL_CUT):
-        return BoundarySet(((-T, T),), ((-T, T),))
+    def full():
+        return BoundarySet(((-TAIL_CUT, TAIL_CUT),), ((-TAIL_CUT, TAIL_CUT),))
 
 
 def poisson_density(gamma0, k, t):
@@ -139,8 +140,7 @@ def family_eval(F, z):
     c = 1.0 + F.alpha
     left = (v * np.exp(c * z * np.log(lam))) @ v.conj().T
     right = (v * np.exp(c * (1.0 - z) * np.log(lam))) @ v.conj().T
-    xm = F.x.mat if hasattr(F.x, "mat") else np.asarray(F.x, dtype=complex)
-    return ComplexMatrix(left @ xm @ right)
+    return ComplexMatrix(left @ _as_array(F.x) @ right)
 
 
 def boundary_norm_profile(F, q, t_grid):
@@ -153,8 +153,10 @@ def boundary_norm_profile(F, q, t_grid):
     return norms0, norms1
 
 
-def _gauss_panels(T=12.0, panel=0.5, order=8):
-    """Composite Gauss-Legendre nodes and weights on [-T, T]."""
+def _gauss_panels():
+    """Composite Gauss-Legendre nodes and weights on [-T, T]: 8 nodes on each
+    unit panel, 192 in all."""
+    T, panel, order = 12.0, 1.0, 8
     xg, wg = np.polynomial.legendre.leggauss(order)
     edges = np.arange(-T, T + 0.5 * panel, panel)
     nodes, weights = [], []
@@ -168,41 +170,47 @@ def _gauss_panels(T=12.0, panel=0.5, order=8):
 class BoundaryGridCache:
     """Singular values of F and F - F(gamma0) on a fixed boundary grid.
 
-    Lets several q-exponents share one set of matrix evaluations.
+    Lets several q-exponents share one set of matrix evaluations.  With
+    nodes the 192 grid points t and n the dimension, per line k in (0, 1):
+    sv[k] is one (1, n) row, since F(k+it) has the same singular values at
+    every node; diff_sv[k] is a (nodes, n) array, row i for
+    F(k+it_i) - F(gamma0); weights[k] is the (nodes,) Poisson-weighted
+    quadrature weights.  center_sv is the (n,) singular values of F(gamma0).
     """
 
-    def __init__(self, F, gamma0, T=12.0, panel=1.0, order=8):
+    def __init__(self, F, gamma0):
         if not 0 < gamma0 < 1:
             raise ValidationError("gamma0 must be in (0, 1)")
         self.gamma0 = gamma0
-        self.nodes, wq = _gauss_panels(T, panel, order)
+        self.nodes, wq = _gauss_panels()
         # work in the eigenbasis of d: F(z) there is the entrywise scaling
         # lam_i^(c z) X'_ij lam_j^(c (1-z)), and Schatten norms are
         # basis-independent
         s = herm_eig(F.d)
         lam, v = s.eigenvalues, s.vectors
-        xm = F.x.mat if hasattr(F.x, "mat") else np.asarray(F.x, dtype=complex)
-        xp = v.conj().T @ xm @ v
+        xp = v.conj().T @ _as_array(F.x) @ v
         c = 1.0 + F.alpha
-        log_lam = np.log(lam)
-        center = (lam ** (c * gamma0))[:, None] * xp * (lam ** (c * (1 - gamma0)))[None, :]
+
+        def f_at(re):  # F at the real strip point re
+            return (lam ** (c * re))[:, None] * xp * (lam ** (c * (1 - re)))[None, :]
+
+        center = f_at(gamma0)
         self.center_sv = singular_values(center)
-        self.sv = {}       # k -> list of singular-value arrays of F(k+it)
-        self.diff_sv = {}  # k -> same for F(k+it) - F(gamma0)
+        # F(k+it) = D F(k) D* with D = diag(rot) unitary, rot = lam^(i c t)
+        rot = np.exp(1j * c * self.nodes[:, None] * np.log(lam))
+        stack = np.empty((len(self.nodes),) + center.shape, dtype=complex)
+        self.sv = {}       # k -> (1, n) singular values of F(k+it), any t
+        self.diff_sv = {}  # k -> (nodes, n) same for F(k+it) - F(gamma0)
         self.weights = {}  # k -> Poisson-weighted quadrature weights
         for k in (0, 1):
             dens = np.array([poisson_density(gamma0, k, t) for t in self.nodes])
             self.weights[k] = wq * dens
-            base = (lam ** (c * k))[:, None] * xp * (lam ** (c * (1 - k)))[None, :]
-            # F(k+it) = D base D* with D = diag(lam^(i c t)) unitary, so its
-            # singular values are those of base at every node
-            self.sv[k] = [singular_values(base)] * len(self.nodes)
-            dsvs = []
-            for t in self.nodes:
-                rot = np.exp(1j * c * t * log_lam)
-                m = rot[:, None] * base * np.conj(rot)[None, :]
-                dsvs.append(singular_values(m - center))
-            self.diff_sv[k] = dsvs
+            base = f_at(k)
+            self.sv[k] = singular_values(base)[None, :]
+            np.multiply(rot[:, :, None], base, out=stack)
+            stack *= np.conj(rot)[:, None, :]
+            stack -= center
+            self.diff_sv[k] = _svdvals(stack)
 
     def lq_functional(self, q, which):
         """(integral of ||.||_q^q dP)^(1/q) for F or F - F(gamma0)."""

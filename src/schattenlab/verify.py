@@ -10,20 +10,17 @@ import zlib
 
 import numpy as np
 
-from . import estimator as est
-from .kernels import (TMapParams, divided_difference_kernel, group_spectrum,
-                      loewner_min_eig, rx_kernel, t_map, unital_cp_map)
-from .matcore import (ComplexMatrix, HermitianMatrix, PositiveDefiniteMatrix,
-                      ValidationError, _eigh, anticommutator, herm_eig,
-                      imaginary_power, matrix_function, polar_decompose,
-                      positive_power)
+from .kernels import (TMapParams, loewner_min_eig, rx_kernel, t_map,
+                      unital_cp_map)
+from .matcore import (HermitianMatrix, PositiveDefiniteMatrix, ValidationError,
+                      _eigh, herm_eig, imaginary_power, matrix_function,
+                      polar_decompose, positive_power)
 from .mazur import (decomposition_residual, main_ratio, mazur_map,
                     powers_diff_ratio)
-from .schatten import (ExponentConfig, _exponents, schatten_norm,
-                       singular_values)
+from .schatten import ExponentConfig, _exponents, schatten_norm
 from .strip import (AnalyticFamily, BoundaryGridCache, BoundarySet,
                     boundary_measure, boundary_norm_profile, convexity_defect,
-                    cosh_measure, dilate, doubling_bound, doubling_ratio)
+                    cosh_measure, dilate, doubling_ratio)
 
 
 def _result(name, passed, value, tolerance, detail=""):

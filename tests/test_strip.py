@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.matcore import PositiveDefiniteMatrix, ValidationError
-from schattenlab.schatten import schatten_norm
+from schattenlab import strip
+from schattenlab.matcore import PositiveDefiniteMatrix, ValidationError, herm_eig
+from schattenlab.schatten import schatten_norm, singular_values
 from schattenlab.strip import (AnalyticFamily, BoundaryGridCache, BoundarySet,
                                boundary_measure, boundary_norm_profile,
                                convexity_defect, cosh_measure, dilate,
@@ -269,3 +270,80 @@ class TestConvexityDefect:
         fam = AnalyticFamily(rand_pdm(2), rand_complex(2), 1.0)
         with pytest.raises(ValidationError):
             convexity_defect(fam, 0.5, 3.0)
+
+
+def per_node_tables(F, gamma0, nodes):
+    """center_sv, sv and diff_sv built one node at a time: the reference
+    for the cache's stacked tables."""
+    s = herm_eig(F.d)
+    lam, v = s.eigenvalues, s.vectors
+    xp = v.conj().T @ np.asarray(F.x, dtype=complex) @ v
+    c = 1.0 + F.alpha
+    log_lam = np.log(lam)
+    center = (lam ** (c * gamma0))[:, None] * xp * (lam ** (c * (1 - gamma0)))[None, :]
+    sv, diff_sv = {}, {}
+    for k in (0, 1):
+        base = (lam ** (c * k))[:, None] * xp * (lam ** (c * (1 - k)))[None, :]
+        sv[k] = [singular_values(base)] * len(nodes)
+        diff_sv[k] = []
+        for t in nodes:
+            rot = np.exp(1j * c * t * log_lam)
+            m = rot[:, None] * base * np.conj(rot)[None, :]
+            diff_sv[k].append(singular_values(m - center))
+    return singular_values(center), sv, diff_sv
+
+
+def defect_or_degenerate(F, gamma0, q, cache):
+    try:
+        return convexity_defect(F, gamma0, q, cache)
+    except ValidationError:
+        return "degenerate"
+
+
+class TestBoundaryGridTables:
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 16])
+    @pytest.mark.parametrize("law", ["gaussian", "rank-one"])
+    def test_stacked_tables_equal_the_per_node_construction(self, n, law):
+        rng = np.random.default_rng(100 * n + len(law))
+        lam = np.exp(rng.uniform(-1.5, 1.5, n))
+        u, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        d = PositiveDefiniteMatrix.from_spectral(lam, u)
+        if law == "gaussian":
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        else:
+            a = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+            b = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+            x = a @ b.conj().T
+        alpha = float(rng.uniform(0.3, 2.0))
+        gamma0 = alpha / (1.0 + alpha)
+        fam = AnalyticFamily(d, x, alpha)
+        cache = BoundaryGridCache(fam, gamma0)
+        ref = BoundaryGridCache(fam, gamma0)
+        ref.center_sv, ref.sv, ref.diff_sv = per_node_tables(fam, gamma0, cache.nodes)
+        nodes = len(cache.nodes)
+        assert nodes == 192
+        assert np.array_equal(cache.center_sv, ref.center_sv)
+        for k in (0, 1):
+            assert cache.sv[k].shape == (1, n)
+            assert cache.diff_sv[k].shape == (nodes, n)
+            assert np.array_equal(np.broadcast_to(cache.sv[k], (nodes, n)),
+                                  np.array(ref.sv[k]))
+            assert np.array_equal(cache.diff_sv[k], np.array(ref.diff_sv[k]))
+        for q in (0.3, 0.5, 1.0, 2.0):
+            assert defect_or_degenerate(fam, gamma0, q, cache) \
+                == defect_or_degenerate(fam, gamma0, q, ref)
+
+    def test_build_makes_three_single_and_two_stacked_svd_calls(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(a):
+                calls.append((name, np.shape(a)))
+                return fn(a)
+            return wrapped
+        monkeypatch.setattr(strip, "singular_values",
+                            counting("single", strip.singular_values))
+        monkeypatch.setattr(strip, "_svdvals", counting("stacked", strip._svdvals))
+        BoundaryGridCache(AnalyticFamily(rand_pdm(3), rand_complex(3), 1.0), 0.5)
+        assert sorted(calls) == [("single", (3, 3))] * 3 + [("stacked", (192, 3, 3))] * 2
