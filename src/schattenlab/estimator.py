@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit it
 
-from .kernels import TMapParams, _group_spectrum, _t_map, rx_kernel
+from .kernels import TMapParams, _t_map, rx_kernel
 from .matcore import (DomainError, NumericalError, PositiveDefiniteMatrix,
                       ValidationError, _as_array, _check_unitary, _finite,
                       _spectral_arrays, _svdvals)
@@ -195,7 +195,7 @@ def _spectrum_reader(s, log_key="logspec", unitary_key="unitary"):
 
 
 def _tmap_ratio(dm, lam, v, x, params, p, q, s):
-    out = _finite(_t_map(_group_spectrum(lam, v), params, x))
+    out = _finite(_t_map(lam, v, params, x))
     sv = _svdvals(np.stack((x, dm)))
     return _safe_ratio(schatten_norm(out, q),
                        _power_sum_norm(sv[0], p) * _power_sum_norm(sv[1], s) ** params.alpha)
@@ -385,7 +385,7 @@ def _matrix_bump(st, key, rng, step, x_law, diagonal):
     return bump
 
 
-def _perturb(kind, st, rng, step, x_law, diagonal=False):
+def _perturb(st, rng, step, x_law, diagonal=False):
     """One random proposal: perturb a random block of the state, or all of it.
 
     Blocks are the log-spectra (multiplicative moves) and the matrix parts
@@ -482,7 +482,7 @@ def _run_start(args):
                     for k in best_st}
         else:
             step = _step_at(i, budget)
-            cand = _perturb(obj.kind, best_st, rng, step, spec.x_law, diagonal)
+            cand = _perturb(best_st, rng, step, spec.x_law, diagonal)
         try:
             v = evaluate(cand, i + 1)
         except ValidationError:
@@ -597,7 +597,7 @@ def review_flagged(report, trials=3):
             entropy=report.seed, spawn_key=(0xF1A6, widx)))
         ratios = []
         for _ in range(trials):
-            cand = _perturb(obj.kind, st, rng, REVIEW_JITTER,
+            cand = _perturb(st, rng, REVIEW_JITTER,
                             report.spec.get("x_law", "gaussian-complex"),
                             report.spec.get("diagonal", False))
             try:

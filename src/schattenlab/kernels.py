@@ -22,7 +22,8 @@ from .matcore import (ComplexMatrix, DomainError, HermitianMatrix,
 # derivative convention; the quotient is catastrophic near coincidences
 DEGENERATE_GAP = 1e-8
 
-# default relative tolerance for clustering eigenvalues into groups
+# neighbouring eigenvalues closer than this fraction of max|lambda| are
+# clustered into one group
 CLUSTER_TOL = 1e-9
 
 
@@ -42,40 +43,26 @@ class TMapParams:
         object.__setattr__(self, "alpha", 2.0 * self.beta + self.gamma - 1.0)
 
 
-class EigenGrouping:
-    """Tolerance-clustered eigenspaces: representative values and the
-    eigenvector columns spanning each group."""
-
-    __slots__ = ("values", "indices", "vectors", "dim")
-
-    def __init__(self, values, indices, vectors, dim):
-        self.values = values            # representative eigenvalue per group
-        self.indices = indices          # eigenvector-column indices per group
-        self.vectors = vectors          # eigenvector matrix of the source
-        self.dim = dim
-
-    def __len__(self):
-        return len(self.values)
-
-
 def group_spectrum(S):
-    """Cluster eigenvalues within relative distance CLUSTER_TOL into
-    eigenspace groups."""
-    return _group_spectrum(S.eigenvalues, S.vectors)
+    """Cluster the ascending eigenvalues of S into eigenspace groups.
+
+    Neighbours whose gap is at most CLUSTER_TOL * max|lambda| share a group.
+    Returns (values, cols): the mean eigenvalue of each group and the group
+    index of each eigenvector column.
+    """
+    return _group_spectrum(S.eigenvalues)
 
 
-def _group_spectrum(lam, v):
-    """group_spectrum on ascending eigenvalues lam and eigenvectors v."""
-    n = lam.shape[0]
+def _group_spectrum(lam):
+    """group_spectrum on ascending eigenvalues lam."""
     scale = max(abs(lam[0]), abs(lam[-1]), 1e-300)
-    groups = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or lam[i] - lam[i - 1] > CLUSTER_TOL * max(scale, abs(lam[i])):
-            groups.append(list(range(start, i)))
-            start = i
-    values = np.array([lam[g].mean() for g in groups])
-    return EigenGrouping(values, groups, v, n)
+    breaks = np.diff(lam) > CLUSTER_TOL * scale
+    cols = np.concatenate(([0], breaks.cumsum()))
+    edges = [0, *(breaks.nonzero()[0] + 1).tolist(), lam.shape[0]]
+    # each group's mean as np.mean computes it (one add.reduce, then one
+    # division), without its per-call overhead
+    values = np.array([lam[a:b].sum() / (b - a) for a, b in zip(edges, edges[1:])])
+    return values, cols
 
 
 def _divided_difference(a, b, gamma):
@@ -116,30 +103,18 @@ def loewner_min_eig(values, gamma):
     return float(lam[0])
 
 
-def _column_groups(grouping):
-    """The group index of every eigenvector column."""
-    cols = np.empty(grouping.dim, dtype=np.intp)
-    for g, idx in enumerate(grouping.indices):
-        cols[idx] = g
-    return cols
-
-
-def _schur_apply(grouping_left, grouping_right, kernel_matrix, delta):
-    """sum_ij k_ij P_i delta Q_j computed in the joint eigenbases, as an array."""
-    vl = grouping_left.vectors
-    vr = grouping_right.vectors
+def _schur_apply(vl, rows, vr, cols, kernel, delta):
+    """sum_ij k_ij P_i delta Q_j computed in the joint eigenbases, as an
+    array; rows and cols give the group of each column of vl and vr."""
     d = vl.conj().T @ delta @ vr
-    # the group-level kernel expanded to eigenvector columns
-    rows = _column_groups(grouping_left)
-    cols = rows if grouping_right is grouping_left else _column_groups(grouping_right)
-    k = kernel_matrix[rows[:, None], cols]
-    return vl @ (k * d) @ vr.conj().T
+    return vl @ (kernel[rows[:, None], cols] * d) @ vr.conj().T
 
 
-def _t_map(grouping, params, delta):
-    """t_map of the array delta over a grouped spectrum, as an array."""
-    kernel = divided_difference_kernel(grouping.values, params)
-    return _schur_apply(grouping, grouping, kernel, delta)
+def _t_map(lam, v, params, delta):
+    """t_map of the array delta over the spectrum (lam, v), as an array."""
+    values, cols = _group_spectrum(lam)
+    kernel = divided_difference_kernel(values, params)
+    return _schur_apply(v, cols, v, cols, kernel, delta)
 
 
 def t_map(d, params, delta):
@@ -147,7 +122,8 @@ def t_map(d, params, delta):
     dm = _as_array(delta)
     if dm.shape[0] != d.dim:
         raise ValidationError("dimension mismatch: %d vs %d" % (d.dim, dm.shape[0]))
-    return ComplexMatrix(_t_map(group_spectrum(herm_eig(d)), params, dm))
+    s = herm_eig(d)
+    return ComplexMatrix(_t_map(s.eigenvalues, s.vectors, params, dm))
 
 
 def unital_cp_map(d, gamma, y):
@@ -174,17 +150,18 @@ def mixed_kernel_map(x, y, kernel, delta):
     dm = _as_array(delta)
     if dm.shape[0] != x.dim or x.dim != y.dim:
         raise ValidationError("dimension mismatch")
-    gx = group_spectrum(herm_eig(x))
-    gy = group_spectrum(herm_eig(y))
+    sx, sy = herm_eig(x), herm_eig(y)
+    gx, rows = _group_spectrum(sx.eigenvalues)
+    gy, cols = _group_spectrum(sy.eigenvalues)
     k = np.empty((len(gx), len(gy)))
-    for i, a in enumerate(gx.values):
-        for j, b in enumerate(gy.values):
+    for i, a in enumerate(gx):
+        for j, b in enumerate(gy):
             val = kernel(a, b)
             if not np.isfinite(val):
                 raise DomainError(
                     "kernel non-finite at eigenvalue pair (%r, %r)" % (a, b))
             k[i, j] = val
-    return ComplexMatrix(_schur_apply(gx, gy, k, dm))
+    return ComplexMatrix(_schur_apply(sx.vectors, rows, sy.vectors, cols, k, dm))
 
 
 def rx_kernel(values, alpha):

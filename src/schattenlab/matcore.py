@@ -53,8 +53,7 @@ class ComplexMatrix:
         return self._m.shape[0]
 
     def adjoint(self):
-        return type(self)(self._m.conj().T) if type(self) is ComplexMatrix \
-            else ComplexMatrix(self._m.conj().T)
+        return ComplexMatrix(self._m.conj().T)
 
     def __repr__(self):
         return "%s(dim=%d)" % (type(self).__name__, self.dim)
@@ -234,14 +233,9 @@ def matrix_function(S, f):
     return HermitianMatrix(0.5 * (m + m.conj().T))
 
 
-def _spectral_of(d):
-    """The cached decomposition of a PositiveDefiniteMatrix, else herm_eig(d)."""
-    return d.spectral if isinstance(d, PositiveDefiniteMatrix) else herm_eig(d)
-
-
 def positive_power(d, t):
     """d**t for positive definite d, via the cached eigendecomposition."""
-    s = _spectral_of(d)
+    s = herm_eig(d)
     return _power(s.eigenvalues, s.vectors, t)
 
 
@@ -260,7 +254,7 @@ def polar_decompose(A):
 
 def imaginary_power(d, h):
     """The unitary d^(ih) = V diag(exp(i h log lam)) V* for d > 0."""
-    s = _spectral_of(d)
+    s = herm_eig(d)
     lam = s.eigenvalues
     if np.any(lam <= 0.0):
         raise DomainError("imaginary power needs a strictly positive spectrum")

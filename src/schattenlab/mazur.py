@@ -13,8 +13,8 @@ import numpy as np
 
 from .kernels import TMapParams, mixed_kernel_map, t_map, _divided_difference
 from .matcore import (ComplexMatrix, NumericalError, PositiveDefiniteMatrix,
-                      ValidationError, _as_array, _finite, _power, _spectral_of,
-                      _svd, _svdvals, positive_power)
+                      ValidationError, _as_array, _finite, _power, _svd,
+                      _svdvals, herm_eig, positive_power)
 from .schatten import _exponents, _power_sum_norm, schatten_norm
 
 # denominators below this fraction of the numerator scale are flagged as
@@ -63,7 +63,7 @@ def main_ratio(d, x, cfg):
     xm = _as_array(x)
     if xm.shape[0] != d.dim:
         raise ValidationError("dimension mismatch")
-    s = _spectral_of(d)
+    s = herm_eig(d)
     return _main(d.mat, s.eigenvalues, s.vectors, xm, cfg)
 
 
@@ -98,7 +98,7 @@ def eq1_ratio(d, x, p, q, sign):
         raise ValidationError("need 0 < q < p")
     if sign not in (+1, -1):
         raise ValidationError("sign must be +1 or -1")
-    s = _spectral_of(d)
+    s = herm_eig(d)
     return _eq1(d.mat, s.eigenvalues, s.vectors, _as_array(x), p, q, sign)
 
 
@@ -118,7 +118,7 @@ def powers_diff_ratio(x, y, p, q):
     """||x^(p/q) - y^(p/q)||_q / (max(||x||_p,||y||_p)^(p/q-1) ||x-y||_p)."""
     if not 0 < q < p:
         raise ValidationError("need 0 < q < p")
-    sx, sy = _spectral_of(x), _spectral_of(y)
+    sx, sy = herm_eig(x), herm_eig(y)
     return _powers_diff(x.mat, sx.eigenvalues, sx.vectors,
                         y.mat, sy.eigenvalues, sy.vectors, p, q)
 

@@ -81,17 +81,20 @@ def _power_sum_norm(sig, p):
     return float(smax * (scaled ** p).sum() ** (1.0 / p))
 
 
-def schatten_norm(A, p):
-    """(sum sigma_i^p)^(1/p); the operator norm for p = inf."""
+def _check_exponent(p):
     if not (p > 0 or math.isinf(p)):
         raise ValidationError("Schatten exponent must be positive or inf, got %r" % (p,))
+
+
+def schatten_norm(A, p):
+    """(sum sigma_i^p)^(1/p); the operator norm for p = inf."""
+    _check_exponent(p)
     return _power_sum_norm(singular_values(A), p)
 
 
 def schatten_norm_from_singular_values(sig, p):
     """Same as schatten_norm but from precomputed descending singular values."""
-    if not (p > 0 or math.isinf(p)):
-        raise ValidationError("Schatten exponent must be positive or inf, got %r" % (p,))
+    _check_exponent(p)
     sig = np.asarray(sig, dtype=float)
     if sig.size == 0 or sig[0] == 0.0:
         return 0.0

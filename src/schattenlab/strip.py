@@ -8,6 +8,7 @@ line Re z = k, with antiderivative (1/pi) arctan(tanh(pi t/2) / tan(theta/2)),
 theta = gamma0 pi on Re z = 0 and (1 - gamma0) pi on Re z = 1.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +16,8 @@ import numpy as np
 
 from .matcore import (ComplexMatrix, ValidationError, _as_array, _svdvals,
                       herm_eig)
-from .schatten import schatten_norm_from_singular_values, singular_values
+from .schatten import (_check_exponent, _power_sum_norm,
+                       schatten_norm_from_singular_values, singular_values)
 
 # tail truncation for unbounded boundary integrals: the density at |t| = 40
 # is below 1e-54, far under every tolerance used here
@@ -58,9 +60,14 @@ def poisson_density(gamma0, k, t):
         raise ValidationError("gamma0 must be in (0, 1), got %r" % (gamma0,))
     if k not in (0, 1):
         raise ValidationError("k must be 0 or 1")
+    return _density(gamma0, k, math.cosh(math.pi * t))
+
+
+def _density(gamma0, k, cosh_pt):
+    """poisson_density given cosh(pi t), elementwise for an array of them."""
     sign = 1.0 if k == 0 else -1.0
     return math.sin(gamma0 * math.pi) / (
-        2.0 * (math.cosh(math.pi * t) - sign * math.cos(gamma0 * math.pi)))
+        2.0 * (cosh_pt - sign * math.cos(gamma0 * math.pi)))
 
 
 def _arctan_measure(c, intervals):
@@ -89,10 +96,17 @@ def boundary_measure(gamma0, A):
 
 
 def dilate(A):
-    """Dilation by a factor 2 in the imaginary direction."""
-    return BoundarySet(
-        tuple((2 * a, 2 * b) for a, b in A.intervals0),
-        tuple((2 * a, 2 * b) for a, b in A.intervals1))
+    """Dilation by a factor 2 in the imaginary direction.
+
+    Doubling keeps merged intervals sorted and disjoint, so the result skips
+    _merge; only the outermost endpoints of a line can overflow."""
+    out = object.__new__(BoundarySet)
+    for line in ("intervals0", "intervals1"):
+        ivs = tuple((2 * a, 2 * b) for a, b in getattr(A, line))
+        if ivs and not (math.isfinite(ivs[0][0]) and math.isfinite(ivs[-1][1])):
+            raise ValidationError("interval endpoints must be finite")
+        object.__setattr__(out, line, ivs)
+    return out
 
 
 def doubling_bound(gamma0):
@@ -153,18 +167,22 @@ def boundary_norm_profile(F, q, t_grid):
     return norms0, norms1
 
 
+@functools.cache
 def _gauss_panels():
-    """Composite Gauss-Legendre nodes and weights on [-T, T]: 8 nodes on each
-    unit panel, 192 in all."""
-    T, panel, order = 12.0, 1.0, 8
+    """Composite Gauss-Legendre nodes t and weights on [-T, T], 8 nodes on
+    each unit panel, 192 in all, and cosh(pi t) at each node; read-only
+    arrays, built on first use."""
+    T, order = 12.0, 8
     xg, wg = np.polynomial.legendre.leggauss(order)
-    edges = np.arange(-T, T + 0.5 * panel, panel)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * xg)
-        weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    mids = np.arange(-T + 0.5, T)
+    nodes = (mids[:, None] + 0.5 * xg).ravel()
+    # scalar math.cosh, as poisson_density takes it: array np.cosh can
+    # differ from it in the last bit
+    grid = (nodes, np.tile(0.5 * wg, mids.size),
+            np.array([math.cosh(math.pi * t) for t in nodes]))
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
 class BoundaryGridCache:
@@ -182,7 +200,7 @@ class BoundaryGridCache:
         if not 0 < gamma0 < 1:
             raise ValidationError("gamma0 must be in (0, 1)")
         self.gamma0 = gamma0
-        self.nodes, wq = _gauss_panels()
+        self.nodes, wq, cosh_pt = _gauss_panels()
         # work in the eigenbasis of d: F(z) there is the entrywise scaling
         # lam_i^(c z) X'_ij lam_j^(c (1-z)), and Schatten norms are
         # basis-independent
@@ -203,8 +221,7 @@ class BoundaryGridCache:
         self.diff_sv = {}  # k -> (nodes, n) same for F(k+it) - F(gamma0)
         self.weights = {}  # k -> Poisson-weighted quadrature weights
         for k in (0, 1):
-            dens = np.array([poisson_density(gamma0, k, t) for t in self.nodes])
-            self.weights[k] = wq * dens
+            self.weights[k] = wq * _density(gamma0, k, cosh_pt)
             base = f_at(k)
             self.sv[k] = singular_values(base)[None, :]
             np.multiply(rot[:, :, None], base, out=stack)
@@ -214,11 +231,11 @@ class BoundaryGridCache:
 
     def lq_functional(self, q, which):
         """(integral of ||.||_q^q dP)^(1/q) for F or F - F(gamma0)."""
+        _check_exponent(q)
         table = self.sv if which == "F" else self.diff_sv
         acc = 0.0
         for k in (0, 1):
-            norms = np.array([schatten_norm_from_singular_values(sv, q)
-                              for sv in table[k]])
+            norms = np.array([_power_sum_norm(sv, q) for sv in table[k]])
             acc += float((self.weights[k] * norms ** q).sum())
         return acc ** (1.0 / q)
 

@@ -1,4 +1,5 @@
-"""Every name a schattenlab module imports is used in that module.
+"""Every name a schattenlab module imports is used in that module, and
+every parameter of its functions is read in the function's body.
 
 No linter is part of the toolchain, so this parses the sources with ast.
 An import whose lines carry a '# noqa' comment is exempt (estimator's
@@ -40,3 +41,36 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import_and_honours_noqa():
     src = "import math\nimport os  # noqa\nfrom a import (b,\n    c)\nprint(c)\n"
     assert unused_imports(src) == [(1, "math"), (3, "b")]
+
+
+def unused_parameters(source):
+    """(line, function, parameter) for each parameter, self and cls
+    excepted, that its function's body never reads."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + [a.vararg]
+                  + a.kwonlyargs + [a.kwarg] if p is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)}
+        read |= {node.target.id for stmt in fn.body for node in ast.walk(stmt)
+                 if isinstance(node, ast.AugAssign)
+                 and isinstance(node.target, ast.Name)}
+        found += [(fn.lineno, fn.name, p) for p in params
+                  if p not in read and p not in ("self", "cls")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_the_check_sees_an_unused_parameter():
+    src = ("def f(self, a, b, *args, c=1, **kw):\n"
+           "    def g(d):\n        return a + d\n"
+           "    b += 1\n    c = 2\n    return g(kw)\n")
+    assert unused_parameters(src) == [(1, "f", "args"), (1, "f", "c")]

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.kernels import (DEGENERATE_GAP, TMapParams, _schur_apply,
+from schattenlab.kernels import (CLUSTER_TOL, DEGENERATE_GAP, TMapParams,
+                                 _group_spectrum, _schur_apply,
                                  divided_difference_kernel, group_spectrum,
                                  loewner_min_eig, mixed_kernel_map, rx_kernel,
                                  t_map, unital_cp_map)
@@ -39,39 +40,85 @@ class TestParams:
             TMapParams(beta=-0.1, gamma=0.5)
 
 
+def reference_grouping(lam):
+    """The per-eigenvalue grouping loop that group_spectrum replaced."""
+    n = lam.shape[0]
+    scale = max(abs(lam[0]), abs(lam[-1]), 1e-300)
+    groups, start = [], 0
+    for i in range(1, n + 1):
+        if i == n or lam[i] - lam[i - 1] > CLUSTER_TOL * max(scale, abs(lam[i])):
+            groups.append(list(range(start, i)))
+            start = i
+    cols = np.empty(n, dtype=np.intp)
+    for g, idx in enumerate(groups):
+        cols[idx] = g
+    return np.array([lam[g].mean() for g in groups]), cols
+
+
+def clustered_spectrum(rng, signed):
+    """Ascending spectrum of at most 64 values in groups of 1-16, with gaps
+    inside a group around the clustering threshold."""
+    sizes = []
+    while sum(sizes) < 64:
+        sizes.append(int(rng.integers(1, 17)))
+    sizes[-1] -= sum(sizes) - int(rng.integers(1, 65))
+    sizes = [m for m in sizes if m > 0]
+    centres = np.sort(np.exp(rng.uniform(-6, 6, len(sizes))))
+    if signed:
+        centres = np.sort(centres * rng.choice((-1.0, 1.0), len(sizes)))
+    step = CLUSTER_TOL * np.abs(centres).max()
+    lam = np.concatenate([c + np.cumsum(rng.choice((0.0, 0.3, 0.999, 1.001, 2.0), m))
+                          * step for c, m in zip(centres, sizes)])
+    return np.sort(lam)
+
+
 class TestGrouping:
     def test_simple_spectrum(self):
         d = rand_pdm(5)
-        g = group_spectrum(herm_eig(d))
-        assert len(g) == 5
+        values, cols = group_spectrum(herm_eig(d))
+        assert len(values) == 5
+        assert cols.tolist() == [0, 1, 2, 3, 4]
 
     def test_clustered_spectrum(self):
         lam = np.array([1.0, 1.0 + 1e-12, 2.0, 5.0, 5.0 + 5e-12])
         q, _ = np.linalg.qr(rand_complex(5))
         d = PositiveDefiniteMatrix.from_spectral(lam, q)
-        g = group_spectrum(herm_eig(d))
-        assert len(g) == 3
+        values, cols = group_spectrum(herm_eig(d))
+        assert len(values) == 3
+        assert cols.tolist() == [0, 0, 1, 2, 2]
 
     @staticmethod
-    def projections(g):
-        return [g.vectors[:, idx] @ g.vectors[:, idx].conj().T
-                for idx in g.indices]
+    def projections(s):
+        v = s.vectors
+        _, cols = group_spectrum(s)
+        return [v[:, cols == g] @ v[:, cols == g].conj().T
+                for g in range(cols.max() + 1)]
 
     def test_projections_resolve_identity(self):
-        d = rand_pdm(6)
-        g = group_spectrum(herm_eig(d))
-        assert sorted(i for idx in g.indices for i in idx) == list(range(6))
-        total = sum(self.projections(g))
+        s = herm_eig(rand_pdm(6))
+        values, cols = group_spectrum(s)
+        # every column lies in exactly one group, and every group is used
+        assert cols.shape == (6,) and set(cols.tolist()) == set(range(len(values)))
+        total = sum(self.projections(s))
         assert np.abs(total - np.eye(6)).max() <= 1e-11
 
     def test_projections_idempotent(self):
         lam = np.array([1.0, 1.0, 3.0])
         q, _ = np.linalg.qr(rand_complex(3))
-        d = PositiveDefiniteMatrix.from_spectral(lam, q)
-        g = group_spectrum(herm_eig(d))
-        assert len(g) == 2
-        for p in self.projections(g):
+        s = herm_eig(PositiveDefiniteMatrix.from_spectral(lam, q))
+        assert len(group_spectrum(s)[0]) == 2
+        for p in self.projections(s):
             assert np.abs(p @ p - p).max() <= 1e-11
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_matches_the_per_eigenvalue_loop(self, signed):
+        rng = np.random.default_rng(2024 + signed)
+        for _ in range(300):
+            lam = clustered_spectrum(rng, signed)
+            values, cols = _group_spectrum(lam)
+            want_values, want_cols = reference_grouping(lam)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(cols, want_cols)
 
 
 class TestDividedDifferenceKernel:
@@ -199,21 +246,22 @@ def test_schur_apply_expands_the_kernel_per_group_pair():
     # time must give the same bits
     q1, _ = np.linalg.qr(rand_complex(6))
     q2, _ = np.linalg.qr(rand_complex(6))
-    gl = group_spectrum(herm_eig(PositiveDefiniteMatrix.from_spectral(
-        np.array([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]), q1)))
-    gr = group_spectrum(herm_eig(PositiveDefiniteMatrix.from_spectral(
-        np.array([0.5, 4.0, 4.0, 4.0, 4.0, 7.0]), q2)))
-    assert [len(i) for i in gl.indices] == [3, 1, 2]
-    assert [len(i) for i in gr.indices] == [1, 4, 1]
+    sl = herm_eig(PositiveDefiniteMatrix.from_spectral(
+        np.array([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]), q1))
+    sr = herm_eig(PositiveDefiniteMatrix.from_spectral(
+        np.array([0.5, 4.0, 4.0, 4.0, 4.0, 7.0]), q2))
+    (gl, rows), (gr, cols) = group_spectrum(sl), group_spectrum(sr)
+    assert np.bincount(rows).tolist() == [3, 1, 2]
+    assert np.bincount(cols).tolist() == [1, 4, 1]
     kernel = RNG.uniform(0.5, 2.0, (len(gl), len(gr)))
     delta = rand_complex(6)
     k = np.empty((6, 6))
-    for gi, idx_i in enumerate(gl.indices):
-        for gj, idx_j in enumerate(gr.indices):
-            k[np.ix_(idx_i, idx_j)] = kernel[gi, gj]
-    d = gl.vectors.conj().T @ delta @ gr.vectors
-    want = gl.vectors @ (k * d) @ gr.vectors.conj().T
-    assert np.array_equal(_schur_apply(gl, gr, kernel, delta), want)
+    for gi in range(len(gl)):
+        for gj in range(len(gr)):
+            k[np.ix_(rows == gi, cols == gj)] = kernel[gi, gj]
+    vl, vr = sl.vectors, sr.vectors
+    want = vl @ (k * (vl.conj().T @ delta @ vr)) @ vr.conj().T
+    assert np.array_equal(_schur_apply(vl, rows, vr, cols, kernel, delta), want)
 
 
 class TestRxKernel:

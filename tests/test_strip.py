@@ -5,7 +5,9 @@ import pytest
 
 from schattenlab import strip
 from schattenlab.matcore import PositiveDefiniteMatrix, ValidationError, herm_eig
-from schattenlab.schatten import schatten_norm, singular_values
+from schattenlab.schatten import (schatten_norm,
+                                  schatten_norm_from_singular_values,
+                                  singular_values)
 from schattenlab.strip import (AnalyticFamily, BoundaryGridCache, BoundarySet,
                                boundary_measure, boundary_norm_profile,
                                convexity_defect, cosh_measure, dilate,
@@ -74,6 +76,27 @@ class TestBoundarySet:
         b = dilate(a)
         assert b.intervals0 == ((-2.0, 4.0),)
         assert b.intervals1 == ((1.0, 2.0),)
+
+    def test_dilate_equals_the_set_of_doubled_intervals(self):
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            lines = []
+            for _ in (0, 1):
+                m = int(rng.integers(0, 6))
+                scale = 10.0 ** rng.uniform(-3, 300, m)
+                a = rng.uniform(-1, 1, m) * scale
+                lines.append(tuple(zip(a, a + rng.uniform(0, 1, m) * scale)))
+            aset = BoundarySet(*lines)
+            want = BoundarySet(tuple((2 * a, 2 * b) for a, b in aset.intervals0),
+                               tuple((2 * a, 2 * b) for a, b in aset.intervals1))
+            assert dilate(aset) == want
+
+    def test_dilate_rejects_an_endpoint_doubled_past_the_float_range(self):
+        for bad in (BoundarySet(((0.0, 1.0), (2.0, 9e307)), ()),
+                    BoundarySet((), ((-9e307, -1.0), (0.0, 1.0))),
+                    BoundarySet(((-1.7e308, 1.7e308),), ())):
+            with pytest.raises(ValidationError):
+                dilate(bad)
 
 
 class TestPoisson:
@@ -347,3 +370,49 @@ class TestBoundaryGridTables:
         monkeypatch.setattr(strip, "_svdvals", counting("stacked", strip._svdvals))
         BoundaryGridCache(AnalyticFamily(rand_pdm(3), rand_complex(3), 1.0), 0.5)
         assert sorted(calls) == [("single", (3, 3))] * 3 + [("stacked", (192, 3, 3))] * 2
+
+    def test_weights_equal_the_per_node_poisson_density(self):
+        fam = AnalyticFamily(rand_pdm(2), rand_complex(2), 1.0)
+        wq = strip._gauss_panels()[1]
+        for gamma0 in np.concatenate((np.linspace(0.01, 0.99, 99),
+                                      RNG.uniform(0, 1, 20))):
+            cache = BoundaryGridCache(fam, gamma0)
+            for k in (0, 1):
+                dens = np.array([poisson_density(gamma0, k, t) for t in cache.nodes])
+                assert np.array_equal(cache.weights[k], wq * dens)
+
+    def test_grid_equals_the_per_panel_construction(self):
+        xg, wg = np.polynomial.legendre.leggauss(8)
+        nodes, weights = [], []
+        for a in range(-12, 12):
+            nodes.append(0.5 * (2 * a + 1.0) + 0.5 * xg)
+            weights.append(0.5 * wg)
+        got_nodes, got_weights, cosh_pt = strip._gauss_panels()
+        assert np.array_equal(got_nodes, np.concatenate(nodes))
+        assert np.array_equal(got_weights, np.concatenate(weights))
+        assert np.array_equal(cosh_pt, [math.cosh(math.pi * t) for t in got_nodes])
+
+    def test_grid_is_built_once_read_only_and_without_poisson_density(
+            self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("poisson_density called")
+        monkeypatch.setattr(strip, "poisson_density", refuse)
+        fam = AnalyticFamily(rand_pdm(3), rand_complex(3), 1.0)
+        a, b = BoundaryGridCache(fam, 0.5), BoundaryGridCache(fam, 0.25)
+        assert a.nodes is b.nodes
+        assert all(not arr.flags.writeable for arr in strip._gauss_panels())
+
+    def test_lq_functional_equals_per_row_norms_and_checks_q(self):
+        fam = AnalyticFamily(rand_pdm(4), rand_complex(4), 1.0)
+        cache = BoundaryGridCache(fam, 0.5)
+        for q in (0.3, 0.5, 1.0, 2.0):
+            for which, table in (("F", cache.sv), ("diff", cache.diff_sv)):
+                acc = 0.0
+                for k in (0, 1):
+                    norms = np.array([schatten_norm_from_singular_values(sv, q)
+                                      for sv in table[k]])
+                    acc += float((cache.weights[k] * norms ** q).sum())
+                assert cache.lq_functional(q, which) == acc ** (1.0 / q)
+        for q in (0.0, -1.0, math.nan):
+            with pytest.raises(ValidationError, match="Schatten exponent"):
+                cache.lq_functional(q, "F")
