@@ -25,10 +25,11 @@ from .kernels import TMapParams, _t_map, rx_kernel
 from .matcore import (DomainError, NumericalError, PositiveDefiniteMatrix,
                       ValidationError, _as_array, _check_unitary, _finite,
                       _spectral_arrays, _svdvals)
-from .mazur import (_eq1, _interp, _main, _mazur_lipschitz, _powers_diff,
-                    _safe_ratio)
-from .schatten import (ExponentConfig, _exponents, _power_sum_norm,
-                       schatten_norm, schatten_norm_from_singular_values)
+from .mazur import (_check_pq, _eq1, _interp, _main, _mazur_lipschitz,
+                    _powers_diff, _safe_ratio)
+from .schatten import (ExponentConfig, _check_alpha, _exponents,
+                       _power_sum_norm, schatten_norm,
+                       schatten_norm_from_singular_values)
 from .strip import AnalyticFamily, BoundaryGridCache, convexity_defect
 
 SPECTRUM_LAWS = ("log-uniform", "clustered-pairs", "geometric")
@@ -230,11 +231,6 @@ class _Objective:
         self.optional = optional    # the keys a grid may leave out
 
 
-def _check_pq(p, q):
-    if not 0 < q < p < math.inf:
-        raise ValidationError("need 0 < q < p < inf, got p=%r, q=%r" % (p, q))
-
-
 def _make_main(params):
     cfg = ExponentConfig(params["alpha"], params["s"], params["r"])
     spectrum = _spectrum_reader(cfg.s)
@@ -305,15 +301,13 @@ def _make_triangular(params):
 
 def _make_rx(params):
     alpha = params["alpha"]
-    if not 0 < alpha < math.inf:
-        raise ValidationError("alpha must be in (0, inf), got %r" % (alpha,))
+    _check_alpha(alpha)
     return lambda st: _rx_ratio(st["logspec"], st["x"], alpha)
 
 
 def _make_defect_min(params):
     alpha, q = params["alpha"], params["q"]
-    if not 0 < alpha < math.inf:
-        raise ValidationError("alpha must be in (0, inf), got %r" % (alpha,))
+    _check_alpha(alpha)
     if not 0 < q <= 2:
         raise ValidationError("q must be in (0, 2], got %r" % (q,))
     gamma0 = params.get("gamma0", alpha / (1.0 + alpha))

@@ -6,8 +6,10 @@ The central object is the weighted map
 
 where k_ij is the divided difference of t -> t^gamma on the spectrum of a
 positive matrix, weighted by d_i^beta d_j^beta, and P_i are the spectral
-projections.  Mixed two-spectrum multipliers share the same engine with a
-caller-supplied kernel.
+projections.  Each multiplier runs over the n eigenvalues, one kernel entry
+per eigenvector pair, with the divided difference's derivative convention as
+its one rule for near-coincident pairs; mixed two-spectrum multipliers take
+a caller-supplied kernel.  group_spectrum is a standalone utility.
 """
 
 from dataclasses import dataclass, field
@@ -15,15 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (ComplexMatrix, DomainError, HermitianMatrix,
-                      PositiveDefiniteMatrix, ValidationError, _as_array,
-                      _eigh, herm_eig)
+                      PositiveDefiniteMatrix, ValidationError, _eigh,
+                      _same_shape, herm_eig)
+from .schatten import _check_alpha
 
 # relative eigenvalue gap below which divided differences switch to the
 # derivative convention; the quotient is catastrophic near coincidences
 DEGENERATE_GAP = 1e-8
 
-# neighbouring eigenvalues closer than this fraction of max|lambda| are
-# clustered into one group
+# group_spectrum clusters neighbouring eigenvalues closer than this fraction
+# of max|lambda| into one group
 CLUSTER_TOL = 1e-9
 
 
@@ -46,9 +49,9 @@ class TMapParams:
 def group_spectrum(S):
     """Cluster the ascending eigenvalues of S into eigenspace groups.
 
-    Neighbours whose gap is at most CLUSTER_TOL * max|lambda| share a group.
-    Returns (values, cols): the mean eigenvalue of each group and the group
-    index of each eigenvector column.
+    Neighbours whose gap is at most CLUSTER_TOL * max|lambda| (absolute)
+    share a group.  Returns (values, cols): the mean eigenvalue of each group
+    and the group index of each eigenvector column.  No multiplier uses it.
     """
     return _group_spectrum(S.eigenvalues)
 
@@ -72,14 +75,16 @@ def _divided_difference(a, b, gamma):
 
 
 def _loewner_matrix(vals, gamma):
-    """The matrix of divided differences of t -> t^gamma on vals, entry by
-    entry in scalar arithmetic (array ** can differ from scalar ** by an
-    ulp)."""
-    n = vals.shape[0]
-    k = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            k[i, j] = k[j, i] = _divided_difference(vals[i], vals[j], gamma)
+    """_divided_difference on every pair of vals, bit for bit: each power once
+    in scalar ** (array ** can differ by an ulp), the quotients as array
+    operations, the derivative only at near-coincident pairs."""
+    pw = np.array([t ** gamma for t in vals.tolist()])
+    diff = np.subtract.outer(vals, vals)
+    near = np.abs(diff) <= DEGENERATE_GAP * np.maximum.outer(vals, vals)
+    k = np.divide(np.subtract.outer(pw, pw), diff, out=np.empty_like(diff), where=~near)
+    i, j = near.nonzero()
+    k[i, j] = [gamma * m ** (gamma - 1.0)
+               for m in (0.5 * (vals[i] + vals[j])).tolist()]
     return k
 
 
@@ -103,25 +108,20 @@ def loewner_min_eig(values, gamma):
     return float(lam[0])
 
 
-def _schur_apply(vl, rows, vr, cols, kernel, delta):
-    """sum_ij k_ij P_i delta Q_j computed in the joint eigenbases, as an
-    array; rows and cols give the group of each column of vl and vr."""
-    d = vl.conj().T @ delta @ vr
-    return vl @ (kernel[rows[:, None], cols] * d) @ vr.conj().T
+def _schur_apply(vl, vr, kernel, delta):
+    """sum_ij k_ij P_i delta Q_j computed in the eigenbases vl and vr, as an
+    array; kernel[i, j] belongs to column i of vl and column j of vr."""
+    return vl @ (kernel * (vl.conj().T @ delta @ vr)) @ vr.conj().T
 
 
 def _t_map(lam, v, params, delta):
     """t_map of the array delta over the spectrum (lam, v), as an array."""
-    values, cols = _group_spectrum(lam)
-    kernel = divided_difference_kernel(values, params)
-    return _schur_apply(v, cols, v, cols, kernel, delta)
+    return _schur_apply(v, v, divided_difference_kernel(lam, params), delta)
 
 
 def t_map(d, params, delta):
     """The weighted Loewner-kernel Schur multiplier applied to delta."""
-    dm = _as_array(delta)
-    if dm.shape[0] != d.dim:
-        raise ValidationError("dimension mismatch: %d vs %d" % (d.dim, dm.shape[0]))
+    _, dm = _same_shape(d, delta)
     s = herm_eig(d)
     return ComplexMatrix(_t_map(s.eigenvalues, s.vectors, params, dm))
 
@@ -136,7 +136,7 @@ def unital_cp_map(d, gamma, y):
     v = 1.0 / (2.0 * gamma)
     s = herm_eig(d)
     d_gamma = PositiveDefiniteMatrix.from_spectral(s.eigenvalues ** gamma, s.vectors)
-    out = t_map(d_gamma, TMapParams(beta=(1.0 - v) / 2.0, gamma=v), _as_array(y))
+    out = t_map(d_gamma, TMapParams(beta=(1.0 - v) / 2.0, gamma=v), y)
     m = out.mat / v
     return HermitianMatrix(0.5 * (m + m.conj().T))
 
@@ -147,27 +147,22 @@ def mixed_kernel_map(x, y, kernel, delta):
     The caller supplies the kernel, including its own convention at near
     coincident eigenvalue pairs.
     """
-    dm = _as_array(delta)
-    if dm.shape[0] != x.dim or x.dim != y.dim:
-        raise ValidationError("dimension mismatch")
+    _, _, dm = _same_shape(x, y, delta)
     sx, sy = herm_eig(x), herm_eig(y)
-    gx, rows = _group_spectrum(sx.eigenvalues)
-    gy, cols = _group_spectrum(sy.eigenvalues)
-    k = np.empty((len(gx), len(gy)))
-    for i, a in enumerate(gx):
-        for j, b in enumerate(gy):
+    k = np.empty((x.dim, y.dim))
+    for i, a in enumerate(sx.eigenvalues):
+        for j, b in enumerate(sy.eigenvalues):
             val = kernel(a, b)
             if not np.isfinite(val):
                 raise DomainError(
                     "kernel non-finite at eigenvalue pair (%r, %r)" % (a, b))
             k[i, j] = val
-    return ComplexMatrix(_schur_apply(sx.vectors, rows, sy.vectors, cols, k, dm))
+    return ComplexMatrix(_schur_apply(sx.vectors, sy.vectors, k, dm))
 
 
 def rx_kernel(values, alpha):
     """The ratio kernel (a^(1+alpha)+b^(1+alpha)) / ((a+b)(a^alpha+b^alpha))."""
-    if not alpha > 0:
-        raise ValidationError("alpha must be positive, got %r" % (alpha,))
+    _check_alpha(alpha)
     vals = np.asarray(values, dtype=float)
     if np.any(vals <= 0):
         raise DomainError("ratio kernel needs positive values")

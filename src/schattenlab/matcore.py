@@ -144,6 +144,15 @@ def _finite(a, error=ValidationError):
     return a
 
 
+def _same_shape(*mats):
+    """The arrays of mats; ValidationError unless they share one shape."""
+    arrays = [_as_array(m) for m in mats]
+    if len({a.shape for a in arrays}) > 1:
+        raise ValidationError("dimension mismatch: %s"
+                              % " vs ".join(str(a.shape) for a in arrays))
+    return arrays
+
+
 def _check_unitary(v, n):
     """Raise ValidationError unless the n columns of v are orthonormal."""
     ortho = np.abs(v.conj().T @ v - np.eye(n)).max()
@@ -176,15 +185,15 @@ def _lapack(routine, a, **kwargs):
     LAPACK answers some non-finite inputs with NaN instead of an error, so
     those are refused before the call.
     """
-    shape = "x".join(map(str, a.shape))
     if not np.isfinite(a).all():
         raise NumericalError("%s: %s input has non-finite entries"
-                             % (routine.__name__, shape))
+                             % (routine.__name__, "x".join(map(str, a.shape))))
     try:
         return routine(a, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("LAPACK %s failed on %s input: %s"
-                             % (routine.__name__, shape, exc)) from exc
+                             % (routine.__name__, "x".join(map(str, a.shape)),
+                                exc)) from exc
 
 
 def _eigh(h, want_vectors=True):
@@ -265,15 +274,11 @@ def imaginary_power(d, h):
 
 def anticommutator(d, x):
     """dx + xd."""
-    dm, xm = _as_array(d), _as_array(x)
-    if dm.shape != xm.shape:
-        raise ValidationError("dimension mismatch: %s vs %s" % (dm.shape, xm.shape))
+    dm, xm = _same_shape(d, x)
     return ComplexMatrix(dm @ xm + xm @ dm)
 
 
 def commutator(d, x):
     """dx - xd."""
-    dm, xm = _as_array(d), _as_array(x)
-    if dm.shape != xm.shape:
-        raise ValidationError("dimension mismatch: %s vs %s" % (dm.shape, xm.shape))
+    dm, xm = _same_shape(d, x)
     return ComplexMatrix(dm @ xm - xm @ dm)

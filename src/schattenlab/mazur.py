@@ -13,7 +13,7 @@ import numpy as np
 
 from .kernels import TMapParams, mixed_kernel_map, t_map, _divided_difference
 from .matcore import (ComplexMatrix, NumericalError, PositiveDefiniteMatrix,
-                      ValidationError, _as_array, _finite, _power, _svd,
+                      ValidationError, _finite, _power, _same_shape, _svd,
                       _svdvals, herm_eig, positive_power)
 from .schatten import _exponents, _power_sum_norm, schatten_norm
 
@@ -28,6 +28,11 @@ def _safe_ratio(num, den):
     if den <= SENTINEL_REL * max(num, 1e-14):
         return math.inf
     return num / den
+
+
+def _check_pq(p, q):
+    if not 0 < q < p < math.inf:
+        raise ValidationError("need 0 < q < p < inf, got p=%r, q=%r" % (p, q))
 
 
 def _mazur_matrix(f, p, q):
@@ -60,9 +65,7 @@ def _main(dm, lam, v, x, cfg):
 
 def main_ratio(d, x, cfg):
     """||x d^(1+alpha)||_q / (||d||_s^alpha ||dx+xd||_p)."""
-    xm = _as_array(x)
-    if xm.shape[0] != d.dim:
-        raise ValidationError("dimension mismatch")
+    _, xm = _same_shape(d, x)
     s = herm_eig(d)
     return _main(d.mat, s.eigenvalues, s.vectors, xm, cfg)
 
@@ -80,7 +83,7 @@ def interp_corollary_ratio(d, x, eps, s, r):
     if not 0 < eps < 1:
         raise ValidationError("eps must be in (0, 1)")
     p, _ = _exponents(s, r)
-    return _interp(d.mat, _as_array(x), eps, s, r, p)
+    return _interp(*_same_shape(d, x), eps, s, r, p)
 
 
 def _eq1(dm, lam, v, x, p, q, sign):
@@ -94,12 +97,12 @@ def _eq1(dm, lam, v, x, p, q, sign):
 
 def eq1_ratio(d, x, p, q, sign):
     """||x d^(p/q) +- d^(p/q) x||_q / (||xd +- dx||_p ||d||_p^(p/q-1))."""
-    if not 0 < q < p:
-        raise ValidationError("need 0 < q < p")
+    _check_pq(p, q)
     if sign not in (+1, -1):
         raise ValidationError("sign must be +1 or -1")
+    dm, xm = _same_shape(d, x)
     s = herm_eig(d)
-    return _eq1(d.mat, s.eigenvalues, s.vectors, _as_array(x), p, q, sign)
+    return _eq1(dm, s.eigenvalues, s.vectors, xm, p, q, sign)
 
 
 def _powers_diff(xm, lx, vx, ym, ly, vy, p, q):
@@ -116,8 +119,8 @@ def _lipschitz_den(x, y, p, q):
 
 def powers_diff_ratio(x, y, p, q):
     """||x^(p/q) - y^(p/q)||_q / (max(||x||_p,||y||_p)^(p/q-1) ||x-y||_p)."""
-    if not 0 < q < p:
-        raise ValidationError("need 0 < q < p")
+    _check_pq(p, q)
+    _same_shape(x, y)
     sx, sy = herm_eig(x), herm_eig(y)
     return _powers_diff(x.mat, sx.eigenvalues, sx.vectors,
                         y.mat, sy.eigenvalues, sy.vectors, p, q)
@@ -140,9 +143,8 @@ def mazur_lipschitz_ratio(x, y, p, q, variant="mazur"):
     variant "mazur":     ||M_{p,q}(x) - M_{p,q}(y)||_q in the numerator
     variant "abs-power": || |x|^(p/q) - |y|^(p/q) ||_q in the numerator
     """
-    if not 0 < q < p:
-        raise ValidationError("need 0 < q < p")
-    return _mazur_lipschitz(_as_array(x), _as_array(y), p, q, variant)
+    _check_pq(p, q)
+    return _mazur_lipschitz(*_same_shape(x, y), p, q, variant)
 
 
 def _weighted_dd_kernel(t):
@@ -164,9 +166,7 @@ def decomposition_residual(x, y, t):
     """
     if not 0 < t < 0.5:
         raise ValidationError("t must be in (0, 1/2), got %r" % (t,))
-    if x.dim != y.dim:
-        raise ValidationError("dimension mismatch")
-    xm, ym = x.mat, y.mat
+    xm, ym = _same_shape(x, y)
     diff = xm - ym
     z = mixed_kernel_map(x, y, _weighted_dd_kernel(t), diff).mat
 

@@ -50,8 +50,7 @@ class ExponentConfig:
     q: float = field(init=False)
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValidationError("alpha must be positive, got %r" % (self.alpha,))
+        _check_alpha(self.alpha)
         if not 0 < self.s < math.inf:
             raise ValidationError("s must be in (0, inf), got %r" % (self.s,))
         p, q = _exponents(self.s, self.r, self.alpha)
@@ -79,6 +78,11 @@ def _power_sum_norm(sig, p):
     if p < 1.0:
         scaled = scaled[scaled > ZERO_CUT]
     return float(smax * (scaled ** p).sum() ** (1.0 / p))
+
+
+def _check_alpha(alpha):
+    if not 0 < alpha < math.inf:
+        raise ValidationError("alpha must be in (0, inf), got %r" % (alpha,))
 
 
 def _check_exponent(p):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (ComplexMatrix, ValidationError, _as_array, _svdvals,
-                      herm_eig)
-from .schatten import (_check_exponent, _power_sum_norm,
+from .matcore import (ComplexMatrix, ValidationError, _as_array, _same_shape,
+                      _svdvals, herm_eig)
+from .schatten import (_check_alpha, _check_exponent, _power_sum_norm,
                        schatten_norm_from_singular_values, singular_values)
 
 # tail truncation for unbounded boundary integrals: the density at |t| = 40
@@ -139,8 +139,8 @@ class AnalyticFamily:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValidationError("alpha must be positive")
+        _check_alpha(self.alpha)
+        _same_shape(self.d, self.x)
 
 
 def family_eval(F, z):

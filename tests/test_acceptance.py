@@ -99,7 +99,7 @@ def _run_cli(tmp_path_factory, text, name, jobs):
     status = cli.main(["--config", str(cfg), "--out", str(out),
                        "--jobs", str(jobs)])
     elapsed = time.monotonic() - t0
-    return status, json.load(open(out)), elapsed
+    return status, json.loads(out.read_text()), elapsed
 
 
 @pytest.fixture(scope="session")

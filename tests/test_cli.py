@@ -116,7 +116,7 @@ class TestRuns:
         out = str(tmp_path / "report.json")
         status = cli.main(["--config", cfg, "--out", out])
         assert status == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert report["schema_version"] == 1
         assert report["experiment"] == "estimate"
         assert report["seed"] == 7
@@ -130,7 +130,7 @@ class TestRuns:
         cfg = write_config(tmp_path, ESTIMATE_CFG)
         out = str(tmp_path / "r.json")
         cli.main(["--config", cfg, "--out", out, "--seed", "99"])
-        assert json.load(open(out))["seed"] == 99
+        assert json.loads(Path(out).read_text())["seed"] == 99
 
     def test_jobs_flag_reports_identical(self, tmp_path):
         cfg = write_config(tmp_path, ESTIMATE_CFG)
@@ -138,8 +138,8 @@ class TestRuns:
         out2 = str(tmp_path / "b.json")
         cli.main(["--config", cfg, "--out", out1, "--jobs", "1"])
         cli.main(["--config", cfg, "--out", out2, "--jobs", "2"])
-        a = json.load(open(out1))
-        b = json.load(open(out2))
+        a = json.loads(Path(out1).read_text())
+        b = json.loads(Path(out2).read_text())
         a.pop("timing")
         b.pop("timing")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
@@ -154,7 +154,7 @@ class TestRuns:
         out = str(tmp_path / "v.json")
         status = cli.main(["--config", cfg, "--out", out])
         assert status == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         assert all(r["passed"] for r in report["results"])
 
     def test_csv_format(self, tmp_path):
@@ -162,7 +162,7 @@ class TestRuns:
         out = str(tmp_path / "r.csv")
         status = cli.main(["--config", cfg, "--out", out, "--format", "csv"])
         assert status == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0].startswith("objective_id,")
         assert lines[1].startswith("eq1-plus,")
         assert "witness" not in lines[0]
@@ -193,7 +193,7 @@ class TestRuns:
         out = str(tmp_path / "s.json")
         status = cli.main(["--config", cfg, "--out", out])
         assert status == 0
-        report = json.load(open(out))
+        report = json.loads(Path(out).read_text())
         entry = report["tables"]["poisson_mass"][0]
         assert abs(entry["boundary1"] - 0.5) <= 1e-6
         assert abs(entry["full"] - 1.0) <= 1e-6

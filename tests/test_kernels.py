@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from schattenlab.kernels import (CLUSTER_TOL, DEGENERATE_GAP, TMapParams,
-                                 _group_spectrum, _schur_apply,
+                                 _divided_difference, _group_spectrum,
+                                 _loewner_matrix, _schur_apply, _t_map,
                                  divided_difference_kernel, group_spectrum,
                                  loewner_min_eig, mixed_kernel_map, rx_kernel,
                                  t_map, unital_cp_map)
@@ -241,27 +242,91 @@ class TestMixedKernel:
             mixed_kernel_map(x, y, lambda a, b: float("nan"), rand_complex(3))
 
 
-def test_schur_apply_expands_the_kernel_per_group_pair():
-    # ragged groups on both sides; the kernel expanded one group pair at a
-    # time must give the same bits
-    q1, _ = np.linalg.qr(rand_complex(6))
-    q2, _ = np.linalg.qr(rand_complex(6))
-    sl = herm_eig(PositiveDefiniteMatrix.from_spectral(
-        np.array([1.0, 1.0, 1.0, 2.0, 3.0, 3.0]), q1))
-    sr = herm_eig(PositiveDefiniteMatrix.from_spectral(
-        np.array([0.5, 4.0, 4.0, 4.0, 4.0, 7.0]), q2))
-    (gl, rows), (gr, cols) = group_spectrum(sl), group_spectrum(sr)
-    assert np.bincount(rows).tolist() == [3, 1, 2]
-    assert np.bincount(cols).tolist() == [1, 4, 1]
-    kernel = RNG.uniform(0.5, 2.0, (len(gl), len(gr)))
-    delta = rand_complex(6)
-    k = np.empty((6, 6))
-    for gi in range(len(gl)):
-        for gj in range(len(gr)):
-            k[np.ix_(rows == gi, cols == gj)] = kernel[gi, gj]
-    vl, vr = sl.vectors, sr.vectors
-    want = vl @ (k * (vl.conj().T @ delta @ vr)) @ vr.conj().T
-    assert np.array_equal(_schur_apply(vl, rows, vr, cols, kernel, delta), want)
+def test_schur_apply_is_the_sum_over_eigenvector_pairs():
+    # sum_ij k_ij (v_i v_i*) delta (w_j w_j*), one rank-one projection per
+    # eigenvector, whatever the eigenvalues behind the two bases
+    n = 6
+    vl, _ = np.linalg.qr(rand_complex(n))
+    vr, _ = np.linalg.qr(rand_complex(n))
+    kernel = RNG.uniform(0.5, 2.0, (n, n))
+    delta = rand_complex(n)
+    want = np.zeros((n, n), dtype=complex)
+    for i in range(n):
+        pi = np.outer(vl[:, i], vl[:, i].conj())
+        for j in range(n):
+            want += kernel[i, j] * (pi @ delta @ np.outer(vr[:, j], vr[:, j].conj()))
+    got = _schur_apply(vl, vr, kernel, delta)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def scalar_loewner_matrix(vals, gamma):
+    """The Loewner matrix one _divided_difference call per pair, as the
+    kernel was computed before it took array operations."""
+    n = vals.shape[0]
+    k = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            k[i, j] = k[j, i] = _divided_difference(vals[i], vals[j], gamma)
+    return k
+
+
+def test_loewner_matrix_matches_the_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for trial in range(600):
+        n = int(rng.integers(1, 17))
+        gamma = 1.0 if trial % 7 == 0 else float(rng.uniform(0.01, 1.0))
+        vals = 10.0 ** -rng.uniform(0, 12, n)
+        vals = rng.choice(vals, n) if trial % 2 else vals     # exact repeats
+        if n > 1 and trial % 3 == 0:
+            # a pair at, just inside and just outside the derivative switch
+            rel = rng.choice((0.5, 0.999, 1.0, 1.001, 2.0)) * DEGENERATE_GAP
+            vals[1] = vals[0] * (1.0 + rel * rng.choice((-1.0, 1.0)))
+        vals = np.sort(vals * 10.0 ** rng.choice((-100, 0, 100)))
+        assert np.array_equal(_loewner_matrix(vals, gamma),
+                              scalar_loewner_matrix(vals, gamma))
+
+
+def grouped_t_map(lam, v, params, delta):
+    """t_map as computed before the multipliers ran over the eigenvalues:
+    the divided differences of the group means of group_spectrum, expanded
+    to one entry per eigenvector pair."""
+    values, cols = _group_spectrum(lam)
+    k = divided_difference_kernel(values, params)[cols[:, None], cols]
+    return v @ (k * (v.conj().T @ delta @ v)) @ v.conj().T
+
+
+class TestAgainstGroupedTMap:
+    @staticmethod
+    def worst_gap(rng, draw_lam):
+        worst = 0.0
+        for _ in range(200):
+            n = int(rng.integers(2, 17))
+            lam = np.sort(draw_lam(n))
+            z = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+            v, _ = np.linalg.qr(z[0])
+            delta = z[1]
+            params = TMapParams(float(rng.uniform(0, 1)),
+                                float(rng.uniform(0.05, 0.95)))
+            want = grouped_t_map(lam, v, params, delta)
+            got = _t_map(lam, v, params, delta)
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        return worst
+
+    def test_exact_repeats(self):
+        rng = np.random.default_rng(5)
+        assert self.worst_gap(rng, lambda n: rng.choice(
+            np.exp(rng.uniform(-6.9, 6.9, rng.integers(1, n))), n)) <= 1e-14
+
+    def test_clustered_pairs(self):
+        # the search's clustered-pairs law: log-eigenvalues repeated with a
+        # jitter of 1e-10, which the grouped form replaced by the group mean
+        rng = np.random.default_rng(6)
+
+        def draw(n):
+            base = rng.uniform(-6.9, 6.9, (n + 1) // 2)
+            jitter = rng.uniform(-1e-10, 1e-10, n // 2)
+            return np.exp(np.concatenate((base, base[:n // 2] + jitter)))
+        assert self.worst_gap(rng, draw) <= 1e-10
 
 
 class TestRxKernel:

@@ -8,7 +8,9 @@ from schattenlab.mazur import (decomposition_residual, eq1_ratio,
                                interp_corollary_ratio, main_ratio,
                                mazur_lipschitz_ratio, mazur_map,
                                powers_diff_ratio)
+from schattenlab.kernels import rx_kernel
 from schattenlab.schatten import ExponentConfig, schatten_norm
+from schattenlab.strip import AnalyticFamily
 
 RNG = np.random.default_rng(40318)
 
@@ -121,6 +123,31 @@ class TestRatioObjectives:
         with pytest.raises(ValidationError):
             mazur_lipschitz_ratio(rand_complex(2), rand_complex(2), 2.0, 0.5,
                                   variant="nope")
+
+
+# points the search's evaluator builders refuse, and matrices of two sizes:
+# each public function refuses them too, with a ValidationError
+PRECONDITION_CASES = {
+    "eq1-p-inf": lambda d3, x3, x4: eq1_ratio(d3, x3, math.inf, 1.0, +1),
+    "powers-diff-p-inf": lambda d3, x3, x4: powers_diff_ratio(d3, d3, math.inf, 1.0),
+    "abs-power-p-inf": lambda d3, x3, x4: mazur_lipschitz_ratio(
+        x3, x3 + 1.0, math.inf, 1.0, "abs-power"),
+    "rx-kernel-alpha-inf": lambda d3, x3, x4: rx_kernel(np.array([1.0, 2.0]),
+                                                        math.inf),
+    "family-alpha-inf": lambda d3, x3, x4: AnalyticFamily(d3, x3, math.inf),
+    "interp-dims": lambda d3, x3, x4: interp_corollary_ratio(d3, x4, 0.5, 2.0, 2.0),
+    "eq1-dims": lambda d3, x3, x4: eq1_ratio(d3, x4, 2.0, 1.0, +1),
+    "powers-diff-dims": lambda d3, x3, x4: powers_diff_ratio(
+        d3, PositiveDefiniteMatrix(np.eye(4, dtype=complex)), 2.0, 1.0),
+    "mazur-lipschitz-dims": lambda d3, x3, x4: mazur_lipschitz_ratio(x3, x4, 2.0, 1.0),
+    "family-dims": lambda d3, x3, x4: AnalyticFamily(d3, x4, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECONDITION_CASES))
+def test_public_functions_refuse_what_the_search_refuses(case):
+    with pytest.raises(ValidationError):
+        PRECONDITION_CASES[case](rand_pdm(3), rand_complex(3), rand_complex(4))
 
 
 class TestDecomposition:

@@ -145,9 +145,8 @@ def naive_t_map(lam, vectors, params, delta):
 def test_t_map_matches_naive_sum(delta, d_scale, seed, beta, gamma):
     rng = np.random.default_rng(seed)
     n = delta.shape[0]
-    # eigenvalues on a half-decade lattice over six decades: repeats are
-    # exact, and distinct values are far outside the clustering tolerance
-    lam = d_scale * 10.0 ** (-0.5 * rng.integers(0, 13, n))
+    # a continuous graded spectrum over twelve decades, with exact repeats
+    lam = rng.choice(d_scale * 10.0 ** -rng.uniform(0, 12, rng.integers(1, n + 1)), n)
     vectors = haar_unitary(rng, n)
     d = PositiveDefiniteMatrix.from_spectral(lam, vectors)
     params = TMapParams(beta, gamma)
