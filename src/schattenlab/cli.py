@@ -19,8 +19,8 @@ import sys
 import time
 
 from . import __version__, verify
-from .estimator import (InstanceSpec, OBJECTIVES, maximize, replay_witness,
-                        review_flagged)
+from .estimator import (InstanceSpec, OBJECTIVES, maximize, open_pool,
+                        replay_witness, review_flagged)
 from .matcore import DomainError, NumericalError, ValidationError
 
 SCHEMA_VERSION = 1
@@ -125,6 +125,8 @@ def load_config(path):
             }
         except ValueError as exc:
             raise ConfigError("section [instances]: %s" % exc)
+        if cfg["instances"]["starts"] < 1:
+            raise ConfigError("key 'starts': must be at least 1")
         cfg["objectives"] = []
         for name in parser.sections():
             if not name.startswith("objective."):
@@ -187,24 +189,26 @@ def run_strip_check(cfg):
 
 def run_estimate(cfg, jobs):
     inst = cfg["instances"]
+    spec = InstanceSpec(dim=inst["dim"], spectrum_law=inst["spectrum_law"],
+                        x_law=inst["x_law"], seed=cfg["seed"])
     results = []
     failed = False
-    for objective_id, grid in cfg["objectives"]:
-        for point in grid:
-            spec = InstanceSpec(dim=inst["dim"], spectrum_law=inst["spectrum_law"],
-                                x_law=inst["x_law"], seed=cfg["seed"])
-            report = maximize(objective_id, point, spec,
-                              budget=inst["budget"], starts=inst["starts"],
-                              jobs=jobs, diagonal=inst["diagonal"])
-            entry = report.to_dict()
-            entry["replay_ratio"] = replay_witness(report)
-            verdicts = review_flagged(report)
-            entry["flag_review"] = verdicts
-            if not math.isfinite(report.best_ratio):
-                failed = True
-            if any(not v["benign"] for v in verdicts):
-                failed = True
-            results.append(entry)
+    # one pool for the whole run, closed before this returns or raises
+    with open_pool(jobs, inst["starts"]) as pool:
+        for objective_id, grid in cfg["objectives"]:
+            for point in grid:
+                report = maximize(objective_id, point, spec,
+                                  budget=inst["budget"], starts=inst["starts"],
+                                  jobs=jobs, diagonal=inst["diagonal"], pool=pool)
+                entry = report.to_dict()
+                entry["replay_ratio"] = replay_witness(report)
+                verdicts = review_flagged(report)
+                entry["flag_review"] = verdicts
+                if not math.isfinite(report.best_ratio):
+                    failed = True
+                if any(not v["benign"] for v in verdicts):
+                    failed = True
+                results.append(entry)
     return results, failed
 
 

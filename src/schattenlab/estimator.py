@@ -5,7 +5,9 @@ multiplicative log-space perturbations of spectra and additive
 perturbations of the off-diagonal element, and the best witness is
 reported with a monotone improvement trace.  Identical inputs give
 byte-identical reports; parallel workers merge in start-index order so the
-worker count never changes the result.
+worker count never changes the result.  A run of many searches opens one
+pool (open_pool) and hands it to every maximize call, which maps its
+starts over it in one chunk per worker.
 
 The validated matrix classes of matcore are for input to the public API.
 The search computes on plain arrays: each objective's evaluator calls the
@@ -14,6 +16,7 @@ arithmetic, so both give the same bits on the same state.  Finiteness and
 positivity are checked on every evaluation; unitarity once per unitary.
 """
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -500,12 +503,27 @@ def _run_start(args):
     return best, _serialize_state(best_st), events, flagged, flagged_states
 
 
+def open_pool(jobs, starts):
+    """Process pool for searches of `starts` starts at `jobs` jobs.
+
+    At jobs > 1, a ProcessPoolExecutor of min(jobs, starts) workers: it
+    forks all of them at once, and a worker beyond one per start would
+    idle.  At one job, a context that yields None.
+    """
+    if jobs > 1:
+        return ProcessPoolExecutor(max_workers=min(jobs, starts))
+    return contextlib.nullcontext()
+
+
 def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
-             diagonal=False):
+             diagonal=False, pool=None):
     """Multi-start hill climbing of a registered ratio objective.
 
     Returns a RatioReport; 'convexity-defect-min' minimizes instead.
     Identical arguments yield an identical report regardless of jobs.
+    At jobs > 1 the starts are mapped over `pool` (from open_pool, sized
+    for the same jobs and starts) in one chunk per worker; without a pool
+    one is opened for this call alone.
     """
     if objective_id not in OBJECTIVES:
         raise ValidationError("unknown objective %r (known: %s)"
@@ -515,11 +533,13 @@ def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
     obj = OBJECTIVES[objective_id]
     tasks = [(objective_id, dict(exponents), spec, idx, budget, diagonal)
              for idx in range(starts)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_start, tasks))
-    else:
-        results = [_run_start(t) for t in tasks]
+    scope = open_pool(jobs, starts) if pool is None else contextlib.nullcontext(pool)
+    with scope as pool:
+        if pool is None:
+            results = [_run_start(t) for t in tasks]
+        else:
+            chunk = -(-starts // min(jobs, starts))
+            results = list(pool.map(_run_start, tasks, chunksize=chunk))
 
     sign = 1.0 if obj.direction == "max" else -1.0
     best_idx = 0

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -132,12 +133,14 @@ class TestRuns:
         cli.main(["--config", cfg, "--out", out, "--seed", "99"])
         assert json.loads(Path(out).read_text())["seed"] == 99
 
-    def test_jobs_flag_reports_identical(self, tmp_path):
-        cfg = write_config(tmp_path, ESTIMATE_CFG)
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_jobs_flag_reports_identical(self, tmp_path, jobs):
+        # 5 starts divide evenly over neither 2 nor 3 workers
+        cfg = write_config(tmp_path, ESTIMATE_CFG.replace("starts = 2", "starts = 5"))
         out1 = str(tmp_path / "a.json")
         out2 = str(tmp_path / "b.json")
         cli.main(["--config", cfg, "--out", out1, "--jobs", "1"])
-        cli.main(["--config", cfg, "--out", out2, "--jobs", "2"])
+        cli.main(["--config", cfg, "--out", out2, "--jobs", str(jobs)])
         a = json.loads(Path(out1).read_text())
         b = json.loads(Path(out2).read_text())
         a.pop("timing")
@@ -198,8 +201,10 @@ class TestRuns:
         assert abs(entry["boundary1"] - 0.5) <= 1e-6
         assert abs(entry["full"] - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_numerical_failure_exit_code_names_the_start(
-            self, tmp_path, monkeypatch, capsys, failing_objective):
+            self, tmp_path, monkeypatch, capsys, failing_objective, jobs):
+        # every start fails; at jobs 2 the failures are raised in workers
         monkeypatch.setitem(estimator.OBJECTIVES, "main",
                             failing_objective(NumericalError, 2))
         cfg = write_config(tmp_path, """\
@@ -209,16 +214,87 @@ class TestRuns:
             [instances]
             dim = 3
             budget = 5
-            starts = 1
+            starts = 3
             [objective.main]
             alpha = 1
             s = 2
             r = inf
         """)
-        status = cli.main(["--config", cfg, "--out", str(tmp_path / "r.json")])
+        status = cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
+                           "--jobs", str(jobs)])
         assert status == cli.EXIT_NUMERICAL_FAILURE
         err = capsys.readouterr().err
         assert "objective main, start 0, iteration 2, seed 11" in err
+        assert multiprocessing.active_children() == []
+
+    def test_zero_starts_is_a_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, ESTIMATE_CFG.replace("starts = 2", "starts = 0"))
+        assert cli.main(["--config", cfg, "--jobs", "2"]) == cli.EXIT_CONFIG_ERROR
+
+
+# two objectives, two grid points each, four starts
+POOL_CFG = """\
+    [experiment]
+    kind = estimate
+    seed = 5
+
+    [instances]
+    dim = 2
+    budget = 3
+    starts = 4
+
+    [objective.eq1-plus]
+    p = 1 2
+    q = 0.5
+
+    [objective.mazur]
+    p = 2
+    q = 0.5 0.25
+"""
+
+
+class TestWorkerPool:
+    def test_one_executor_per_run(self, tmp_path, monkeypatch):
+        made = []
+
+        class CountingExecutor(estimator.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(None)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "ProcessPoolExecutor", CountingExecutor)
+        cfg = write_config(tmp_path, POOL_CFG)
+        out = str(tmp_path / "r.json")
+        assert cli.main(["--config", cfg, "--out", out, "--jobs", "2"]) == 0
+        assert len(json.loads(Path(out).read_text())["results"]) == 4
+        assert len(made) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_never_more_workers_than_starts(self, tmp_path, monkeypatch):
+        # records the requested size and maps in this process: nothing forks
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(estimator, "ProcessPoolExecutor", RecordingExecutor)
+        cfg = write_config(tmp_path, POOL_CFG)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
+                         "--jobs", "8"]) == 0
+        spec = estimator.InstanceSpec(dim=2, seed=5)
+        estimator.maximize("mazur", {"p": 2.0, "q": 0.5}, spec, budget=3,
+                           starts=3, jobs=8)
+        assert sizes == [4, 3]
 
 
 def small_estimate(objective_id, point, budget):
