@@ -16,7 +16,7 @@ from .kernels import (TMapParams, divided_difference_kernel, group_spectrum,
                       unital_cp_map)
 from .mazur import (decomposition_residual, eq1_ratio, interp_corollary_ratio,
                     main_ratio, mazur_lipschitz_ratio, mazur_map,
-                    powers_diff_ratio)
+                    powers_diff_ratio, tmap_ratio)
 from .strip import (AnalyticFamily, BoundaryGridCache, BoundarySet,
                     boundary_measure, boundary_norm_profile, convexity_defect,
                     cosh_measure, dilate, doubling_bound, doubling_ratio,

@@ -45,6 +45,18 @@ def _parse_float(text, key):
         raise ConfigError("key %r: %r is not a number" % (key, text))
 
 
+def _parse_count(section, key, default, least):
+    """The integer value of key (default when absent), at least `least`."""
+    text = str(section.get(key, default)).strip()
+    try:
+        val = int(text)
+    except ValueError:
+        raise ConfigError("key %r: %r is not an integer" % (key, text))
+    if val < least:
+        raise ConfigError("key %r: must be at least %d, got %d" % (key, least, val))
+    return val
+
+
 def _parse_list(text, key):
     vals = [_parse_float(tok, key) for tok in text.split()]
     if not vals:
@@ -103,7 +115,7 @@ def load_config(path):
                           " (got %r)" % kind)
     cfg = {
         "kind": kind,
-        "seed": exp.getint("seed", fallback=0),
+        "seed": _parse_count(exp, "seed", 0, 0),
         "format": exp.get("format", "json").strip(),
         "out": exp.get("out", fallback=None),
         "sections": {name: dict(parser[name]) for name in parser.sections()},
@@ -113,20 +125,19 @@ def load_config(path):
 
     if kind == "estimate":
         inst = parser["instances"] if "instances" in parser else {}
+        cfg["instances"] = {
+            "dim": _parse_count(inst, "dim", 4, 1),
+            "spectrum_law": inst.get("spectrum-law", "log-uniform"),
+            "x_law": inst.get("x-law", "gaussian-complex"),
+            "diagonal": str(inst.get("diagonal", "false")).lower()
+            in ("1", "true", "yes"),
+            "budget": _parse_count(inst, "budget", 2000, 0),
+            "starts": _parse_count(inst, "starts", 16, 1),
+        }
         try:
-            cfg["instances"] = {
-                "dim": int(inst.get("dim", 4)),
-                "spectrum_law": inst.get("spectrum-law", "log-uniform"),
-                "x_law": inst.get("x-law", "gaussian-complex"),
-                "diagonal": str(inst.get("diagonal", "false")).lower()
-                in ("1", "true", "yes"),
-                "budget": int(inst.get("budget", 2000)),
-                "starts": int(inst.get("starts", 16)),
-            }
-        except ValueError as exc:
+            _instance_spec(cfg)
+        except ValidationError as exc:
             raise ConfigError("section [instances]: %s" % exc)
-        if cfg["instances"]["starts"] < 1:
-            raise ConfigError("key 'starts': must be at least 1")
         cfg["objectives"] = []
         for name in parser.sections():
             if not name.startswith("objective."):
@@ -149,13 +160,16 @@ def load_config(path):
         cfg["strip"] = {
             "gamma0": tuple(_parse_list(sec.get("gamma0", "0.1 0.25 0.5 0.75 0.9"),
                                         "gamma0")),
-            "sets_per_gamma": int(sec.get("sets-per-gamma", 200)),
-            "families": int(sec.get("families", 200)),
+            "sets_per_gamma": _parse_count(sec, "sets-per-gamma", 200, 1),
+            "families": _parse_count(sec, "families", 200, 1),
             "q": tuple(_parse_list(sec.get("q", "0.5 1 2"), "q")),
         }
         for g in cfg["strip"]["gamma0"]:
             if not 0 < g < 1:
                 raise ConfigError("key 'gamma0': values must be in (0, 1)")
+        for q in cfg["strip"]["q"]:
+            if not 0 < q <= 2:
+                raise ConfigError("key 'q': values must be in (0, 2]")
     return cfg
 
 
@@ -187,10 +201,15 @@ def run_strip_check(cfg):
     return results, tables, failed
 
 
+def _instance_spec(cfg):
+    inst = cfg["instances"]
+    return InstanceSpec(dim=inst["dim"], spectrum_law=inst["spectrum_law"],
+                        x_law=inst["x_law"], seed=cfg["seed"])
+
+
 def run_estimate(cfg, jobs):
     inst = cfg["instances"]
-    spec = InstanceSpec(dim=inst["dim"], spectrum_law=inst["spectrum_law"],
-                        x_law=inst["x_law"], seed=cfg["seed"])
+    spec = _instance_spec(cfg)
     results = []
     failed = False
     # one pool for the whole run, closed before this returns or raises
@@ -287,6 +306,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError("--seed must be at least 0")
             cfg["seed"] = args.seed
         if args.format is not None:
             cfg["format"] = args.format

@@ -24,15 +24,14 @@ from dataclasses import dataclass, fields
 import numpy as np
 import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit it
 
-from .kernels import TMapParams, _t_map, rx_kernel
+from .kernels import TMapParams, rx_kernel
 from .matcore import (DomainError, NumericalError, PositiveDefiniteMatrix,
-                      ValidationError, _as_array, _check_unitary, _finite,
-                      _spectral_arrays, _svdvals)
-from .mazur import (_check_pq, _eq1, _interp, _main, _mazur_lipschitz,
-                    _powers_diff, _safe_ratio)
+                      ValidationError, _as_array, _check_unitary,
+                      _positive_spectrum, _spectral_arrays)
+from .mazur import (_check_pq, _eq1_minus, _eq1_plus, _interp, _main,
+                    _mazur_lipschitz, _powers_diff, _safe_ratio, _tmap_ratio)
 from .schatten import (ExponentConfig, _check_alpha, _exponents,
-                       _power_sum_norm, schatten_norm,
-                       schatten_norm_from_singular_values)
+                       _power_sum_norm, schatten_norm)
 from .strip import AnalyticFamily, BoundaryGridCache, convexity_defect
 
 SPECTRUM_LAWS = ("log-uniform", "clustered-pairs", "geometric")
@@ -166,7 +165,7 @@ def random_instance(spec):
 def _normalized_spectrum(logspec, s):
     """Spectrum exp(logspec), clipped, scaled to unit Schatten s-norm."""
     lam = np.exp(np.clip(logspec, -LOG_SPEC_CLIP, LOG_SPEC_CLIP))
-    return lam / schatten_norm_from_singular_values(np.sort(lam)[::-1], s)
+    return lam / _power_sum_norm(np.sort(lam)[::-1], s)
 
 
 def _normalized_pdm(logspec, unitary, s):
@@ -175,34 +174,30 @@ def _normalized_pdm(logspec, unitary, s):
                                                 unitary)
 
 
-def _spectrum_reader(s, log_key="logspec", unitary_key="unitary"):
-    """state -> the arrays (dm, lam, V) of _normalized_pdm(state[log_key],
-    state[unitary_key], s), with the checks of from_spectral.
+def _spectrum_reader(s, log_key="logspec", unitary_key="unitary", formed=False):
+    """state -> (lam, V) of d = _normalized_pdm(state[log_key],
+    state[unitary_key], s): its eigenvalues ascending and its eigenvectors in
+    that order, with the checks of from_spectral.  With formed, the reader
+    also forms d and returns (d's matrix, lam, V); only the objectives that
+    do not work in d's eigenbasis need it.
 
-    Positivity and finiteness are checked on every call.  A search never
-    changes a start's unitary, so unitarity is checked once per unitary
-    array, on its first use; the arrays of a state are never modified in
-    place.
+    Positivity and finiteness of the spectrum are checked on every call.  A
+    search never changes a start's unitary, so unitarity (which includes
+    finiteness) is checked once per unitary array, on its first use; the
+    arrays of a state are never modified in place.
     """
+    arrays = _spectral_arrays if formed else _positive_spectrum
     checked = None
 
     def read(st):
         nonlocal checked
         u = st[unitary_key]
-        dm, lam, v = _spectral_arrays(_normalized_spectrum(st[log_key], s), u)
-        _finite(dm)
+        out = arrays(_normalized_spectrum(st[log_key], s), u)
         if u is not checked:
-            _check_unitary(np.asarray(u, dtype=complex), lam.shape[0])
+            _check_unitary(np.asarray(u, dtype=complex), out[-2].shape[0])
             checked = u
-        return dm, lam, v
+        return out
     return read
-
-
-def _tmap_ratio(dm, lam, v, x, params, p, q, s):
-    out = _finite(_t_map(lam, v, params, x))
-    sv = _svdvals(np.stack((x, dm)))
-    return _safe_ratio(schatten_norm(out, q),
-                       _power_sum_norm(sv[0], p) * _power_sum_norm(sv[1], s) ** params.alpha)
 
 
 def _triangular_ratio(dm, x, p):
@@ -246,23 +241,23 @@ def _make_interp(params):
         raise ValidationError("eps must be in (0, 1), got %r" % (eps,))
     p, _ = _exponents(s, r)
     spectrum = _spectrum_reader(s)
-    return lambda st: _interp(spectrum(st)[0], _as_array(st["x"]), eps, s, r, p)
+    return lambda st: _interp(*spectrum(st), _as_array(st["x"]), eps, s, r, p)
 
 
-def _make_eq1(sign):
+def _make_eq1(ratio, formed):
     def make(params):
         p, q = params["p"], params["q"]
         _check_pq(p, q)
-        spectrum = _spectrum_reader(p)
-        return lambda st: _eq1(*spectrum(st), _as_array(st["x"]), p, q, sign)
+        spectrum = _spectrum_reader(p, formed=formed)
+        return lambda st: ratio(*spectrum(st), _as_array(st["x"]), p, q)
     return make
 
 
 def _make_eq2(params):
     p, q = params["p"], params["q"]
     _check_pq(p, q)
-    first = _spectrum_reader(p)
-    second = _spectrum_reader(p, "logspec2", "unitary2")
+    first = _spectrum_reader(p, formed=True)
+    second = _spectrum_reader(p, "logspec2", "unitary2", formed=True)
 
     def ev(st):
         x, y = first(st), second(st)
@@ -298,7 +293,7 @@ def _make_triangular(params):
     p = params["p"]
     if not p > 0:
         raise ValidationError("p must be positive, got %r" % (p,))
-    spectrum = _spectrum_reader(p)
+    spectrum = _spectrum_reader(p, formed=True)
     return lambda st: _triangular_ratio(spectrum(st)[0], _as_array(st["x"]), p)
 
 
@@ -333,8 +328,8 @@ def _make_defect_min(params):
 OBJECTIVES = {
     "main": _Objective("dx", "max", _make_main, ("alpha", "s", "r")),
     "interp": _Objective("dx", "max", _make_interp, ("eps", "s", "r")),
-    "eq1-plus": _Objective("dx", "max", _make_eq1(+1), ("p", "q")),
-    "eq1-minus": _Objective("dx", "max", _make_eq1(-1), ("p", "q")),
+    "eq1-plus": _Objective("dx", "max", _make_eq1(_eq1_plus, False), ("p", "q")),
+    "eq1-minus": _Objective("dx", "max", _make_eq1(_eq1_minus, True), ("p", "q")),
     "eq2": _Objective("pair-pos", "max", _make_eq2, ("p", "q")),
     "mazur": _Objective("pair-gen", "max", _make_mazur("mazur"), ("p", "q")),
     "abs-power": _Objective("pair-gen", "max", _make_mazur("abs-power"),

@@ -6,9 +6,10 @@ so results are identical on one machine and BLAS, not across platforms.
 
 The validated classes (ComplexMatrix, HermitianMatrix, PositiveDefiniteMatrix,
 SpectralDecomposition) are for input to the public API.  The search computes
-on plain arrays through the private helpers below (_spectral_arrays, _power,
-_finite, _check_unitary, _svdvals), which the classes and the public
-functions share, so each piece of arithmetic exists once.
+on plain arrays through the private helpers below (_positive_spectrum,
+_spectral_arrays, _power, _finite, _check_unitary, _svdvals), which the
+classes and the public functions share, so each piece of arithmetic exists
+once.
 """
 
 import numpy as np
@@ -154,21 +155,29 @@ def _same_shape(*mats):
 
 
 def _check_unitary(v, n):
-    """Raise ValidationError unless the n columns of v are orthonormal."""
+    """Raise ValidationError unless the n columns of v are orthonormal
+    (a non-finite entry makes them not orthonormal)."""
     ortho = np.abs(v.conj().T @ v - np.eye(n)).max()
-    if ortho > 1e-10:
+    if not ortho <= 1e-10:
         raise ValidationError("eigenvector matrix not unitary (%.3e)" % ortho)
 
 
-def _spectral_arrays(eigenvalues, vectors):
-    """(V diag(lam) V* symmetrized, lam ascending, V's columns in that order);
-    ValidationError unless min lam > 1e-12 max lam > 0."""
+def _positive_spectrum(eigenvalues, vectors):
+    """(lam ascending, V's columns in that order); ValidationError unless lam
+    is finite and min lam > 1e-12 max lam > 0."""
     lam = np.asarray(eigenvalues, dtype=float)
-    if np.any(lam <= 0.0) or lam.min() <= 1e-12 * lam.max():
-        raise ValidationError("spectrum not strictly positive definite")
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
-    v = np.asarray(vectors, dtype=complex)[:, order]
+    # sorting puts NaN last, so the two ends decide: every comparison with
+    # NaN or an infinite end is false
+    if not (lam[0] > 0.0 and lam[0] > 1e-12 * lam[-1]):
+        raise ValidationError("spectrum not strictly positive definite")
+    return lam, np.asarray(vectors, dtype=complex)[:, order]
+
+
+def _spectral_arrays(eigenvalues, vectors):
+    """(V diag(lam) V* symmetrized, lam, V) from _positive_spectrum."""
+    lam, v = _positive_spectrum(eigenvalues, vectors)
     m = (v * lam) @ v.conj().T
     return 0.5 * (m + m.conj().T), lam, v
 

@@ -11,10 +11,11 @@ import math
 
 import numpy as np
 
-from .kernels import TMapParams, mixed_kernel_map, t_map, _divided_difference
+from .kernels import (TMapParams, divided_difference_kernel, mixed_kernel_map,
+                      t_map, _divided_difference)
 from .matcore import (ComplexMatrix, NumericalError, PositiveDefiniteMatrix,
-                      ValidationError, _finite, _power, _same_shape, _svd,
-                      _svdvals, herm_eig, positive_power)
+                      ValidationError, _as_array, _finite, _power, _same_shape,
+                      _svd, _svdvals, herm_eig, positive_power)
 from .schatten import _exponents, _power_sum_norm, schatten_norm
 
 # denominators below this fraction of the numerator scale are flagged as
@@ -48,34 +49,57 @@ def mazur_map(f, p, q):
     return ComplexMatrix(_mazur_matrix(f, p, q))
 
 
-# Each ratio below has one array function over d = V diag(lam) V* (its
-# matrix dm, lam ascending and V) and x, which the public function calls
-# after validating its input and the search calls on its state.  The
-# numerator's norm comes from schatten_norm, the denominator's from one
-# stacked SVD.  Matrices that the public API once wrapped in ComplexMatrix
-# get _finite where they are formed, in the original order, so a bad state
-# raises the class it always did.
+# Each ratio below has one array function, which the public function calls
+# after validating its input and the search calls on its state.  The dx
+# ratios (main, interp, eq1 with sign +1, tmap) work in the eigenbasis of
+# d = V diag(lam) V*: with X' = V* x V, x d^a is X' scaled by lam_j^a in
+# column j, and dx + xd and x d^a + d^a x are the Schur products of X' with
+# lam_i + lam_j and lam_i^a + lam_j^a, so no power of d is formed.  d's own
+# norms come from lam.  The commutator of eq1 with sign -1 stays formed, so
+# that x = d gives an exact zero.  Numerators go through schatten_norm, the
+# other norms through _svdvals.  x is checked finite before use and each
+# formed denominator matrix where it is formed, raising the class the
+# public API always raised for that input.
 
-def _main(dm, lam, v, x, cfg):
-    num = schatten_norm(x @ _power(lam, v, 1.0 + cfg.alpha), cfg.q)
-    sv = _svdvals(np.stack((dm, _finite(dm @ x + x @ dm))))
-    return _safe_ratio(num, _power_sum_norm(sv[0], cfg.s) ** cfg.alpha
-                       * _power_sum_norm(sv[1], cfg.p))
+def _in_eigenbasis(x, v, error=ValidationError):
+    """V* x V for a finite x; otherwise raise error."""
+    return v.conj().T @ _finite(x, error) @ v
+
+
+def _spectrum_norm(lam, s):
+    """||d||_s from the eigenvalues lam > 0 of d, in any order."""
+    return _power_sum_norm(np.sort(lam)[::-1], s)
+
+
+def _eigen_args(d, x):
+    """(lam ascending, V, x as an array) for positive definite d and x of
+    d's shape; ValidationError otherwise."""
+    _, xm = _same_shape(d, x)
+    s = herm_eig(d)
+    if not s.eigenvalues[0] > 0.0:
+        raise ValidationError("d must be positive definite")
+    return s.eigenvalues, s.vectors, xm
+
+
+def _main(lam, v, x, cfg):
+    xe = _in_eigenbasis(x, v, NumericalError)
+    num = schatten_norm(xe * lam ** (1.0 + cfg.alpha), cfg.q)
+    anti = _finite(xe * np.add.outer(lam, lam))
+    return _safe_ratio(num, _spectrum_norm(lam, cfg.s) ** cfg.alpha
+                       * _power_sum_norm(_svdvals(anti), cfg.p))
 
 
 def main_ratio(d, x, cfg):
     """||x d^(1+alpha)||_q / (||d||_s^alpha ||dx+xd||_p)."""
-    _, xm = _same_shape(d, x)
-    s = herm_eig(d)
-    return _main(d.mat, s.eigenvalues, s.vectors, xm, cfg)
+    return _main(*_eigen_args(d, x), cfg)
 
 
-def _interp(dm, x, eps, s, r, p):
-    num = schatten_norm(x @ dm, p)
-    sv = _svdvals(np.stack((dm, _finite(x, NumericalError),
-                            _finite(dm @ x + x @ dm))))
-    return _safe_ratio(num, (_power_sum_norm(sv[0], s) * _power_sum_norm(sv[1], r)) ** eps
-                       * _power_sum_norm(sv[2], p) ** (1.0 - eps))
+def _interp(lam, v, x, eps, s, r, p):
+    xe = _in_eigenbasis(x, v, NumericalError)
+    num = schatten_norm(xe * lam, p)
+    sv = _svdvals(np.stack((x, _finite(xe * np.add.outer(lam, lam)))))
+    return _safe_ratio(num, (_spectrum_norm(lam, s) * _power_sum_norm(sv[0], r)) ** eps
+                       * _power_sum_norm(sv[1], p) ** (1.0 - eps))
 
 
 def interp_corollary_ratio(d, x, eps, s, r):
@@ -83,16 +107,26 @@ def interp_corollary_ratio(d, x, eps, s, r):
     if not 0 < eps < 1:
         raise ValidationError("eps must be in (0, 1)")
     p, _ = _exponents(s, r)
-    return _interp(*_same_shape(d, x), eps, s, r, p)
+    return _interp(*_eigen_args(d, x), eps, s, r, p)
 
 
-def _eq1(dm, lam, v, x, p, q, sign):
+def _eq1_den(base, lam, p, q):
+    """||base||_p ||d||_p^(p/q-1)."""
+    return _power_sum_norm(_svdvals(base), p) * _spectrum_norm(lam, p) ** (p / q - 1.0)
+
+
+def _eq1_plus(lam, v, x, p, q):
+    xe = _in_eigenbasis(x, v, NumericalError)
+    a = lam ** (p / q)
+    num = schatten_norm(xe * np.add.outer(a, a), q)
+    return _safe_ratio(num, _eq1_den(_finite(xe * np.add.outer(lam, lam)), lam, p, q))
+
+
+def _eq1_minus(dm, lam, v, x, p, q):
     d_pow = _power(lam, v, p / q)
-    num = schatten_norm(x @ d_pow + sign * d_pow @ x, q)
-    base = _finite(dm @ x + x @ dm if sign == +1 else x @ dm - dm @ x)
-    sv = _svdvals(np.stack((base, dm)))
-    return _safe_ratio(num, _power_sum_norm(sv[0], p)
-                       * _power_sum_norm(sv[1], p) ** (p / q - 1.0))
+    x = _finite(x, NumericalError)
+    num = schatten_norm(x @ d_pow - d_pow @ x, q)
+    return _safe_ratio(num, _eq1_den(_finite(x @ dm - dm @ x), lam, p, q))
 
 
 def eq1_ratio(d, x, p, q, sign):
@@ -100,9 +134,23 @@ def eq1_ratio(d, x, p, q, sign):
     _check_pq(p, q)
     if sign not in (+1, -1):
         raise ValidationError("sign must be +1 or -1")
-    dm, xm = _same_shape(d, x)
-    s = herm_eig(d)
-    return _eq1(dm, s.eigenvalues, s.vectors, xm, p, q, sign)
+    lam, v, xm = _eigen_args(d, x)
+    if sign == +1:
+        return _eq1_plus(lam, v, xm, p, q)
+    return _eq1_minus(_as_array(d), lam, v, xm, p, q)
+
+
+def _tmap_ratio(lam, v, x, params, p, q, s):
+    out = _finite(divided_difference_kernel(lam, params) * _in_eigenbasis(x, v))
+    return _safe_ratio(schatten_norm(out, q), _power_sum_norm(_svdvals(x), p)
+                       * _spectrum_norm(lam, s) ** params.alpha)
+
+
+def tmap_ratio(d, x, params, s, r):
+    """||T_{beta,gamma}(x)||_q / (||x||_p ||d||_s^alpha), with alpha =
+    2 beta + gamma - 1, 1/p = 1/s + 1/r and 1/q = (1+alpha)/s + 1/r."""
+    p, q = _exponents(s, r, params.alpha)
+    return _tmap_ratio(*_eigen_args(d, x), params, p, q, s)
 
 
 def _powers_diff(xm, lx, vx, ym, ly, vy, p, q):

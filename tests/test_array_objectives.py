@@ -2,24 +2,30 @@
 
 The evaluators compute on plain arrays and check unitarity once per unitary
 array.  These tests pin the exception class each evaluator raises for a bad
-state, and that an evaluator and the public ratio function give the same
-bits on the same state.
+state, that an evaluator and the public ratio function give the same bits on
+the same state, and that the eigenbasis arithmetic of the dx ratios agrees
+with the same ratios formed from d, its powers and their products.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from schattenlab.estimator import (OBJECTIVES, InstanceSpec, _initial_state,
-                                   _normalized_pdm, _rng_for, maximize,
-                                   replay_witness)
-from schattenlab.kernels import TMapParams, t_map
-from schattenlab.matcore import NumericalError, ValidationError, _svdvals
-from schattenlab.mazur import (_safe_ratio, eq1_ratio, interp_corollary_ratio,
+from schattenlab.estimator import (OBJECTIVES, SPECTRUM_LAWS, X_LAWS,
+                                   InstanceSpec, _initial_state,
+                                   _normalized_pdm, _normalized_spectrum,
+                                   _rng_for, maximize, replay_witness)
+from schattenlab.kernels import TMapParams, _t_map
+from schattenlab.matcore import (NumericalError, ValidationError, _power,
+                                 _spectral_arrays, _svdvals)
+from schattenlab.mazur import (_eq1_plus, _interp, _main, _safe_ratio,
+                               _tmap_ratio, eq1_ratio, interp_corollary_ratio,
                                main_ratio, mazur_lipschitz_ratio,
-                               powers_diff_ratio)
-from schattenlab.schatten import ExponentConfig, _exponents, schatten_norm
+                               powers_diff_ratio, tmap_ratio)
+from schattenlab.schatten import (ExponentConfig, _exponents, _power_sum_norm,
+                                  schatten_norm)
 
 PARAMS = {
     "main": {"alpha": 1.0, "s": 4.0 / 3.0, "r": math.inf},
@@ -151,12 +157,9 @@ def public_ratio(oid, st):
         return mazur_lipschitz_ratio(st["x"], st["y"], prm["p"], prm["q"],
                                      variant=oid)
     if oid == "tmap":
-        tp = TMapParams(prm["beta"], prm["gamma"])
-        p, q = _exponents(prm["s"], prm["r"], tp.alpha)
-        d = _normalized_pdm(st["logspec"], st["unitary"], prm["s"])
-        return _safe_ratio(schatten_norm(t_map(d, tp, st["x"]), q),
-                           schatten_norm(st["x"], p)
-                           * schatten_norm(d.mat, prm["s"]) ** tp.alpha)
+        return tmap_ratio(_normalized_pdm(st["logspec"], st["unitary"], prm["s"]),
+                          st["x"], TMapParams(prm["beta"], prm["gamma"]),
+                          prm["s"], prm["r"])
     d = _normalized_pdm(st["logspec"], st["unitary"], prm["p"])
     x = st["x"]
     return _safe_ratio(schatten_norm(x @ d.mat, prm["p"]),
@@ -171,3 +174,112 @@ def test_evaluator_equals_public_ratio(oid, dim, laws):
     for start in range(3):
         st = state(oid, dim=dim, seed=17, start=start, **laws)
         assert evaluate(oid, st) == public_ratio(oid, st)
+
+
+@pytest.mark.parametrize("oid", DX)
+def test_nan_in_unitary(oid):
+    # unitarity is checked once per unitary array, and the dx ratios never
+    # form d, so that check must refuse a non-finite entry itself
+    st = state(oid)
+    st["unitary"] = st["unitary"].copy()
+    st["unitary"][0, 1] = np.nan
+    with pytest.raises(ValidationError, match="not unitary"):
+        evaluate(oid, st)
+
+
+# --- eigenbasis arithmetic against formed matrices ------------------------
+#
+# The dx ratios as they were computed before they moved to the eigenbasis
+# of d: from d = V diag(lam) V* (dm), its powers and the matrix products,
+# with d's norms from singular values.
+
+def formed_main(dm, lam, v, x, cfg):
+    num = schatten_norm(x @ _power(lam, v, 1.0 + cfg.alpha), cfg.q)
+    sv = _svdvals(np.stack((dm, dm @ x + x @ dm)))
+    return _safe_ratio(num, _power_sum_norm(sv[0], cfg.s) ** cfg.alpha
+                       * _power_sum_norm(sv[1], cfg.p))
+
+
+def formed_interp(dm, x, eps, s, r, p):
+    num = schatten_norm(x @ dm, p)
+    sv = _svdvals(np.stack((dm, x, dm @ x + x @ dm)))
+    return _safe_ratio(num, (_power_sum_norm(sv[0], s) * _power_sum_norm(sv[1], r)) ** eps
+                       * _power_sum_norm(sv[2], p) ** (1.0 - eps))
+
+
+def formed_eq1_plus(dm, lam, v, x, p, q):
+    d_pow = _power(lam, v, p / q)
+    num = schatten_norm(x @ d_pow + d_pow @ x, q)
+    sv = _svdvals(np.stack((dm @ x + x @ dm, dm)))
+    return _safe_ratio(num, _power_sum_norm(sv[0], p)
+                       * _power_sum_norm(sv[1], p) ** (p / q - 1.0))
+
+
+def formed_tmap(dm, lam, v, x, params, p, q, s):
+    sv = _svdvals(np.stack((x, dm)))
+    return _safe_ratio(schatten_norm(_t_map(lam, v, params, x), q),
+                       _power_sum_norm(sv[0], p) * _power_sum_norm(sv[1], s) ** params.alpha)
+
+
+def ratio_pairs():
+    """(name, the s-norm d is scaled by, eigenbasis ratio of (lam, V, x),
+    formed ratio of (dm, lam, V, x)) for each dx ratio at PARAMS."""
+    cfg = ExponentConfig(*(PARAMS["main"][k] for k in ("alpha", "s", "r")))
+    ip = PARAMS["interp"]
+    eps, s, r = ip["eps"], ip["s"], ip["r"]
+    p_int, _ = _exponents(s, r)
+    p, q = PARAMS["eq1-plus"]["p"], PARAMS["eq1-plus"]["q"]
+    tm = PARAMS["tmap"]
+    tp = TMapParams(tm["beta"], tm["gamma"])
+    tpq = _exponents(tm["s"], tm["r"], tp.alpha)
+    return [
+        ("main", cfg.s, lambda lam, v, x: _main(lam, v, x, cfg),
+         lambda dm, lam, v, x: formed_main(dm, lam, v, x, cfg)),
+        ("interp", s, lambda lam, v, x: _interp(lam, v, x, eps, s, r, p_int),
+         lambda dm, lam, v, x: formed_interp(dm, x, eps, s, r, p_int)),
+        ("eq1-plus", p, lambda lam, v, x: _eq1_plus(lam, v, x, p, q),
+         lambda dm, lam, v, x: formed_eq1_plus(dm, lam, v, x, p, q)),
+        ("tmap", tm["s"], lambda lam, v, x: _tmap_ratio(lam, v, x, tp, *tpq, tm["s"]),
+         lambda dm, lam, v, x: formed_tmap(dm, lam, v, x, tp, *tpq, tm["s"])),
+    ]
+
+
+def dx_states(spectrum_law, seed):
+    """Two start states of every x law at each dim from 1 to 16."""
+    for x_law, dim, start in itertools.product(X_LAWS, range(1, 17), range(2)):
+        spec = InstanceSpec(dim=dim, spectrum_law=spectrum_law, x_law=x_law, seed=seed)
+        yield _initial_state("dx", spec, _rng_for(seed, start))
+
+
+def relative_gap(a, b):
+    return abs(a - b) / abs(b)
+
+
+@pytest.mark.parametrize("spectrum_law", SPECTRUM_LAWS)
+def test_eigenbasis_ratios_agree_with_formed_matrices(spectrum_law):
+    # largest gap here: 7.0e-13 (eq1-plus, clustered pairs, dim 10), from the
+    # SVDs' absolute accuracy on the small singular values of graded products
+    for st in dx_states(spectrum_law, seed=5):
+        for name, s, eigen, formed in ratio_pairs():
+            dm, lam, v = _spectral_arrays(_normalized_spectrum(st["logspec"], s),
+                                          st["unitary"])
+            got, want = eigen(lam, v, st["x"]), formed(dm, lam, v, st["x"])
+            assert relative_gap(got, want) <= 1e-12, (name, lam.shape[0])
+
+
+@pytest.mark.parametrize("spectrum_law", SPECTRUM_LAWS)
+def test_eigenpair_order_moves_only_the_svd_rounding(spectrum_law):
+    # Permuting the eigenpairs permutes the entries of every Schur product
+    # exactly, and d's norms sort lam first; what moves is LAPACK's SVD of
+    # the permuted product, accurate to eps * sigma_max, not relative to
+    # each singular value.  On graded products that reaches the ratio: the
+    # largest gap here is 4.9e-12 (eq1-plus, dim 11), where a singular value
+    # of 2.3e-12 sigma_max moves by 5.6e-6 of itself.
+    for st in dx_states(spectrum_law, seed=6):
+        n = st["x"].shape[0]
+        perm = np.random.default_rng(n).permutation(n)
+        for name, s, eigen, _ in ratio_pairs():
+            _, lam, v = _spectral_arrays(_normalized_spectrum(st["logspec"], s),
+                                         st["unitary"])
+            got = eigen(lam[perm], v[:, perm], st["x"])
+            assert relative_gap(got, eigen(lam, v, st["x"])) <= 1e-11, (name, n)

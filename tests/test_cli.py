@@ -35,6 +35,16 @@ ESTIMATE_CFG = """\
     q = 0.5
 """
 
+STRIP_CFG = """\
+    [experiment]
+    kind = strip-check
+    [strip-check]
+    gamma0 = 0.5
+    sets-per-gamma = 10
+    families = 5
+    q = 1
+"""
+
 
 class TestConfigParsing:
     def test_missing_experiment_section(self, tmp_path):
@@ -184,15 +194,7 @@ class TestRuns:
         assert cli.main(["--config", cfg, "--out", bad]) == cli.EXIT_CONFIG_ERROR
 
     def test_strip_check_small(self, tmp_path):
-        cfg = write_config(tmp_path, """\
-            [experiment]
-            kind = strip-check
-            [strip-check]
-            gamma0 = 0.5
-            sets-per-gamma = 10
-            families = 5
-            q = 1
-        """)
+        cfg = write_config(tmp_path, STRIP_CFG)
         out = str(tmp_path / "s.json")
         status = cli.main(["--config", cfg, "--out", out])
         assert status == 0
@@ -230,6 +232,36 @@ class TestRuns:
     def test_zero_starts_is_a_config_error(self, tmp_path):
         cfg = write_config(tmp_path, ESTIMATE_CFG.replace("starts = 2", "starts = 0"))
         assert cli.main(["--config", cfg, "--jobs", "2"]) == cli.EXIT_CONFIG_ERROR
+
+
+# config values the run cannot use, each with the text it replaces; all
+# must stop at the config parser with exit 2, not escape as a traceback
+BAD_VALUES = {
+    "dim-100": (ESTIMATE_CFG, "dim = 3", "dim = 100"),
+    "unknown-spectrum-law": (ESTIMATE_CFG, "dim = 3", "dim = 3\nspectrum-law = flat"),
+    "unknown-x-law": (ESTIMATE_CFG, "dim = 3", "dim = 3\nx-law = sparse"),
+    "sets-per-gamma-abc": (STRIP_CFG, "sets-per-gamma = 10", "sets-per-gamma = abc"),
+    "families-negative": (STRIP_CFG, "families = 5", "families = -3"),
+    "strip-q-5": (STRIP_CFG, "q = 1", "q = 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_unusable_config_value_is_a_config_error(tmp_path, capsys, case):
+    text, old, new = BAD_VALUES[case]
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new))
+    status = cli.main(["--config", cfg, "--out", str(tmp_path / "r.json")])
+    assert status == cli.EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, ESTIMATE_CFG)
+    status = cli.main(["--config", cfg, "--seed", "-1", "--out", str(tmp_path / "r.json")])
+    assert status == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 # two objectives, two grid points each, four starts

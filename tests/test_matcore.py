@@ -142,6 +142,18 @@ class TestFunctionalCalculus:
         assert np.abs(d.mat - ref).max() <= 1e-13
         assert np.abs(d.spectral.eigenvalues - lam).max() == 0.0
 
+    def test_unitary_check_refuses_a_nan_entry(self):
+        # NaN compares false with any bound, so the check must not pass it
+        q, _ = np.linalg.qr(rand_complex(3))
+        q[1, 2] = np.nan
+        with pytest.raises(ValidationError, match="not unitary"):
+            SpectralDecomposition(np.array([0.5, 1.0, 2.0]), q)
+
+    def test_from_spectral_refuses_a_nan_eigenvalue(self):
+        q, _ = np.linalg.qr(rand_complex(3))
+        with pytest.raises(ValidationError, match="positive definite"):
+            PositiveDefiniteMatrix.from_spectral(np.array([0.5, np.nan, 2.0]), q)
+
 
 class TestPolarAndUnitaries:
     def test_polar_reconstruction(self):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.matcore import PositiveDefiniteMatrix, ValidationError
+from schattenlab.matcore import (HermitianMatrix, PositiveDefiniteMatrix,
+                                 ValidationError)
 from schattenlab.mazur import (decomposition_residual, eq1_ratio,
                                interp_corollary_ratio, main_ratio,
                                mazur_lipschitz_ratio, mazur_map,
-                               powers_diff_ratio)
-from schattenlab.kernels import rx_kernel
+                               powers_diff_ratio, tmap_ratio)
+from schattenlab.kernels import TMapParams, rx_kernel
 from schattenlab.schatten import ExponentConfig, schatten_norm
 from schattenlab.strip import AnalyticFamily
 
@@ -125,8 +126,8 @@ class TestRatioObjectives:
                                   variant="nope")
 
 
-# points the search's evaluator builders refuse, and matrices of two sizes:
-# each public function refuses them too, with a ValidationError
+# points the search's evaluator builders refuse, matrices of two sizes and an
+# indefinite d: each public function refuses them too, with a ValidationError
 PRECONDITION_CASES = {
     "eq1-p-inf": lambda d3, x3, x4: eq1_ratio(d3, x3, math.inf, 1.0, +1),
     "powers-diff-p-inf": lambda d3, x3, x4: powers_diff_ratio(d3, d3, math.inf, 1.0),
@@ -141,6 +142,13 @@ PRECONDITION_CASES = {
         d3, PositiveDefiniteMatrix(np.eye(4, dtype=complex)), 2.0, 1.0),
     "mazur-lipschitz-dims": lambda d3, x3, x4: mazur_lipschitz_ratio(x3, x4, 2.0, 1.0),
     "family-dims": lambda d3, x3, x4: AnalyticFamily(d3, x4, 1.0),
+    "tmap-dims": lambda d3, x3, x4: tmap_ratio(d3, x4, TMapParams(0.3, 0.7),
+                                               1.0, math.inf),
+    "tmap-exponents-inf": lambda d3, x3, x4: tmap_ratio(
+        d3, x3, TMapParams(0.3, 0.7), math.inf, math.inf),
+    "main-indefinite": lambda d3, x3, x4: main_ratio(
+        HermitianMatrix(np.diag([1.0, -1.0, 2.0]).astype(complex)), x3,
+        ExponentConfig(alpha=1.0, s=2.0, r=math.inf)),
 }
 
 
