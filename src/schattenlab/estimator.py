@@ -9,6 +9,10 @@ worker count never changes the result.  A run of many searches opens one
 pool (open_pool) and hands it to every maximize call, which maps its
 starts over it in one chunk per worker.
 
+A state is a dict of arrays whose blocks LAYOUTS lists per objective
+kind.  Objectives read d as the eigenpairs of _normalized_spectrum, sorted
+once; the few that need d's matrix form it from them.
+
 The validated matrix classes of matcore are for input to the public API.
 The search computes on plain arrays: each objective's evaluator calls the
 same array function as the public ratio function, with the same
@@ -26,8 +30,8 @@ import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit
 
 from .kernels import TMapParams, rx_kernel
 from .matcore import (DomainError, NumericalError, PositiveDefiniteMatrix,
-                      ValidationError, _as_array, _check_unitary,
-                      _positive_spectrum, _spectral_arrays)
+                      ValidationError, _as_array, _check_unitary, _power,
+                      _positive_spectrum)
 from .mazur import (_check_pq, _eq1_minus, _eq1_plus, _interp, _main,
                     _mazur_lipschitz, _powers_diff, _safe_ratio, _tmap_ratio)
 from .schatten import (ExponentConfig, _check_alpha, _exponents,
@@ -162,41 +166,36 @@ def random_instance(spec):
 
 # --- objective machinery -------------------------------------------------
 
-def _normalized_spectrum(logspec, s):
-    """Spectrum exp(logspec), clipped, scaled to unit Schatten s-norm."""
-    lam = np.exp(np.clip(logspec, -LOG_SPEC_CLIP, LOG_SPEC_CLIP))
-    return lam / _power_sum_norm(np.sort(lam)[::-1], s)
+def _spectrum(logspec):
+    """exp(logspec), clipped, in logspec's order."""
+    return np.exp(np.clip(logspec, -LOG_SPEC_CLIP, LOG_SPEC_CLIP))
 
 
-def _normalized_pdm(logspec, unitary, s):
-    """Positive matrix from log-spectrum and unitary, scaled to ||d||_s = 1."""
-    return PositiveDefiniteMatrix.from_spectral(_normalized_spectrum(logspec, s),
-                                                unitary)
+def _normalized_spectrum(logspec, unitary, s):
+    """d = U diag(_spectrum(logspec)) U* scaled to ||d||_s = 1, as (lam
+    ascending, U's columns in that order); ValidationError unless positive."""
+    lam, v = _positive_spectrum(_spectrum(logspec), unitary)
+    return lam / _power_sum_norm(lam[::-1], s), v
 
 
-def _spectrum_reader(s, log_key="logspec", unitary_key="unitary", formed=False):
-    """state -> (lam, V) of d = _normalized_pdm(state[log_key],
-    state[unitary_key], s): its eigenvalues ascending and its eigenvectors in
-    that order, with the checks of from_spectral.  With formed, the reader
-    also forms d and returns (d's matrix, lam, V); only the objectives that
-    do not work in d's eigenbasis need it.
+def _spectrum_reader(s, log_key="logspec", unitary_key="unitary"):
+    """state -> _normalized_spectrum(state[log_key], state[unitary_key], s).
 
     Positivity and finiteness of the spectrum are checked on every call.  A
     search never changes a start's unitary, so unitarity (which includes
     finiteness) is checked once per unitary array, on its first use; the
     arrays of a state are never modified in place.
     """
-    arrays = _spectral_arrays if formed else _positive_spectrum
     checked = None
 
     def read(st):
         nonlocal checked
         u = st[unitary_key]
-        out = arrays(_normalized_spectrum(st[log_key], s), u)
+        lam, v = _normalized_spectrum(st[log_key], u, s)
         if u is not checked:
-            _check_unitary(np.asarray(u, dtype=complex), out[-2].shape[0])
+            _check_unitary(np.asarray(u, dtype=complex), lam.shape[0])
             checked = u
-        return out
+        return lam, v
     return read
 
 
@@ -205,8 +204,7 @@ def _triangular_ratio(dm, x, p):
 
 
 def _rx_ratio(logspec, x, alpha):
-    lam = np.exp(np.clip(logspec, -LOG_SPEC_CLIP, LOG_SPEC_CLIP))
-    k = rx_kernel(lam, alpha)
+    k = rx_kernel(_spectrum(logspec), alpha)
     num = schatten_norm(k * x, math.inf)
     den = schatten_norm(x, math.inf)
     if den == 0.0:
@@ -222,7 +220,7 @@ class _Objective:
     """
 
     def __init__(self, kind, direction, make_eval, keys, optional=()):
-        self.kind = kind            # "dx", "pair-pos", "pair-gen", "rx", "family"
+        self.kind = kind            # the key of the state's LAYOUTS entry
         self.direction = direction  # "max" or "min"
         self.make_eval = make_eval  # params dict -> callable(state) -> float
         self.keys = keys            # float-valued exponent keys, grid order
@@ -244,26 +242,31 @@ def _make_interp(params):
     return lambda st: _interp(*spectrum(st), _as_array(st["x"]), eps, s, r, p)
 
 
-def _make_eq1(ratio, formed):
+def _make_eq1(ratio):
     def make(params):
         p, q = params["p"], params["q"]
         _check_pq(p, q)
-        spectrum = _spectrum_reader(p, formed=formed)
+        spectrum = _spectrum_reader(p)
         return lambda st: ratio(*spectrum(st), _as_array(st["x"]), p, q)
     return make
+
+
+def _formed_eq1_minus(lam, v, x, p, q):
+    return _eq1_minus(_power(lam, v, 1.0), lam, v, x, p, q)
 
 
 def _make_eq2(params):
     p, q = params["p"], params["q"]
     _check_pq(p, q)
-    first = _spectrum_reader(p, formed=True)
-    second = _spectrum_reader(p, "logspec2", "unitary2", formed=True)
+    first = _spectrum_reader(p)
+    second = _spectrum_reader(p, "logspec2", "unitary2")
 
     def ev(st):
         x, y = first(st), second(st)
-        if np.abs(x[0] - y[0]).max() < 1e-14:
+        xm, ym = _power(*x, 1.0), _power(*y, 1.0)
+        if np.abs(xm - ym).max() < 1e-14:
             return 0.0
-        return _powers_diff(*x, *y, p, q)
+        return _powers_diff(xm, *x, ym, *y, p, q)
     return ev
 
 
@@ -293,8 +296,9 @@ def _make_triangular(params):
     p = params["p"]
     if not p > 0:
         raise ValidationError("p must be positive, got %r" % (p,))
-    spectrum = _spectrum_reader(p, formed=True)
-    return lambda st: _triangular_ratio(spectrum(st)[0], _as_array(st["x"]), p)
+    spectrum = _spectrum_reader(p)
+    return lambda st: _triangular_ratio(_power(*spectrum(st), 1.0),
+                                        _as_array(st["x"]), p)
 
 
 def _make_rx(params):
@@ -313,7 +317,8 @@ def _make_defect_min(params):
         raise ValidationError("gamma0 must be in (0, 1), got %r" % (gamma0,))
 
     def ev(st):
-        d = _normalized_pdm(st["logspec"], st["unitary"], 2.0)
+        d = PositiveDefiniteMatrix.from_spectral(
+            *_normalized_spectrum(st["logspec"], st["unitary"], 2.0))
         fam = AnalyticFamily(d, st["x"], alpha)
         try:
             return convexity_defect(fam, gamma0, q,
@@ -328,43 +333,40 @@ def _make_defect_min(params):
 OBJECTIVES = {
     "main": _Objective("dx", "max", _make_main, ("alpha", "s", "r")),
     "interp": _Objective("dx", "max", _make_interp, ("eps", "s", "r")),
-    "eq1-plus": _Objective("dx", "max", _make_eq1(_eq1_plus, False), ("p", "q")),
-    "eq1-minus": _Objective("dx", "max", _make_eq1(_eq1_minus, True), ("p", "q")),
+    "eq1-plus": _Objective("dx", "max", _make_eq1(_eq1_plus), ("p", "q")),
+    "eq1-minus": _Objective("dx", "max", _make_eq1(_formed_eq1_minus), ("p", "q")),
     "eq2": _Objective("pair-pos", "max", _make_eq2, ("p", "q")),
     "mazur": _Objective("pair-gen", "max", _make_mazur("mazur"), ("p", "q")),
     "abs-power": _Objective("pair-gen", "max", _make_mazur("abs-power"),
                             ("p", "q")),
     "tmap": _Objective("dx", "max", _make_tmap, ("beta", "gamma", "s", "r")),
     "triangular-probe": _Objective("dx", "max", _make_triangular, ("p",)),
-    "rx-probe": _Objective("rx", "max", _make_rx, ("alpha",)),
-    "convexity-defect-min": _Objective("family", "min", _make_defect_min,
+    "rx-probe": _Objective("dx", "max", _make_rx, ("alpha",)),
+    "convexity-defect-min": _Objective("dx", "min", _make_defect_min,
                                        ("alpha", "q", "gamma0"), ("gamma0",)),
 }
 
 
-def _initial_state(kind, spec, rng, diagonal=False):
-    dim = spec.dim
-    if kind in ("dx", "rx", "family"):
-        st = {"logspec": _draw_log_spectrum(rng, dim, spec.spectrum_law),
-              "unitary": np.eye(dim, dtype=complex) if diagonal
-              else _haar_unitary(rng, dim),
-              "x": _draw_x(rng, dim, spec.x_law)}
-        if diagonal:
-            st["x"] = np.diag(np.diagonal(st["x"])).astype(complex)
-        return st
-    if kind == "pair-pos":
-        st = {"logspec": _draw_log_spectrum(rng, dim, spec.spectrum_law),
-              "logspec2": _draw_log_spectrum(rng, dim, spec.spectrum_law)}
-        if diagonal:
-            st["unitary"] = st["unitary2"] = np.eye(dim, dtype=complex)
-        else:
-            st["unitary"] = _haar_unitary(rng, dim)
-            st["unitary2"] = _haar_unitary(rng, dim)
-        return st
-    if kind == "pair-gen":
-        return {"x": _draw_x(rng, dim, spec.x_law),
-                "y": _draw_x(rng, dim, spec.x_law)}
-    raise ValidationError("unknown objective kind %r" % (kind,))
+# each objective kind's state blocks (log-spectra, unitaries, matrices), in
+# draw order; a search never moves a unitary, and under diagonal every
+# unitary is the identity and every matrix diagonal
+LAYOUTS = {
+    "dx": (("logspec",), ("unitary",), ("x",)),
+    "pair-pos": (("logspec", "logspec2"), ("unitary", "unitary2"), ()),
+    "pair-gen": ((), (), ("x", "y")),
+}
+
+
+def _initial_state(layout, spec, rng, diagonal=False):
+    spectra, unitaries, mats = layout
+    st = {k: _draw_log_spectrum(rng, spec.dim, spec.spectrum_law) for k in spectra}
+    for k in unitaries:
+        st[k] = np.eye(spec.dim, dtype=complex) if diagonal \
+            else _haar_unitary(rng, spec.dim)
+    for k in mats:
+        x = _draw_x(rng, spec.dim, spec.x_law)
+        st[k] = np.diag(np.diagonal(x)).astype(complex) if diagonal else x
+    return st
 
 
 def _matrix_bump(st, key, rng, step, x_law, diagonal):
@@ -377,18 +379,16 @@ def _matrix_bump(st, key, rng, step, x_law, diagonal):
     return bump
 
 
-def _perturb(st, rng, step, x_law, diagonal=False):
+def _perturb(st, layout, rng, step, x_law, diagonal=False):
     """One random proposal: perturb a random block of the state, or all of it.
 
     Blocks are the log-spectra (multiplicative moves) and the matrix parts
-    (additive moves); pairs additionally get a translation move that shifts
-    x and y by the same bump, which walks along the near-coincident ridge
-    without collapsing the difference.
+    (additive moves) of the layout; pairs additionally get a translation move
+    that shifts x and y by the same bump, which walks along the
+    near-coincident ridge without collapsing the difference.
     """
-    spectra = [k for k in ("logspec", "logspec2") if k in st]
-    mats = [k for k in ("x", "y")
-            if k in st and isinstance(st.get(k), np.ndarray) and st[k].ndim == 2]
-    modes = ["all"] + (["spectra"] if spectra else []) + mats
+    spectra, _, mats = layout
+    modes = ["all"] + (["spectra"] if spectra else []) + list(mats)
     if len(mats) == 2:
         modes.append("translate")
     mode = modes[rng.integers(len(modes))]
@@ -451,7 +451,9 @@ def _run_start(args):
                             % (objective_id, start_index, iteration, spec.seed,
                                exc)) from exc
 
-    st = _initial_state(obj.kind, spec, rng, diagonal)
+    layout = LAYOUTS[obj.kind]
+    moved = layout[0] + layout[2]
+    st = _initial_state(layout, spec, rng, diagonal)
     sign = 1.0 if obj.direction == "max" else -1.0
     flagged = 0
     flagged_states = []
@@ -474,7 +476,7 @@ def _run_start(args):
                     for k in best_st}
         else:
             step = _step_at(i, budget)
-            cand = _perturb(best_st, rng, step, spec.x_law, diagonal)
+            cand = _perturb(best_st, layout, rng, step, spec.x_law, diagonal)
         try:
             v = evaluate(cand, i + 1)
         except ValidationError:
@@ -487,15 +489,27 @@ def _run_start(args):
             delta = None
             continue
         if sign * v > sign * best:
-            delta = {k: cand[k] - best_st[k] for k in cand
-                     if isinstance(cand[k], np.ndarray)
-                     and not np.array_equal(cand[k], best_st[k])}
+            delta = {k: cand[k] - best_st[k] for k in moved
+                     if not np.array_equal(cand[k], best_st[k])}
             best, best_st = v, cand
             events.append((i + 1, best))
         else:
             delta = None
 
     return best, _serialize_state(best_st), events, flagged, flagged_states
+
+
+def _merged_trace(events, sign):
+    """Change points [[iteration, value], ...] of the best value over all
+    starts, from each start's improvement events (iteration, best so far);
+    sign is +1 to maximize, -1 to minimize."""
+    trace = []
+    # at one iteration the best event sorts first
+    for it, v in sorted((e for start in events for e in start),
+                        key=lambda e: (e[0], -sign * e[1])):
+        if not trace or sign * v > sign * trace[-1][1]:
+            trace.append([int(it), float(v)])
+    return trace
 
 
 def open_pool(jobs, starts):
@@ -542,20 +556,7 @@ def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
         if sign * res[0] > sign * results[best_idx][0]:
             best_idx = idx
 
-    # per-iteration global best across starts, reduced to change points
-    per_start = []
-    for res in results:
-        vals = np.full(budget + 1, -sign * math.inf)
-        for it, v in res[2]:
-            vals[it:] = v
-        per_start.append(vals)
-    combined = per_start[0]
-    for vals in per_start[1:]:
-        combined = np.maximum(combined, vals) if sign > 0 else np.minimum(combined, vals)
-    trace = []
-    for it, v in enumerate(combined):
-        if not trace or v != trace[-1][1]:
-            trace.append([int(it), float(v)])
+    trace = _merged_trace([res[2] for res in results], sign)
 
     flagged_total = sum(res[3] for res in results)
     flagged_witnesses = []
@@ -606,7 +607,7 @@ def review_flagged(report, trials=3):
             entropy=report.seed, spawn_key=(0xF1A6, widx)))
         ratios = []
         for _ in range(trials):
-            cand = _perturb(st, rng, REVIEW_JITTER,
+            cand = _perturb(st, LAYOUTS[obj.kind], rng, REVIEW_JITTER,
                             report.spec.get("x_law", "gaussian-complex"),
                             report.spec.get("diagonal", False))
             try:

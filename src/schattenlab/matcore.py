@@ -7,9 +7,8 @@ so results are identical on one machine and BLAS, not across platforms.
 The validated classes (ComplexMatrix, HermitianMatrix, PositiveDefiniteMatrix,
 SpectralDecomposition) are for input to the public API.  The search computes
 on plain arrays through the private helpers below (_positive_spectrum,
-_spectral_arrays, _power, _finite, _check_unitary, _svdvals), which the
-classes and the public functions share, so each piece of arithmetic exists
-once.
+_power, _finite, _check_unitary, _svdvals), which the classes and the
+public functions share, so each piece of arithmetic exists once.
 """
 
 import numpy as np
@@ -123,9 +122,9 @@ class PositiveDefiniteMatrix(HermitianMatrix):
         Skips the redundant re-diagonalization; used by generators that
         construct d from an explicit spectrum and unitary.
         """
-        m, lam, v = _spectral_arrays(eigenvalues, vectors)
+        lam, v = _positive_spectrum(eigenvalues, vectors)
         obj = cls.__new__(cls)
-        HermitianMatrix.__init__(obj, m)
+        HermitianMatrix.__init__(obj, _power(lam, v, 1.0))
         obj._spectral = SpectralDecomposition(lam, v)
         return obj
 
@@ -173,13 +172,6 @@ def _positive_spectrum(eigenvalues, vectors):
     if not (lam[0] > 0.0 and lam[0] > 1e-12 * lam[-1]):
         raise ValidationError("spectrum not strictly positive definite")
     return lam, np.asarray(vectors, dtype=complex)[:, order]
-
-
-def _spectral_arrays(eigenvalues, vectors):
-    """(V diag(lam) V* symmetrized, lam, V) from _positive_spectrum."""
-    lam, v = _positive_spectrum(eigenvalues, vectors)
-    m = (v * lam) @ v.conj().T
-    return 0.5 * (m + m.conj().T), lam, v
 
 
 def _power(lam, v, t):

@@ -13,13 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.estimator import (OBJECTIVES, SPECTRUM_LAWS, X_LAWS,
-                                   InstanceSpec, _initial_state,
-                                   _normalized_pdm, _normalized_spectrum,
-                                   _rng_for, maximize, replay_witness)
+from schattenlab.estimator import (LAYOUTS, LOG_SPEC_CLIP, OBJECTIVES,
+                                   SPECTRUM_LAWS, X_LAWS, InstanceSpec,
+                                   _haar_unitary, _initial_state,
+                                   _normalized_spectrum, _rng_for, maximize,
+                                   replay_witness)
 from schattenlab.kernels import TMapParams, _t_map
-from schattenlab.matcore import (NumericalError, ValidationError, _power,
-                                 _spectral_arrays, _svdvals)
+from schattenlab.matcore import (NumericalError, PositiveDefiniteMatrix,
+                                 ValidationError, _power, _svdvals)
 from schattenlab.mazur import (_eq1_plus, _interp, _main, _safe_ratio,
                                _tmap_ratio, eq1_ratio, interp_corollary_ratio,
                                main_ratio, mazur_lipschitz_ratio,
@@ -43,7 +44,7 @@ DX = ("main", "interp", "eq1-plus", "eq1-minus", "tmap", "triangular-probe")
 
 def state(oid, dim=3, seed=0, start=0, **laws):
     spec = InstanceSpec(dim=dim, seed=seed, **laws)
-    return _initial_state(OBJECTIVES[oid].kind, spec, _rng_for(seed, start))
+    return _initial_state(LAYOUTS[OBJECTIVES[oid].kind], spec, _rng_for(seed, start))
 
 
 def evaluate(oid, st):
@@ -134,33 +135,35 @@ def test_stacked_svd_equals_single_calls(n, kind):
         assert np.array_equal(row, _svdvals(m))
 
 
+def pdm(st, s, suffix=""):
+    """The state's d (or second d) as a validated matrix, scaled to ||d||_s = 1."""
+    return PositiveDefiniteMatrix.from_spectral(*_normalized_spectrum(
+        st["logspec" + suffix], st["unitary" + suffix], s))
+
+
 def public_ratio(oid, st):
     """The ratio of the state through the public, validating functions."""
     prm = PARAMS[oid]
     if oid == "main":
         cfg = ExponentConfig(prm["alpha"], prm["s"], prm["r"])
-        return main_ratio(_normalized_pdm(st["logspec"], st["unitary"], cfg.s),
-                          st["x"], cfg)
+        return main_ratio(pdm(st, cfg.s), st["x"], cfg)
     if oid == "interp":
-        return interp_corollary_ratio(
-            _normalized_pdm(st["logspec"], st["unitary"], prm["s"]), st["x"],
-            prm["eps"], prm["s"], prm["r"])
+        return interp_corollary_ratio(pdm(st, prm["s"]), st["x"],
+                                      prm["eps"], prm["s"], prm["r"])
     if oid in ("eq1-plus", "eq1-minus"):
-        return eq1_ratio(_normalized_pdm(st["logspec"], st["unitary"], prm["p"]),
-                         st["x"], prm["p"], prm["q"], +1 if oid == "eq1-plus" else -1)
+        return eq1_ratio(pdm(st, prm["p"]), st["x"], prm["p"], prm["q"],
+                         +1 if oid == "eq1-plus" else -1)
     if oid == "eq2":
-        return powers_diff_ratio(
-            _normalized_pdm(st["logspec"], st["unitary"], prm["p"]),
-            _normalized_pdm(st["logspec2"], st["unitary2"], prm["p"]),
-            prm["p"], prm["q"])
+        return powers_diff_ratio(pdm(st, prm["p"]), pdm(st, prm["p"], "2"),
+                                 prm["p"], prm["q"])
     if oid in ("mazur", "abs-power"):
         return mazur_lipschitz_ratio(st["x"], st["y"], prm["p"], prm["q"],
                                      variant=oid)
     if oid == "tmap":
-        return tmap_ratio(_normalized_pdm(st["logspec"], st["unitary"], prm["s"]),
-                          st["x"], TMapParams(prm["beta"], prm["gamma"]),
+        return tmap_ratio(pdm(st, prm["s"]), st["x"],
+                          TMapParams(prm["beta"], prm["gamma"]),
                           prm["s"], prm["r"])
-    d = _normalized_pdm(st["logspec"], st["unitary"], prm["p"])
+    d = pdm(st, prm["p"])
     x = st["x"]
     return _safe_ratio(schatten_norm(x @ d.mat, prm["p"]),
                        schatten_norm(d.mat @ x + x @ d.mat, prm["p"]))
@@ -185,6 +188,47 @@ def test_nan_in_unitary(oid):
     st["unitary"][0, 1] = np.nan
     with pytest.raises(ValidationError, match="not unitary"):
         evaluate(oid, st)
+
+
+# --- one sort for d's spectrum ---------------------------------------------
+
+def sorted_after_scaling(logspec, unitary, s):
+    """(lam, V, d's matrix) as the search built them while it scaled the
+    spectrum in logspec's order and sorted the eigenpairs afterwards, with
+    a stable sort that keeps tied eigenvalues in logspec's order."""
+    lam = np.exp(np.clip(logspec, -LOG_SPEC_CLIP, LOG_SPEC_CLIP))
+    lam = lam / _power_sum_norm(np.sort(lam)[::-1], s)
+    order = np.argsort(lam, kind="stable")
+    lam, v = lam[order], unitary[:, order]
+    m = (v * lam) @ v.conj().T
+    return lam, v, 0.5 * (m + m.conj().T)
+
+
+def spectra_with_clip_ties(seed):
+    """(log-spectrum, unitary) pairs: every spectrum law's draws, and draws
+    with several entries past each clip, which clip to exact ties whose
+    order the sort must keep."""
+    rng = np.random.default_rng(seed)
+    for law, dim in itertools.product(SPECTRUM_LAWS, range(1, 17)):
+        st = state("main", dim=dim, seed=seed, spectrum_law=law)
+        yield st["logspec"], st["unitary"]
+    for dim in range(2, 17):
+        logspec = rng.uniform(-2.0, 2.0, dim) * LOG_SPEC_CLIP
+        logspec[rng.permutation(dim)[:2]] = [LOG_SPEC_CLIP, -LOG_SPEC_CLIP - 1.0]
+        yield logspec, _haar_unitary(rng, dim)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 4.0 / 3.0, math.inf])
+def test_normalized_spectrum_sorts_once_with_the_same_bits(s):
+    ties = 0
+    for logspec, u in spectra_with_clip_ties(seed=9):
+        lam, v = _normalized_spectrum(logspec, u, s)
+        want = sorted_after_scaling(logspec, u, s)
+        assert np.array_equal(lam, want[0])
+        assert np.array_equal(v, want[1])
+        assert np.array_equal(_power(lam, v, 1.0), want[2])
+        ties += int(np.sum(np.diff(lam) == 0.0))
+    assert ties > 20
 
 
 # --- eigenbasis arithmetic against formed matrices ------------------------
@@ -248,7 +292,7 @@ def dx_states(spectrum_law, seed):
     """Two start states of every x law at each dim from 1 to 16."""
     for x_law, dim, start in itertools.product(X_LAWS, range(1, 17), range(2)):
         spec = InstanceSpec(dim=dim, spectrum_law=spectrum_law, x_law=x_law, seed=seed)
-        yield _initial_state("dx", spec, _rng_for(seed, start))
+        yield _initial_state(LAYOUTS["dx"], spec, _rng_for(seed, start))
 
 
 def relative_gap(a, b):
@@ -261,8 +305,8 @@ def test_eigenbasis_ratios_agree_with_formed_matrices(spectrum_law):
     # SVDs' absolute accuracy on the small singular values of graded products
     for st in dx_states(spectrum_law, seed=5):
         for name, s, eigen, formed in ratio_pairs():
-            dm, lam, v = _spectral_arrays(_normalized_spectrum(st["logspec"], s),
-                                          st["unitary"])
+            lam, v = _normalized_spectrum(st["logspec"], st["unitary"], s)
+            dm = _power(lam, v, 1.0)
             got, want = eigen(lam, v, st["x"]), formed(dm, lam, v, st["x"])
             assert relative_gap(got, want) <= 1e-12, (name, lam.shape[0])
 
@@ -279,7 +323,6 @@ def test_eigenpair_order_moves_only_the_svd_rounding(spectrum_law):
         n = st["x"].shape[0]
         perm = np.random.default_rng(n).permutation(n)
         for name, s, eigen, _ in ratio_pairs():
-            _, lam, v = _spectral_arrays(_normalized_spectrum(st["logspec"], s),
-                                         st["unitary"])
+            lam, v = _normalized_spectrum(st["logspec"], st["unitary"], s)
             got = eigen(lam[perm], v[:, perm], st["x"])
             assert relative_gap(got, eigen(lam, v, st["x"])) <= 1e-11, (name, n)

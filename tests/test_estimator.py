@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.estimator import (InstanceSpec, OBJECTIVES, deserialize_state,
-                                   maximize, random_instance, replay_witness,
+from schattenlab.estimator import (LAYOUTS, InstanceSpec, OBJECTIVES,
+                                   _merged_trace, deserialize_state, maximize,
+                                   random_instance, replay_witness,
                                    review_flagged)
 from schattenlab.matcore import DomainError, NumericalError, ValidationError
 
@@ -100,12 +101,20 @@ class TestSearch:
             == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_diagonal_search_stays_diagonal(self):
+        # every unitary stays the identity and every matrix diagonal, for
+        # each kind of state
         spec = InstanceSpec(dim=3, seed=4)
-        rep = maximize("eq2", {"p": 1.0, "q": 2.0 / 3.0}, spec,
-                       budget=40, starts=2, diagonal=True)
-        st = deserialize_state(rep.witness)
-        u = st["unitary"]
-        assert np.abs(u - np.eye(3)).max() == 0.0
+        for oid, params in [("eq2", {"p": 1.0, "q": 2.0 / 3.0}),
+                            ("mazur", {"p": 2.0, "q": 0.5}),
+                            ("abs-power", {"p": 2.0, "q": 0.5}),
+                            ("main", {"alpha": 1.0, "s": 2.0, "r": math.inf})]:
+            rep = maximize(oid, params, spec, budget=40, starts=2, diagonal=True)
+            st = deserialize_state(rep.witness)
+            _, unitaries, mats = LAYOUTS[OBJECTIVES[oid].kind]
+            for key in unitaries:
+                assert np.array_equal(st[key], np.eye(3)), (oid, key)
+            for key in mats:
+                assert np.array_equal(st[key], np.diag(np.diagonal(st[key]))), (oid, key)
 
     def test_plateau_improvement_of_flat_trace(self):
         spec = InstanceSpec(dim=3, seed=6)
@@ -140,3 +149,54 @@ class TestFailureContext:
         with pytest.raises(NumericalError, match="start 0, iteration 0,"):
             maximize("main", {"alpha": 1.0, "s": 2.0, "r": math.inf}, spec,
                      budget=10, starts=1)
+
+
+# --- the trace merge against the per-iteration arrays it replaced --------
+
+def array_trace(events, sign, budget):
+    """The global best per iteration as one array per start, reduced across
+    starts and then to its change points."""
+    per_start = []
+    for start in events:
+        vals = np.full(budget + 1, -sign * math.inf)
+        for it, v in start:
+            vals[it:] = v
+        per_start.append(vals)
+    combined = per_start[0]
+    for vals in per_start[1:]:
+        combined = np.maximum(combined, vals) if sign > 0 else np.minimum(combined, vals)
+    trace = []
+    for it, v in enumerate(combined):
+        if not trace or v != trace[-1][1]:
+            trace.append([int(it), float(v)])
+    return trace
+
+
+def random_events(rng, sign, budget):
+    """One start's events: (0, initial value), which is the sentinel
+    -sign*inf a third of the time, then strict improvements at increasing
+    iterations, on a coarse grid so that starts tie and cross often."""
+    best = -sign * math.inf if rng.random() < 1 / 3 else float(rng.integers(-4, 5))
+    events = [(0, best)]
+    iters = np.flatnonzero(rng.random(budget) < 0.3) + 1
+    for it in iters.tolist():
+        if math.isinf(best):
+            best = float(rng.integers(-4, 5))
+        else:
+            best += sign * 0.5 * float(rng.integers(1, 4))
+        events.append((it, best))
+    return events
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_merged_trace_equals_per_iteration_arrays(sign):
+    rng = np.random.default_rng(7 if sign > 0 else 8)
+    shared = 0    # cases where two starts improve at one iteration
+    for _ in range(400):
+        budget = int(rng.integers(0, 12))
+        events = [random_events(rng, sign, budget)
+                  for _ in range(int(rng.integers(1, 6)))]
+        assert _merged_trace(events, sign) == array_trace(events, sign, budget)
+        iters = [it for start in events for it, _ in start[1:]]
+        shared += len(iters) > len(set(iters))
+    assert shared > 50

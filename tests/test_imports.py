@@ -1,5 +1,7 @@
-"""Every name a schattenlab module imports is used in that module, and
-every parameter of its functions is read in the function's body.
+"""Every name a schattenlab module imports is used in that module, every
+parameter of its functions is read in the function's body, and every
+module-level private name is read somewhere in the package, so a deleted
+code path cannot leave its helper behind.
 
 No linter is part of the toolchain, so this parses the sources with ast.
 An import whose lines carry a '# noqa' comment is exempt (estimator's
@@ -74,3 +76,50 @@ def test_the_check_sees_an_unused_parameter():
            "    def g(d):\n        return a + d\n"
            "    b += 1\n    c = 2\n    return g(kw)\n")
     assert unused_parameters(src) == [(1, "f", "args"), (1, "f", "c")]
+
+
+def unread_private_names(sources):
+    """(module, line, name) for each module-level private name, dunders
+    excepted, that no source in `sources` ({module: text}) reads: a name
+    read by a Name load or as an attribute counts, an import does not."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [(mod, stmt.lineno, n) for n in names
+                      if n.startswith("_") and not n.startswith("__")
+                      and n not in read]
+    return sorted(found)
+
+
+def test_every_private_name_is_read_in_src():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_the_check_sees_an_unread_private_name():
+    sources = {
+        "a.py": ("_used = 1\n_unused, _pair = 2, 3\n__all__ = []\n"
+                 "def _f():\n    return _used\nclass _C:\n    pass\n"
+                 "def public():\n    return _pair\n"),
+        "b.py": "import a\nfrom a import _C\nprint(a._pair)\n_mine = 4\n",
+    }
+    assert unread_private_names(sources) == [
+        ("a.py", 2, "_unused"), ("a.py", 4, "_f"), ("a.py", 6, "_C"),
+        ("b.py", 4, "_mine")]
