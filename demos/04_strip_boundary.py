@@ -37,8 +37,10 @@ print("\n||F(it)||_1 along the left line: ", np.round(n0, 8))
 print("||F(1+it)||_1 along the right line:", np.round(n1, 8))
 
 # convexity defect: boundary average beats the center value by a
-# quantitative margin depending on the deviation
+# quantitative margin depending on the deviation.  The cache holds F and
+# gamma0; it takes ||F||_q from the exact line masses 1 - gamma0 and gamma0
+# and ||F - F(gamma0)|| from its boundary grid.  At q = 2 the defect is 1.
 print("\nconvexity defects for one family:")
 cache = BoundaryGridCache(fam, gamma0=0.5)
 for qq in (0.5, 1.0, 2.0):
-    print("  q = %.1f : %.6f" % (qq, convexity_defect(fam, 0.5, qq, cache)))
+    print("  q = %.1f : %.6f" % (qq, convexity_defect(cache, qq)))

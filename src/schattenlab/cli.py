@@ -22,6 +22,7 @@ from . import __version__, verify
 from .estimator import (InstanceSpec, OBJECTIVES, maximize, open_pool,
                         replay_witness, review_flagged)
 from .matcore import DomainError, NumericalError, ValidationError
+from .strip import BoundarySet, _check_defect_q, _check_gamma0, boundary_measure
 
 SCHEMA_VERSION = 1
 
@@ -143,6 +144,10 @@ def load_config(path):
             if not name.startswith("objective."):
                 continue
             objective_id = name[len("objective."):]
+            if objective_id == "convexity-defect-min" and cfg["instances"]["diagonal"]:
+                # d and x commute, so every family is constant on the boundary
+                raise ConfigError("objective 'convexity-defect-min' has no"
+                                  " non-degenerate family under diagonal = true")
             cfg["objectives"].append(
                 (objective_id, _expand_grid(objective_id, parser[name])))
         if not cfg["objectives"]:
@@ -150,26 +155,28 @@ def load_config(path):
                               " [objective.NAME] section")
     elif kind == "verify":
         sec = parser["verify"] if "verify" in parser else {}
-        modules = sec.get("modules", "matcore schatten kernels mazur strip").split()
+        modules = sec["modules"].split() if "modules" in sec else list(verify.MODULE_SUITES)
         for mod in modules:
             if mod not in verify.MODULE_SUITES:
                 raise ConfigError("key 'modules': unknown module %r" % mod)
         cfg["modules"] = modules
     else:  # strip-check
         sec = parser["strip-check"] if "strip-check" in parser else {}
-        cfg["strip"] = {
-            "gamma0": tuple(_parse_list(sec.get("gamma0", "0.1 0.25 0.5 0.75 0.9"),
-                                        "gamma0")),
-            "sets_per_gamma": _parse_count(sec, "sets-per-gamma", 200, 1),
-            "families": _parse_count(sec, "families", 200, 1),
-            "q": tuple(_parse_list(sec.get("q", "0.5 1 2"), "q")),
+        sc = cfg["strip"] = {
+            "gamma0": tuple(_parse_list(sec["gamma0"], "gamma0"))
+            if "gamma0" in sec else verify.GAMMAS,
+            "sets_per_gamma": _parse_count(sec, "sets-per-gamma",
+                                           verify.SETS_PER_GAMMA, 1),
+            "families": _parse_count(sec, "families", verify.DEFECT_FAMILIES, 1),
+            "q": tuple(_parse_list(sec["q"], "q")) if "q" in sec else verify.DEFECT_QS,
         }
-        for g in cfg["strip"]["gamma0"]:
-            if not 0 < g < 1:
-                raise ConfigError("key 'gamma0': values must be in (0, 1)")
-        for q in cfg["strip"]["q"]:
-            if not 0 < q <= 2:
-                raise ConfigError("key 'q': values must be in (0, 2]")
+        try:
+            for g in sc["gamma0"]:
+                _check_gamma0(g)
+            for q in sc["q"]:
+                _check_defect_q(q)
+        except ValidationError as exc:
+            raise ConfigError("section [strip-check]: %s" % exc)
     return cfg
 
 
@@ -182,7 +189,6 @@ def run_verify(cfg):
 
 
 def run_strip_check(cfg):
-    from .strip import BoundarySet, boundary_measure
     sc = cfg["strip"]
     results = []
     tables = {"poisson_mass": []}

@@ -29,14 +29,16 @@ import numpy as np
 import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit it
 
 from .kernels import TMapParams, rx_kernel
-from .matcore import (DomainError, NumericalError, PositiveDefiniteMatrix,
-                      ValidationError, _as_array, _check_unitary, _power,
-                      _positive_spectrum)
-from .mazur import (_check_pq, _eq1_minus, _eq1_plus, _interp, _main,
-                    _mazur_lipschitz, _powers_diff, _safe_ratio, _tmap_ratio)
-from .schatten import (ExponentConfig, _check_alpha, _exponents,
-                       _power_sum_norm, schatten_norm)
-from .strip import AnalyticFamily, BoundaryGridCache, convexity_defect
+from .matcore import (MAX_DIM, DomainError, NumericalError,
+                      PositiveDefiniteMatrix, ValidationError, _as_array,
+                      _check_unitary, _power, _positive_spectrum)
+from .mazur import (_check_pq, _eq1_minus, _eq1_plus, _interp,
+                    _interp_exponent, _main, _mazur_lipschitz, _powers_diff,
+                    _safe_ratio, _tmap_ratio)
+from .schatten import (ExponentConfig, _check_alpha, _check_exponent,
+                       _exponents, _power_sum_norm, schatten_norm)
+from .strip import (AnalyticFamily, BoundaryGridCache, _check_defect_q,
+                    _check_gamma0, convexity_defect)
 
 SPECTRUM_LAWS = ("log-uniform", "clustered-pairs", "geometric")
 X_LAWS = ("gaussian-complex", "hermitian-gaussian", "rank-one", "unitary")
@@ -58,8 +60,8 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.dim <= 64:
-            raise ValidationError("dim must be in [1, 64], got %r" % (self.dim,))
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValidationError("dim must be in [1, %d], got %r" % (MAX_DIM, self.dim))
         if self.spectrum_law not in SPECTRUM_LAWS:
             raise ValidationError("unknown spectrum law %r" % (self.spectrum_law,))
         if self.x_law not in X_LAWS:
@@ -132,11 +134,10 @@ def _draw_log_spectrum(rng, dim, law):
         jitter = rng.uniform(-1e-10, 1e-10, dim - half)
         out[half:] = base[:dim - half] + jitter
         return out
-    if law == "geometric":
-        start = rng.uniform(-LOG_SPEC_RANGE, 0.0)
-        step = rng.uniform(0.05, 2.0 * LOG_SPEC_RANGE / max(dim, 2))
-        return start + step * np.arange(dim)
-    raise ValidationError("unknown spectrum law %r" % (law,))
+    # geometric, the last law InstanceSpec admits
+    start = rng.uniform(-LOG_SPEC_RANGE, 0.0)
+    step = rng.uniform(0.05, 2.0 * LOG_SPEC_RANGE / max(dim, 2))
+    return start + step * np.arange(dim)
 
 
 def _draw_x(rng, dim, law):
@@ -149,9 +150,8 @@ def _draw_x(rng, dim, law):
         u = _complex_gaussian(rng, (dim, 1))
         v = _complex_gaussian(rng, (dim, 1))
         return u @ v.conj().T
-    if law == "unitary":
-        return _haar_unitary(rng, dim)
-    raise ValidationError("unknown x law %r" % (law,))
+    # unitary, the last law InstanceSpec admits
+    return _haar_unitary(rng, dim)
 
 
 def random_instance(spec):
@@ -205,11 +205,7 @@ def _triangular_ratio(dm, x, p):
 
 def _rx_ratio(logspec, x, alpha):
     k = rx_kernel(_spectrum(logspec), alpha)
-    num = schatten_norm(k * x, math.inf)
-    den = schatten_norm(x, math.inf)
-    if den == 0.0:
-        return 0.0
-    return num / den
+    return _safe_ratio(schatten_norm(k * x, math.inf), schatten_norm(x, math.inf))
 
 
 class _Objective:
@@ -235,9 +231,7 @@ def _make_main(params):
 
 def _make_interp(params):
     eps, s, r = params["eps"], params["s"], params["r"]
-    if not 0 < eps < 1:
-        raise ValidationError("eps must be in (0, 1), got %r" % (eps,))
-    p, _ = _exponents(s, r)
+    p = _interp_exponent(eps, s, r)
     spectrum = _spectrum_reader(s)
     return lambda st: _interp(*spectrum(st), _as_array(st["x"]), eps, s, r, p)
 
@@ -294,8 +288,7 @@ def _make_tmap(params):
 
 def _make_triangular(params):
     p = params["p"]
-    if not p > 0:
-        raise ValidationError("p must be positive, got %r" % (p,))
+    _check_exponent(p)
     spectrum = _spectrum_reader(p)
     return lambda st: _triangular_ratio(_power(*spectrum(st), 1.0),
                                         _as_array(st["x"]), p)
@@ -310,19 +303,16 @@ def _make_rx(params):
 def _make_defect_min(params):
     alpha, q = params["alpha"], params["q"]
     _check_alpha(alpha)
-    if not 0 < q <= 2:
-        raise ValidationError("q must be in (0, 2], got %r" % (q,))
+    _check_defect_q(q)
     gamma0 = params.get("gamma0", alpha / (1.0 + alpha))
-    if not 0 < gamma0 < 1:
-        raise ValidationError("gamma0 must be in (0, 1), got %r" % (gamma0,))
+    _check_gamma0(gamma0)
 
     def ev(st):
         d = PositiveDefiniteMatrix.from_spectral(
             *_normalized_spectrum(st["logspec"], st["unitary"], 2.0))
         fam = AnalyticFamily(d, st["x"], alpha)
         try:
-            return convexity_defect(fam, gamma0, q,
-                                    BoundaryGridCache(fam, gamma0))
+            return convexity_defect(BoundaryGridCache(fam, gamma0), q)
         except ValidationError:
             return math.inf  # degenerate family: never an improvement
     return ev

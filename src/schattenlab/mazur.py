@@ -102,11 +102,16 @@ def _interp(lam, v, x, eps, s, r, p):
                        * _power_sum_norm(sv[1], p) ** (1.0 - eps))
 
 
+def _interp_exponent(eps, s, r):
+    """interp's p, 1/p = 1/s + 1/r; ValidationError unless 0 < eps < 1."""
+    if not 0 < eps < 1:
+        raise ValidationError("eps must be in (0, 1), got %r" % (eps,))
+    return _exponents(s, r)[0]
+
+
 def interp_corollary_ratio(d, x, eps, s, r):
     """||xd||_p / ((||d||_s ||x||_r)^eps ||dx+xd||_p^(1-eps))."""
-    if not 0 < eps < 1:
-        raise ValidationError("eps must be in (0, 1)")
-    p, _ = _exponents(s, r)
+    p = _interp_exponent(eps, s, r)
     return _interp(*_eigen_args(d, x), eps, s, r, p)
 
 

@@ -7,8 +7,6 @@ exponents (p well below 1) neither overflow nor underflow.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .matcore import ValidationError, _as_array, _svdvals
 
 # singular values below this fraction of the largest are treated as exact
@@ -86,8 +84,8 @@ def _check_alpha(alpha):
 
 
 def _check_exponent(p):
-    if not (p > 0 or math.isinf(p)):
-        raise ValidationError("Schatten exponent must be positive or inf, got %r" % (p,))
+    if not p > 0:
+        raise ValidationError("Schatten exponent must be in (0, inf], got %r" % (p,))
 
 
 def schatten_norm(A, p):
@@ -95,11 +93,3 @@ def schatten_norm(A, p):
     _check_exponent(p)
     return _power_sum_norm(singular_values(A), p)
 
-
-def schatten_norm_from_singular_values(sig, p):
-    """Same as schatten_norm but from precomputed descending singular values."""
-    _check_exponent(p)
-    sig = np.asarray(sig, dtype=float)
-    if sig.size == 0 or sig[0] == 0.0:
-        return 0.0
-    return _power_sum_norm(sig, p)

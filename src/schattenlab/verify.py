@@ -23,6 +23,13 @@ from .strip import (AnalyticFamily, BoundaryGridCache, BoundarySet,
                     cosh_measure, dilate, doubling_ratio)
 
 
+# the strip checks' defaults, which the strip-check experiment shares
+GAMMAS = (0.1, 0.25, 0.5, 0.75, 0.9)
+DEFECT_QS = (0.5, 1.0, 2.0)
+SETS_PER_GAMMA = 200
+DEFECT_FAMILIES = 200
+
+
 def _result(name, passed, value, tolerance, detail=""):
     return {"name": name, "passed": bool(passed), "value": float(value),
             "tolerance": float(tolerance), "detail": detail}
@@ -309,6 +316,12 @@ def verify_mazur(seed=0, trials=30):
         worst = max(worst, abs(scaled - base) / base)
     out.append(_result("mazur.ratio_homogeneity", worst <= 1e-9, worst, 1e-9))
 
+    # (p/q) 2^(1/q - 1/p) bounds the ratio for commuting positive x, y.  With
+    # r = p/q, eigenvalues a_i, b_i of x, y and m_i = max(a_i, b_i):
+    # |a^r - b^r| <= r m^(r-1) |a - b|; Hoelder with exponents r/(r-1) and r
+    # gives ||x^r - y^r||_q <= r (sum m_i^p)^((r-1)/p) ||x - y||_p; and
+    # sum m_i^p <= 2 max(||x||_p, ||y||_p)^p.  p/q alone is no bound:
+    # x = diag(1, e), y = diag(e, 1) tend to 2^(1/q - 1/p) as e -> 0
     worst = 0.0
     for _ in range(trials):
         n = int(rng.integers(2, 7))
@@ -316,7 +329,7 @@ def verify_mazur(seed=0, trials=30):
         q = float(rng.uniform(0.3, 1.0)) * p
         x = PositiveDefiniteMatrix(np.diag(np.exp(rng.uniform(-2, 2, n))).astype(complex))
         y = PositiveDefiniteMatrix(np.diag(np.exp(rng.uniform(-2, 2, n))).astype(complex))
-        worst = max(worst, powers_diff_ratio(x, y, p, q) - p / q)
+        worst = max(worst, powers_diff_ratio(x, y, p, q) - p / q * 2.0 ** (1.0 / q - 1.0 / p))
     out.append(_result("mazur.diagonal_ceiling", worst <= 1e-9, worst, 1e-9))
 
     return out
@@ -345,7 +358,7 @@ def verify_decomposition(seed=0, pairs=100, ts=(0.1, 0.3, 0.45), max_dim=6):
 
 # --- strip ---------------------------------------------------------------
 
-def verify_poisson_mass(gammas=(0.1, 0.25, 0.5, 0.75, 0.9)):
+def verify_poisson_mass(gammas=GAMMAS):
     out = []
     worst1, worst_full = 0.0, 0.0
     for g in gammas:
@@ -384,8 +397,7 @@ def _random_boundary_sets(rng, count):
             yield BoundarySet(line0[:k0], line1[:k1])
 
 
-def verify_doubling(seed=0, sets_per_gamma=200,
-                    gammas=(0.1, 0.25, 0.5, 0.75, 0.9)):
+def verify_doubling(seed=0, sets_per_gamma=SETS_PER_GAMMA, gammas=GAMMAS):
     rng = _rng(seed, "doubling")
     out = []
     worst_excess = -math.inf
@@ -428,7 +440,8 @@ def verify_boundary_constancy(seed=0, families=50, alphas=(0.5, 1.0, 2.0),
     return [_result("strip.boundary_norm_constancy", worst <= 1e-8, worst, 1e-8)]
 
 
-def verify_convexity_defect(seed=0, families=200, qs=(0.5, 1.0, 2.0), max_dim=4):
+def verify_convexity_defect(seed=0, families=DEFECT_FAMILIES, qs=DEFECT_QS,
+                            max_dim=4):
     rng = _rng(seed, "defect")
     minima = {q: math.inf for q in qs}
     done = attempts = 0
@@ -444,7 +457,7 @@ def verify_convexity_defect(seed=0, families=200, qs=(0.5, 1.0, 2.0), max_dim=4)
         fam = AnalyticFamily(d, x, alpha)
         try:
             cache = BoundaryGridCache(fam, gamma0)
-            defects = {q: convexity_defect(fam, gamma0, q, cache) for q in qs}
+            defects = {q: convexity_defect(cache, q) for q in qs}
         except ValidationError:
             continue
         for q, v in defects.items():

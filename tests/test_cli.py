@@ -370,6 +370,16 @@ def test_unevaluable_grid_point_is_a_config_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_defect_min_under_diagonal_is_a_config_error(tmp_path, capsys):
+    # a diagonal state makes d and x commute, so every family is degenerate
+    text = small_estimate("convexity-defect-min", {"alpha": "1", "q": "1"}, budget=3)
+    cfg = write_config(tmp_path, text.replace("starts = 1", "starts = 1\ndiagonal = true"))
+    status = cli.main(["--config", cfg, "--out", str(tmp_path / "r.json")])
+    assert status == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(
+        "config error: objective 'convexity-defect-min'")
+
+
 FUZZ_VALUES = ("-1", "0", "0.5", "1", "2", "inf", "-inf", "nan")
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from schattenlab.matcore import NumericalError, ValidationError
 from schattenlab.schatten import (ExponentConfig, _exponents, schatten_norm,
-                                  schatten_norm_from_singular_values,
                                   singular_values)
 
 RNG = np.random.default_rng(515)
@@ -83,10 +82,9 @@ class TestNormValues:
         assert abs(schatten_norm(m, 0.5) - 1.0) <= 1e-13
 
     def test_invalid_exponent(self):
-        with pytest.raises(ValidationError):
-            schatten_norm(np.eye(2, dtype=complex), 0.0)
-        with pytest.raises(ValidationError):
-            schatten_norm(np.eye(2, dtype=complex), -1.0)
+        for p in (0.0, -1.0, -math.inf, math.nan):
+            with pytest.raises(ValidationError, match="Schatten exponent"):
+                schatten_norm(np.diag([3.0, 1.0]).astype(complex), p)
 
 
 class TestNormProperties:

@@ -1,13 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from schattenlab import strip
+from schattenlab import cli, estimator, strip
 from schattenlab.matcore import PositiveDefiniteMatrix, ValidationError, herm_eig
-from schattenlab.schatten import (schatten_norm,
-                                  schatten_norm_from_singular_values,
-                                  singular_values)
+from schattenlab.schatten import _power_sum_norm, schatten_norm, singular_values
 from schattenlab.strip import (AnalyticFamily, BoundaryGridCache, BoundarySet,
                                boundary_measure, boundary_norm_profile,
                                convexity_defect, cosh_measure, dilate,
@@ -269,16 +268,39 @@ class TestConvexityDefect:
             d = rand_pdm(3, spread=1.0)
             x = rand_complex(3)
             fam = AnalyticFamily(d, x, 1.0)
+            cache = BoundaryGridCache(fam, 0.5)
             for q in (0.5, 1.0, 2.0):
-                assert convexity_defect(fam, 0.5, q) > 0
+                assert convexity_defect(cache, q) > 0
 
     def test_cache_shared_across_q(self):
         d = rand_pdm(3, spread=1.0)
         fam = AnalyticFamily(d, rand_complex(3), 1.0)
         cache = BoundaryGridCache(fam, 0.5)
-        a = convexity_defect(fam, 0.5, 1.0, cache)
-        b = convexity_defect(fam, 0.5, 1.0)
-        assert abs(a - b) <= 1e-13 * abs(a)
+        a = convexity_defect(cache, 1.0)
+        assert convexity_defect(cache, 0.5) != a
+        assert convexity_defect(cache, 1.0) == a
+        assert convexity_defect(BoundaryGridCache(fam, 0.5), 1.0) == a
+
+    @pytest.mark.parametrize("gamma0", [0.25, 0.5, 0.62, 0.9])
+    def test_q2_defect_is_one(self, gamma0):
+        # at q = 2 the mean-value property of F gives ||F||^2 - ||F(gamma0)||^2
+        # = ||F - F(gamma0)||^2 exactly.  The last family is nearly constant,
+        # so an error in the F term swamps its small numerator; that numerator
+        # cancels ||F||^2 against ||F(gamma0)||^2, so rounding alone moves the
+        # ratio by a few eps ||F||^2 / ||F - F(gamma0)||^2 (1.6e-8 at gamma0 =
+        # 0.9, and 4.5e-9 with a 32-fold finer quadrature)
+        rng = np.random.default_rng(int(100 * gamma0))
+
+        def family(logs, alpha):
+            n = len(logs)
+            u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            return AnalyticFamily(PositiveDefiniteMatrix.from_spectral(np.exp(logs), u), x, alpha)
+        fams = [family(rng.uniform(-1.5, 1.5, n), rng.uniform(0.3, 2.0)) for n in (2, 3, 4)]
+        for fam in fams + [family([0.686, 0.6865], 1.64)]:
+            cache = BoundaryGridCache(fam, gamma0)
+            ill = (cache.lq_functional(2.0, "F") / cache.lq_functional(2.0, "diff")) ** 2
+            assert abs(convexity_defect(cache, 2.0) - 1.0) <= 1e-8 + 16 * np.finfo(float).eps * ill
 
     def test_degenerate_family_raises(self):
         # x commuting with d makes F constant in norm and F - F(gamma0)
@@ -287,12 +309,12 @@ class TestConvexityDefect:
         d = PositiveDefiniteMatrix(np.eye(3, dtype=complex))
         fam = AnalyticFamily(d, rand_complex(3), 1.0)
         with pytest.raises(ValidationError):
-            convexity_defect(fam, 0.5, 1.0)
+            convexity_defect(BoundaryGridCache(fam, 0.5), 1.0)
 
     def test_rejects_large_q(self):
         fam = AnalyticFamily(rand_pdm(2), rand_complex(2), 1.0)
         with pytest.raises(ValidationError):
-            convexity_defect(fam, 0.5, 3.0)
+            convexity_defect(BoundaryGridCache(fam, 0.5), 3.0)
 
 
 def per_node_tables(F, gamma0, nodes):
@@ -307,7 +329,7 @@ def per_node_tables(F, gamma0, nodes):
     sv, diff_sv = {}, {}
     for k in (0, 1):
         base = (lam ** (c * k))[:, None] * xp * (lam ** (c * (1 - k)))[None, :]
-        sv[k] = [singular_values(base)] * len(nodes)
+        sv[k] = singular_values(base)
         diff_sv[k] = []
         for t in nodes:
             rot = np.exp(1j * c * t * log_lam)
@@ -316,9 +338,9 @@ def per_node_tables(F, gamma0, nodes):
     return singular_values(center), sv, diff_sv
 
 
-def defect_or_degenerate(F, gamma0, q, cache):
+def defect_or_degenerate(cache, q):
     try:
-        return convexity_defect(F, gamma0, q, cache)
+        return convexity_defect(cache, q)
     except ValidationError:
         return "degenerate"
 
@@ -348,14 +370,12 @@ class TestBoundaryGridTables:
         assert nodes == 192
         assert np.array_equal(cache.center_sv, ref.center_sv)
         for k in (0, 1):
-            assert cache.sv[k].shape == (1, n)
+            assert cache.sv[k].shape == (n,)
             assert cache.diff_sv[k].shape == (nodes, n)
-            assert np.array_equal(np.broadcast_to(cache.sv[k], (nodes, n)),
-                                  np.array(ref.sv[k]))
+            assert np.array_equal(cache.sv[k], ref.sv[k])
             assert np.array_equal(cache.diff_sv[k], np.array(ref.diff_sv[k]))
         for q in (0.3, 0.5, 1.0, 2.0):
-            assert defect_or_degenerate(fam, gamma0, q, cache) \
-                == defect_or_degenerate(fam, gamma0, q, ref)
+            assert defect_or_degenerate(cache, q) == defect_or_degenerate(ref, q)
 
     def test_build_makes_three_single_and_two_stacked_svd_calls(self, monkeypatch):
         calls = []
@@ -404,15 +424,65 @@ class TestBoundaryGridTables:
 
     def test_lq_functional_equals_per_row_norms_and_checks_q(self):
         fam = AnalyticFamily(rand_pdm(4), rand_complex(4), 1.0)
-        cache = BoundaryGridCache(fam, 0.5)
+        gamma0 = 0.3
+        cache = BoundaryGridCache(fam, gamma0)
+        lines = (BoundarySet(((-40.0, 40.0),), ()), BoundarySet((), ((-40.0, 40.0),)))
         for q in (0.3, 0.5, 1.0, 2.0):
-            for which, table in (("F", cache.sv), ("diff", cache.diff_sv)):
-                acc = 0.0
-                for k in (0, 1):
-                    norms = np.array([schatten_norm_from_singular_values(sv, q)
-                                      for sv in table[k]])
-                    acc += float((cache.weights[k] * norms ** q).sum())
-                assert cache.lq_functional(q, which) == acc ** (1.0 / q)
-        for q in (0.0, -1.0, math.nan):
+            acc = 0.0
+            for k in (0, 1):
+                norms = np.array([_power_sum_norm(sv, q) for sv in cache.diff_sv[k]])
+                acc += float((cache.weights[k] * norms ** q).sum())
+            assert cache.lq_functional(q, "diff") == acc ** (1.0 / q)
+            # F's norm is constant on each line, weighted by the line's mass
+            full = sum(boundary_measure(gamma0, line) * schatten_norm(family_eval(fam, k), q) ** q
+                       for k, line in enumerate(lines)) ** (1.0 / q)
+            assert abs(cache.lq_functional(q, "F") - full) <= 1e-12 * full
+        for q in (0.0, -1.0, -math.inf, math.nan):
             with pytest.raises(ValidationError, match="Schatten exponent"):
                 cache.lq_functional(q, "F")
+
+
+# fixed, so building it draws nothing from RNG
+FAMILY = AnalyticFamily(PositiveDefiniteMatrix(np.diag([1.0, 2.0]).astype(complex)),
+                        np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex), 1.0)
+
+
+def load_strip_check(tmp_path, key, value):
+    path = tmp_path / "strip.ini"
+    path.write_text("[experiment]\nkind = strip-check\n[strip-check]\n%s = %r\n"
+                    % (key, value))
+    return cli.load_config(str(path))
+
+
+def defect_min_eval(**params):
+    return estimator.OBJECTIVES["convexity-defect-min"].make_eval(
+        dict({"alpha": 1.0, "q": 1.0}, **params))
+
+
+# every entry point of strip's two parameter rules, by rule
+RULE_ENTRIES = {
+    "gamma0 must be in (0, 1)": {
+        "poisson_density": lambda v, tmp: poisson_density(v, 0, 0.0),
+        "boundary_measure": lambda v, tmp: boundary_measure(v, BoundarySet.full()),
+        "BoundaryGridCache": lambda v, tmp: BoundaryGridCache(FAMILY, v),
+        "convexity-defect-min": lambda v, tmp: defect_min_eval(gamma0=v),
+        "strip-check config": lambda v, tmp: load_strip_check(tmp, "gamma0", v),
+    },
+    "q must be in (0, 2]": {
+        "convexity_defect": lambda v, tmp: convexity_defect(BoundaryGridCache(FAMILY, 0.5), v),
+        "convexity-defect-min": lambda v, tmp: defect_min_eval(q=v),
+        "strip-check config": lambda v, tmp: load_strip_check(tmp, "q", v),
+    },
+}
+RULE_CASES = [(rule, entry, value)
+              for rule, entries in RULE_ENTRIES.items() for entry in entries
+              for value in ((0.0, 1.0, math.nan) if rule.startswith("gamma0")
+                            else (0.0, 2.5, math.nan))]
+
+
+@pytest.mark.parametrize("rule, entry, value", RULE_CASES,
+                         ids=["%s:%s:%r" % (r.split()[0], e, v) for r, e, v in RULE_CASES])
+def test_every_entry_point_refuses_with_the_same_message(tmp_path, rule, entry, value):
+    with pytest.raises((ValidationError, cli.ConfigError),
+                       match=re.escape("%s, got %r" % (rule, value))):
+        RULE_ENTRIES[rule][entry](value, tmp_path)

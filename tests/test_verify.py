@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from schattenlab import strip, verify
-from schattenlab.matcore import ValidationError
+from schattenlab.matcore import PositiveDefiniteMatrix, ValidationError
+from schattenlab.mazur import powers_diff_ratio
 
 
 def test_boundary_constancy_seed_24():
@@ -15,6 +16,13 @@ def test_boundary_constancy_seed_24():
 
 
 class TestConvexityDefectEnsemble:
+    @pytest.mark.parametrize("seed", [11, 12, 15])
+    def test_passes_where_quadrature_of_the_F_term_failed(self, seed):
+        # the grid's Poisson weights missed the line masses by more than the
+        # numerator of a near-constant family (minima -0.78, -0.39, -5.01)
+        result, = verify.verify_convexity_defect(seed=seed)
+        assert result["passed"], result
+
     def test_counts_excluded_families(self):
         result, = verify.verify_convexity_defect(seed=0, families=2)
         assert result["passed"]
@@ -108,3 +116,20 @@ class TestDoubling:
                                          gammas=(0.1, 0.5))
         assert all(r["passed"] for r in results)
         assert calls == {"boundary": 2 * 50 * 2, "cosh": 2 * 50}
+
+
+class TestMazurChecks:
+    def test_two_point_witness_passes_p_over_q_not_the_ceiling(self):
+        # x = diag(1, e), y = diag(e, 1): the ratio tends to 2^(1/q - 1/p),
+        # under verify_mazur's ceiling (p/q) 2^(1/q - 1/p) = 12
+        p, q, e = 1.0, 1.0 / 3.0, 1e-9
+        x = PositiveDefiniteMatrix(np.diag([1.0, e]).astype(complex))
+        y = PositiveDefiniteMatrix(np.diag([e, 1.0]).astype(complex))
+        ratio = powers_diff_ratio(x, y, p, q)
+        assert abs(ratio - 4.0) <= 1e-6
+        assert p / q < ratio <= p / q * 2.0 ** (1.0 / q - 1.0 / p)
+
+    def test_diagonal_ceiling_holds_at_seed_1(self):
+        # p/q alone failed here (seeds 1, 3, 8, 9, 10, 14 and 16 of 0-19)
+        results = {r["name"]: r for r in verify.verify_mazur(seed=1)}
+        assert results["mazur.diagonal_ceiling"]["passed"], results
