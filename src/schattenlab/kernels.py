@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import (ComplexMatrix, DomainError, HermitianMatrix,
-                      PositiveDefiniteMatrix, ValidationError, _eigh,
-                      _same_shape, herm_eig)
+                      ValidationError, _eigh, _positive_spectrum, _same_shape,
+                      herm_eig)
 from .schatten import _check_alpha
 
 # relative eigenvalue gap below which divided differences switch to the
@@ -134,10 +134,10 @@ def unital_cp_map(d, gamma, y):
     if not 0.5 < gamma < 1:
         raise ValidationError("gamma must be in (1/2, 1), got %r" % (gamma,))
     v = 1.0 / (2.0 * gamma)
+    _, ym = _same_shape(d, y)
     s = herm_eig(d)
-    d_gamma = PositiveDefiniteMatrix.from_spectral(s.eigenvalues ** gamma, s.vectors)
-    out = t_map(d_gamma, TMapParams(beta=(1.0 - v) / 2.0, gamma=v), y)
-    m = out.mat / v
+    lam, vecs = _positive_spectrum(s.eigenvalues ** gamma, s.vectors)
+    m = _t_map(lam, vecs, TMapParams(beta=(1.0 - v) / 2.0, gamma=v), ym) / v
     return HermitianMatrix(0.5 * (m + m.conj().T))
 
 

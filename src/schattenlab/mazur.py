@@ -4,7 +4,9 @@ Each ratio function returns numerator/denominator for one of the L_p-L_q
 inequalities under study.  Denominators that vanish relative to the
 numerator indicate a numerically degenerate instance, not a counterexample
 (the inequalities forbid genuine blow-up), so such calls return the +inf
-sentinel for the caller to flag and exclude.
+sentinel for the caller to flag and exclude.  The two-point ratios return 0
+for a pair that coincides to COINCIDENT_TOL, and an overflow of |f|^(p/q)
+raises NumericalError.
 """
 
 import math
@@ -22,6 +24,10 @@ from .schatten import _exponents, _power_sum_norm, schatten_norm
 # near-kernel instances rather than divided
 SENTINEL_REL = 1e-13
 
+# pairs whose entries all differ by less than this are one point, where
+# the two-point ratios (eq2, the Lipschitz ratios) are 0
+COINCIDENT_TOL = 1e-14
+
 
 def _safe_ratio(num, den):
     if num == 0.0 and den == 0.0:
@@ -36,17 +42,20 @@ def _check_pq(p, q):
         raise ValidationError("need 0 < q < p < inf, got p=%r, q=%r" % (p, q))
 
 
-def _mazur_matrix(f, p, q):
-    """W S^(p/q) V* from the SVD f = W S V*, as an array."""
-    w, sig, vh = _svd(f)
-    return (w * sig ** (p / q)) @ vh
+def _sv_power(left, sig, vh, p, q):
+    """left diag(sig^(p/q)) vh, as an array; NumericalError when it leaves
+    the double range."""
+    m = (left * sig ** (p / q)) @ vh
+    if not np.isfinite(m).all():
+        raise NumericalError("|f|^(p/q) overflows at p/q = %r" % (p / q,))
+    return m
 
 
 def mazur_map(f, p, q):
     """M_{p,q}(f) = U |f|^(p/q) = W S^(p/q) V* from the SVD f = W S V*."""
     if not (p > 0 and q > 0):
         raise ValidationError("Mazur map exponents must be positive")
-    return ComplexMatrix(_mazur_matrix(f, p, q))
+    return ComplexMatrix(_sv_power(*_svd(f), p, q))
 
 
 # Each ratio below has one array function, which the public function calls
@@ -159,6 +168,8 @@ def tmap_ratio(d, x, params, s, r):
 
 
 def _powers_diff(xm, lx, vx, ym, ly, vy, p, q):
+    if np.abs(xm - ym).max() < COINCIDENT_TOL:
+        return 0.0
     num = schatten_norm(_power(lx, vx, p / q) - _power(ly, vy, p / q), q)
     return _safe_ratio(num, _lipschitz_den(xm, ym, p, q))
 
@@ -180,13 +191,15 @@ def powers_diff_ratio(x, y, p, q):
 
 
 def _mazur_lipschitz(x, y, p, q, variant):
-    if variant == "mazur":
-        diff = _finite(_mazur_matrix(x, p, q)) - _finite(_mazur_matrix(y, p, q))
-    elif variant == "abs-power":
-        (_, sx, vx), (_, sy, vy) = _svd(x), _svd(y)
-        diff = (vx.conj().T * sx ** (p / q)) @ vx - (vy.conj().T * sy ** (p / q)) @ vy
-    else:
+    if variant not in ("mazur", "abs-power"):
         raise ValidationError("unknown variant %r" % (variant,))
+    # the SVDs refuse a non-finite x or y before the coincidence test
+    (wx, sx, vx), (wy, sy, vy) = _svd(x), _svd(y)
+    if np.abs(x - y).max() < COINCIDENT_TOL:
+        return 0.0
+    if variant == "abs-power":   # V S^(p/q) V* in place of W S^(p/q) V*
+        wx, wy = vx.conj().T, vy.conj().T
+    diff = _sv_power(wx, sx, vx, p, q) - _sv_power(wy, sy, vy, p, q)
     return _safe_ratio(schatten_norm(diff, q), _lipschitz_den(x, y, p, q))
 
 

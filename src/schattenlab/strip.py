@@ -8,6 +8,9 @@ line Re z = k, with antiderivative (1/pi) arctan(tanh(pi t/2) / tan(theta/2)),
 theta = gamma0 pi on Re z = 0 and (1 - gamma0) pi on Re z = 1; the lines
 carry masses 1 - gamma0 and gamma0.  The rules gamma0 in (0, 1) and, for
 the convexity defect, q in (0, 2] are checked here and nowhere else.
+
+The analytic family F is held in the eigenbasis of d that AnalyticFamily
+computes once; family_eval and BoundaryGridCache both read it there.
 """
 
 import functools
@@ -16,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import (ComplexMatrix, ValidationError, _as_array, _same_shape,
-                      _svdvals, herm_eig)
-from .schatten import (_check_alpha, _check_exponent, _power_sum_norm,
-                       schatten_norm, singular_values)
+from .matcore import ComplexMatrix, ValidationError, _svdvals
+from .mazur import _eigen_args
+from .schatten import _check_alpha, _power_sum_norm, schatten_norm, singular_values
 
 # tail truncation for unbounded boundary integrals: the density at |t| = 40
 # is below 1e-54, far under every tolerance used here
@@ -142,7 +144,8 @@ def cosh_measure(A):
 
 @dataclass(frozen=True)
 class AnalyticFamily:
-    """The analytic family z -> d^((1+alpha) z) x d^((1+alpha)(1-z))."""
+    """The analytic family z -> d^((1+alpha) z) x d^((1+alpha)(1-z)), kept as
+    lam, v and xp = v* x v from d = v diag(lam) v*, computed once."""
 
     d: object   # PositiveDefiniteMatrix
     x: object   # ComplexMatrix or ndarray
@@ -150,7 +153,15 @@ class AnalyticFamily:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        _same_shape(self.d, self.x)
+        lam, v, xm = _eigen_args(self.d, self.x)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "xp", v.conj().T @ xm @ v)
+
+    def eig_at(self, z):
+        """v* F(z) v = lam_i^(c z) xp_ij lam_j^(c (1-z)), c = 1 + alpha."""
+        c = 1.0 + self.alpha
+        return (self.lam ** (c * z))[:, None] * self.xp * (self.lam ** (c * (1 - z)))[None, :]
 
 
 def family_eval(F, z):
@@ -158,13 +169,7 @@ def family_eval(F, z):
     z = complex(z)
     if not -1e-12 <= z.real <= 1.0 + 1e-12:
         raise ValidationError("Re z = %r outside [0, 1]" % (z.real,))
-    s = herm_eig(F.d)
-    lam = s.eigenvalues
-    v = s.vectors
-    c = 1.0 + F.alpha
-    left = (v * np.exp(c * z * np.log(lam))) @ v.conj().T
-    right = (v * np.exp(c * (1.0 - z) * np.log(lam))) @ v.conj().T
-    return ComplexMatrix(left @ _as_array(F.x) @ right)
+    return ComplexMatrix(F.v @ F.eig_at(z) @ F.v.conj().T)
 
 
 def boundary_norm_profile(F, q, t_grid):
@@ -197,10 +202,10 @@ class BoundaryGridCache:
     """Singular values of F and F - F(gamma0) on a fixed boundary grid.
 
     Lets several q-exponents share one set of matrix evaluations.  With
-    nodes the 192 grid points t and n the dimension, per line k in (0, 1):
-    sv[k] is the (n,) singular values of F(k+it), the same at every t;
-    diff_sv[k] is a (nodes, n) array, row i for F(k+it_i) - F(gamma0);
-    weights[k] is the (nodes,) Poisson-weighted quadrature weights.
+    nodes the 192 grid points t, n the dimension and line k = 0, 1 on axis 0:
+    sv is (2, n), row k the singular values of F(k+it), the same at every t;
+    diff_sv is (2, nodes, n), row [k, i] for F(k+it_i) - F(gamma0);
+    weights is (2, nodes), the Poisson-weighted quadrature weights.
     center_sv is the (n,) singular values of F(gamma0).
     """
 
@@ -208,61 +213,41 @@ class BoundaryGridCache:
         _check_gamma0(gamma0)
         self.gamma0 = gamma0
         self.nodes, wq, cosh_pt = _gauss_panels()
-        # work in the eigenbasis of d: F(z) there is the entrywise scaling
-        # lam_i^(c z) X'_ij lam_j^(c (1-z)), and Schatten norms are
-        # basis-independent
-        s = herm_eig(F.d)
-        lam, v = s.eigenvalues, s.vectors
-        xp = v.conj().T @ _as_array(F.x) @ v
-        c = 1.0 + F.alpha
-
-        def f_at(re):  # F at the real strip point re
-            return (lam ** (c * re))[:, None] * xp * (lam ** (c * (1 - re)))[None, :]
-
-        center = f_at(gamma0)
+        self.weights = np.stack([wq * _density(gamma0, k, cosh_pt) for k in (0, 1)])
+        # Schatten norms are basis-independent, so every table is built from
+        # F in d's eigenbasis
+        center = F.eig_at(gamma0)
         self.center_sv = singular_values(center)
+        base = np.stack([F.eig_at(k) for k in (0, 1)])
+        self.sv = _svdvals(base)
         # F(k+it) = D F(k) D* with D = diag(rot) unitary, rot = lam^(i c t)
-        rot = np.exp(1j * c * self.nodes[:, None] * np.log(lam))
-        stack = np.empty((len(self.nodes),) + center.shape, dtype=complex)
-        self.sv = {}       # k -> (n,) singular values of F(k+it), any t
-        self.diff_sv = {}  # k -> (nodes, n) same for F(k+it) - F(gamma0)
-        self.weights = {}  # k -> Poisson-weighted quadrature weights
-        for k in (0, 1):
-            self.weights[k] = wq * _density(gamma0, k, cosh_pt)
-            base = f_at(k)
-            self.sv[k] = singular_values(base)
-            np.multiply(rot[:, :, None], base, out=stack)
-            stack *= np.conj(rot)[:, None, :]
-            stack -= center
-            self.diff_sv[k] = _svdvals(stack)
-
-    def lq_functional(self, q, which):
-        """(integral of ||.||_q^q dP)^(1/q) for F or F - F(gamma0); ||F||_q is
-        constant on each line, so F takes the exact line masses, which the
-        grid's weights miss (by 1.6e-3 at gamma0 = 0.9)."""
-        _check_exponent(q)
-        if which == "F":
-            return ((1.0 - self.gamma0) * _power_sum_norm(self.sv[0], q) ** q
-                    + self.gamma0 * _power_sum_norm(self.sv[1], q) ** q) ** (1.0 / q)
-        acc = 0.0
-        for k in (0, 1):
-            norms = np.array([_power_sum_norm(sv, q) for sv in self.diff_sv[k]])
-            acc += float((self.weights[k] * norms ** q).sum())
-        return acc ** (1.0 / q)
+        rot = np.exp(1j * (1.0 + F.alpha) * self.nodes[:, None] * np.log(F.lam))
+        stack = rot[None, :, :, None] * base[:, None]
+        stack *= np.conj(rot)[None, :, None, :]
+        stack -= center
+        self.diff_sv = _svdvals(stack)
 
 
 def convexity_defect(cache, q):
     """Sample upper bound for the complex uniform-convexity constant.
 
     Returns (||F||^2 - ||F(gamma0)||_q^2) / ||F - F(gamma0)||^2 for the
-    family F and the point gamma0 of the BoundaryGridCache, with the
-    boundary functionals of cache.lq_functional.  Degenerate (constant)
-    families raise a validation error.
+    family F and the point gamma0 of the BoundaryGridCache, the boundary
+    norms being (integral of ||.||_q^q dP)^(1/q).  ||F||_q is constant on
+    each line, so the F term takes the exact line masses, which the grid's
+    weights miss (by 1.6e-3 at gamma0 = 0.9); only F - F(gamma0) is
+    integrated on the grid.  Degenerate (constant) families raise a
+    validation error.
     """
     _check_defect_q(q)
-    dev = cache.lq_functional(q, "diff")
+    acc = 0.0
+    for weights, rows in zip(cache.weights, cache.diff_sv):
+        norms = np.array([_power_sum_norm(sv, q) for sv in rows])
+        acc += float((weights * norms ** q).sum())
+    dev = acc ** (1.0 / q)
     if dev <= 1e-12:
         raise ValidationError("degenerate family: F is constant on the boundary")
-    full = cache.lq_functional(q, "F")
+    full = ((1.0 - cache.gamma0) * _power_sum_norm(cache.sv[0], q) ** q
+            + cache.gamma0 * _power_sum_norm(cache.sv[1], q) ** q) ** (1.0 / q)
     center = _power_sum_norm(cache.center_sv, q)
     return (full ** 2 - center ** 2) / dev ** 2

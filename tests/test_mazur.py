@@ -5,7 +5,7 @@ import pytest
 
 from schattenlab.matcore import (HermitianMatrix, PositiveDefiniteMatrix,
                                  ValidationError)
-from schattenlab.mazur import (decomposition_residual, eq1_ratio,
+from schattenlab.mazur import (COINCIDENT_TOL, decomposition_residual, eq1_ratio,
                                interp_corollary_ratio, main_ratio,
                                mazur_lipschitz_ratio, mazur_map,
                                powers_diff_ratio, tmap_ratio)
@@ -118,7 +118,26 @@ class TestRatioObjectives:
 
     def test_sentinel_on_identical_pair(self):
         x = rand_complex(3)
-        assert mazur_lipschitz_ratio(x, x.copy(), 2.0, 0.5) in (0.0, math.inf)
+        assert mazur_lipschitz_ratio(x, x.copy(), 2.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("ratio", ["mazur", "abs-power", "powers-diff"])
+    def test_near_coincident_pair_is_one_point(self, ratio):
+        # pairs within COINCIDENT_TOL in every entry count as one point, in
+        # the public functions as in the search
+        rng = np.random.default_rng(41)
+        if ratio == "powers-diff":
+            lam = np.exp(rng.uniform(-0.5, 0.5, 3))
+            u, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                                + 1j * rng.standard_normal((3, 3)))
+            x = PositiveDefiniteMatrix.from_spectral(lam, u)
+            y = PositiveDefiniteMatrix.from_spectral(lam * (1.0 + 1e-15), u)
+            assert 0.0 < np.abs(x.mat - y.mat).max() < COINCIDENT_TOL
+            assert powers_diff_ratio(x, y, 1.0, 2 / 3) == 0.0
+        else:
+            x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            y = x.copy()
+            y[0, 1] += 4e-15
+            assert mazur_lipschitz_ratio(x, y, 2.0, 0.5, ratio) == 0.0
 
     def test_unknown_variant(self):
         with pytest.raises(ValidationError):

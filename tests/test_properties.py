@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schattenlab.kernels import TMapParams, t_map
-from schattenlab.matcore import (PositiveDefiniteMatrix, ValidationError,
+from schattenlab.matcore import (NumericalError, PositiveDefiniteMatrix,
                                  polar_decompose)
 from schattenlab.mazur import mazur_map
 from schattenlab.schatten import ZERO_CUT, schatten_norm
@@ -109,7 +109,7 @@ class TestMazurMapOutsideNormalRange:
 
     def test_overflow_is_refused(self):
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValidationError, match="non-finite"):
+                pytest.raises(NumericalError, match="overflows"):
             mazur_map(np.array([[self.F * 1e99]]), 1.0, 0.25)
 
     def test_underflow_rounds_to_zero(self):

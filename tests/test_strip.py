@@ -250,6 +250,40 @@ class TestAnalyticFamily:
         with pytest.raises(ValidationError):
             family_eval(fam, 1.5)
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 16])
+    def test_equals_the_formed_product_at_complex_points(self, n):
+        # the reference forms d^(c z) and d^(c (1-z)) in the standard basis
+        rng = np.random.default_rng(700 + n)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        lam = np.exp(rng.uniform(-2.0, 2.0, n))
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for alpha in (0.3, 1.0, 3.0):
+            fam = AnalyticFamily(PositiveDefiniteMatrix.from_spectral(lam, u), x, alpha)
+            s, c = fam.d.spectral, 1.0 + alpha
+            for z in [k + 1j * t for k in (0.0, 1.0) for t in rng.uniform(-5.0, 5.0, 4)]:
+                left = (s.vectors * np.exp(c * z * np.log(s.eigenvalues))) @ s.vectors.conj().T
+                right = (s.vectors * np.exp(c * (1.0 - z) * np.log(s.eigenvalues))) \
+                    @ s.vectors.conj().T
+                ref = left @ x @ right
+                got = family_eval(fam, z).mat
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_evaluation_reuses_the_eigenbasis_of_construction(self, monkeypatch):
+        from schattenlab import mazur
+        fam = AnalyticFamily(rand_pdm(3), rand_complex(3), 1.0)
+
+        def refuse(*args):
+            raise AssertionError("d diagonalized again")
+        monkeypatch.setattr(mazur, "herm_eig", refuse)
+        monkeypatch.setattr(strip, "herm_eig", refuse, raising=False)
+        family_eval(fam, 0.5 + 1j)
+        BoundaryGridCache(fam, 0.5)
+
+    def test_rejects_indefinite_d(self):
+        d = np.diag([1.0, -1.0]).astype(complex)
+        with pytest.raises(ValidationError, match="positive definite"):
+            AnalyticFamily(d, rand_complex(2), 1.0)
+
     def test_boundary_norms_constant_for_hermitian_x(self):
         d = rand_pdm(4)
         a = rand_complex(4)
@@ -299,7 +333,8 @@ class TestConvexityDefect:
         fams = [family(rng.uniform(-1.5, 1.5, n), rng.uniform(0.3, 2.0)) for n in (2, 3, 4)]
         for fam in fams + [family([0.686, 0.6865], 1.64)]:
             cache = BoundaryGridCache(fam, gamma0)
-            ill = (cache.lq_functional(2.0, "F") / cache.lq_functional(2.0, "diff")) ** 2
+            full, dev, _ = defect_terms(cache, 2.0)
+            ill = (full / dev) ** 2
             assert abs(convexity_defect(cache, 2.0) - 1.0) <= 1e-8 + 16 * np.finfo(float).eps * ill
 
     def test_degenerate_family_raises(self):
@@ -318,24 +353,38 @@ class TestConvexityDefect:
 
 
 def per_node_tables(F, gamma0, nodes):
-    """center_sv, sv and diff_sv built one node at a time: the reference
-    for the cache's stacked tables."""
+    """center_sv, sv and diff_sv built one line and one node at a time: the
+    reference for the cache's stacked tables."""
     s = herm_eig(F.d)
     lam, v = s.eigenvalues, s.vectors
     xp = v.conj().T @ np.asarray(F.x, dtype=complex) @ v
     c = 1.0 + F.alpha
     log_lam = np.log(lam)
     center = (lam ** (c * gamma0))[:, None] * xp * (lam ** (c * (1 - gamma0)))[None, :]
-    sv, diff_sv = {}, {}
+    sv, diff_sv = [], []
     for k in (0, 1):
         base = (lam ** (c * k))[:, None] * xp * (lam ** (c * (1 - k)))[None, :]
-        sv[k] = singular_values(base)
-        diff_sv[k] = []
+        sv.append(singular_values(base))
+        diff_sv.append([])
         for t in nodes:
             rot = np.exp(1j * c * t * log_lam)
             m = rot[:, None] * base * np.conj(rot)[None, :]
             diff_sv[k].append(singular_values(m - center))
-    return singular_values(center), sv, diff_sv
+    return singular_values(center), np.array(sv), np.array(diff_sv)
+
+
+def defect_terms(cache, q):
+    """The F term, the grid term and F(gamma0)'s norm of the defect: the F
+    term from the exact line masses, the grid term summed one line at a
+    time and one node at a time."""
+    masses = (1.0 - cache.gamma0, cache.gamma0)
+    full = (masses[0] * _power_sum_norm(cache.sv[0], q) ** q
+            + masses[1] * _power_sum_norm(cache.sv[1], q) ** q) ** (1.0 / q)
+    acc = 0.0
+    for k in (0, 1):
+        norms = np.array([_power_sum_norm(sv, q) for sv in cache.diff_sv[k]])
+        acc += float((cache.weights[k] * norms ** q).sum())
+    return full, acc ** (1.0 / q), _power_sum_norm(cache.center_sv, q)
 
 
 def defect_or_degenerate(cache, q):
@@ -368,16 +417,16 @@ class TestBoundaryGridTables:
         ref.center_sv, ref.sv, ref.diff_sv = per_node_tables(fam, gamma0, cache.nodes)
         nodes = len(cache.nodes)
         assert nodes == 192
+        assert cache.sv.shape == (2, n)
+        assert cache.diff_sv.shape == (2, nodes, n)
+        assert cache.weights.shape == (2, nodes)
         assert np.array_equal(cache.center_sv, ref.center_sv)
-        for k in (0, 1):
-            assert cache.sv[k].shape == (n,)
-            assert cache.diff_sv[k].shape == (nodes, n)
-            assert np.array_equal(cache.sv[k], ref.sv[k])
-            assert np.array_equal(cache.diff_sv[k], np.array(ref.diff_sv[k]))
+        assert np.array_equal(cache.sv, ref.sv)
+        assert np.array_equal(cache.diff_sv, ref.diff_sv)
         for q in (0.3, 0.5, 1.0, 2.0):
             assert defect_or_degenerate(cache, q) == defect_or_degenerate(ref, q)
 
-    def test_build_makes_three_single_and_two_stacked_svd_calls(self, monkeypatch):
+    def test_build_makes_one_single_and_two_stacked_svd_calls(self, monkeypatch):
         calls = []
 
         def counting(name, fn):
@@ -389,7 +438,8 @@ class TestBoundaryGridTables:
                             counting("single", strip.singular_values))
         monkeypatch.setattr(strip, "_svdvals", counting("stacked", strip._svdvals))
         BoundaryGridCache(AnalyticFamily(rand_pdm(3), rand_complex(3), 1.0), 0.5)
-        assert sorted(calls) == [("single", (3, 3))] * 3 + [("stacked", (192, 3, 3))] * 2
+        assert sorted(calls) == [("single", (3, 3)), ("stacked", (2, 3, 3)),
+                                 ("stacked", (2, 192, 3, 3))]
 
     def test_weights_equal_the_per_node_poisson_density(self):
         fam = AnalyticFamily(rand_pdm(2), rand_complex(2), 1.0)
@@ -422,24 +472,18 @@ class TestBoundaryGridTables:
         assert a.nodes is b.nodes
         assert all(not arr.flags.writeable for arr in strip._gauss_panels())
 
-    def test_lq_functional_equals_per_row_norms_and_checks_q(self):
+    def test_defect_equals_the_per_line_sums(self):
         fam = AnalyticFamily(rand_pdm(4), rand_complex(4), 1.0)
         gamma0 = 0.3
         cache = BoundaryGridCache(fam, gamma0)
         lines = (BoundarySet(((-40.0, 40.0),), ()), BoundarySet((), ((-40.0, 40.0),)))
-        for q in (0.3, 0.5, 1.0, 2.0):
-            acc = 0.0
-            for k in (0, 1):
-                norms = np.array([_power_sum_norm(sv, q) for sv in cache.diff_sv[k]])
-                acc += float((cache.weights[k] * norms ** q).sum())
-            assert cache.lq_functional(q, "diff") == acc ** (1.0 / q)
+        for q in (0.3, 0.5, 2 / 3, 1.0, 1.5, 2.0):
+            full, dev, center = defect_terms(cache, q)
+            assert convexity_defect(cache, q) == (full ** 2 - center ** 2) / dev ** 2
             # F's norm is constant on each line, weighted by the line's mass
-            full = sum(boundary_measure(gamma0, line) * schatten_norm(family_eval(fam, k), q) ** q
-                       for k, line in enumerate(lines)) ** (1.0 / q)
-            assert abs(cache.lq_functional(q, "F") - full) <= 1e-12 * full
-        for q in (0.0, -1.0, -math.inf, math.nan):
-            with pytest.raises(ValidationError, match="Schatten exponent"):
-                cache.lq_functional(q, "F")
+            exact = sum(boundary_measure(gamma0, line) * schatten_norm(family_eval(fam, k), q) ** q
+                        for k, line in enumerate(lines)) ** (1.0 / q)
+            assert abs(full - exact) <= 1e-12 * exact
 
 
 # fixed, so building it draws nothing from RNG
