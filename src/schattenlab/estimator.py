@@ -10,8 +10,10 @@ pool (open_pool) and hands it to every maximize call, which maps its
 starts over it in one chunk per worker.
 
 A state is a dict of arrays whose blocks LAYOUTS lists per objective
-kind.  Objectives read d as the eigenpairs of _normalized_spectrum, sorted
-once; the few that need d's matrix form it from them.
+kind.  The ratios on one d and one x are unitarily invariant, so a dx
+state is d = diag(exp(logspec)), clipped and scaled, and x in d's
+eigenbasis; eq2's first matrix is diagonal too.  Replay refuses a witness
+whose blocks differ from its layout's.
 
 The validated matrix classes of matcore are for input to the public API.
 The search computes on plain arrays: each objective's evaluator calls the
@@ -31,7 +33,7 @@ import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit
 from .kernels import TMapParams, rx_kernel
 from .matcore import (MAX_DIM, DomainError, NumericalError,
                       PositiveDefiniteMatrix, ValidationError, _as_array,
-                      _check_unitary, _power, _positive_spectrum)
+                      _check_unitary, _power, _positive_order)
 from .mazur import (_check_pq, _eq1_minus, _eq1_plus, _interp,
                     _interp_exponent, _main, _mazur_lipschitz, _powers_diff,
                     _safe_ratio, _tmap_ratio)
@@ -171,36 +173,24 @@ def _spectrum(logspec):
     return np.exp(np.clip(logspec, -LOG_SPEC_CLIP, LOG_SPEC_CLIP))
 
 
-def _normalized_spectrum(logspec, unitary, s):
-    """d = U diag(_spectrum(logspec)) U* scaled to ||d||_s = 1, as (lam
-    ascending, U's columns in that order); ValidationError unless positive."""
-    lam, v = _positive_spectrum(_spectrum(logspec), unitary)
-    return lam / _power_sum_norm(lam[::-1], s), v
+def _normalized_spectrum(logspec, s):
+    """(lam, order): _spectrum(logspec) scaled to ||d||_s = 1, in logspec's
+    order, and the stable order that sorts it; ValidationError unless > 0."""
+    lam = _spectrum(logspec)
+    order = _positive_order(lam)
+    return lam / _power_sum_norm(lam[order[::-1]], s), order
 
 
-def _spectrum_reader(s, log_key="logspec", unitary_key="unitary"):
-    """state -> _normalized_spectrum(state[log_key], state[unitary_key], s).
-
-    Positivity and finiteness of the spectrum are checked on every call.  A
-    search never changes a start's unitary, so unitarity (which includes
-    finiteness) is checked once per unitary array, on its first use; the
-    arrays of a state are never modified in place.
-    """
-    checked = None
-
-    def read(st):
-        nonlocal checked
-        u = st[unitary_key]
-        lam, v = _normalized_spectrum(st[log_key], u, s)
-        if u is not checked:
-            _check_unitary(np.asarray(u, dtype=complex), lam.shape[0])
-            checked = u
-        return lam, v
-    return read
+def _eigen_state(st, s):
+    """(lam ascending, the state's x with rows and columns in that order) of
+    a dx state normalized at s: the arguments of the dx array functions."""
+    lam, order = _normalized_spectrum(st["logspec"], s)
+    return lam[order], _as_array(st["x"])[np.ix_(order, order)]
 
 
-def _triangular_ratio(dm, x, p):
-    return _safe_ratio(schatten_norm(x @ dm, p), schatten_norm(dm @ x + x @ dm, p))
+def _triangular_ratio(lam, x, p):
+    return _safe_ratio(schatten_norm(x * lam, p),
+                       schatten_norm(x * np.add.outer(lam, lam), p))
 
 
 def _rx_ratio(logspec, x, alpha):
@@ -225,39 +215,44 @@ class _Objective:
 
 def _make_main(params):
     cfg = ExponentConfig(params["alpha"], params["s"], params["r"])
-    spectrum = _spectrum_reader(cfg.s)
-    return lambda st: _main(*spectrum(st), _as_array(st["x"]), cfg)
+    return lambda st: _main(*_eigen_state(st, cfg.s), cfg)
 
 
 def _make_interp(params):
     eps, s, r = params["eps"], params["s"], params["r"]
     p = _interp_exponent(eps, s, r)
-    spectrum = _spectrum_reader(s)
-    return lambda st: _interp(*spectrum(st), _as_array(st["x"]), eps, s, r, p)
+    return lambda st: _interp(*_eigen_state(st, s), eps, s, r, p)
 
 
 def _make_eq1(ratio):
     def make(params):
         p, q = params["p"], params["q"]
         _check_pq(p, q)
-        spectrum = _spectrum_reader(p)
-        return lambda st: ratio(*spectrum(st), _as_array(st["x"]), p, q)
+        return lambda st: ratio(*_eigen_state(st, p), p, q)
     return make
 
 
-def _formed_eq1_minus(lam, v, x, p, q):
-    return _eq1_minus(_power(lam, v, 1.0), lam, v, x, p, q)
+def _formed_eq1_minus(lam, x, p, q):
+    return _eq1_minus(np.diag(lam), np.diag(lam ** (p / q)), lam, x, p, q)
 
 
 def _make_eq2(params):
     p, q = params["p"], params["q"]
     _check_pq(p, q)
-    first = _spectrum_reader(p)
-    second = _spectrum_reader(p, "logspec2", "unitary2")
+    # a search never changes a start's unitary nor any array in place, so
+    # unitarity (which includes finiteness) is checked once per unitary
+    checked = None
 
     def ev(st):
-        x, y = first(st), second(st)
-        return _powers_diff(_power(*x, 1.0), *x, _power(*y, 1.0), *y, p, q)
+        nonlocal checked
+        lam, _ = _normalized_spectrum(st["logspec"], p)
+        mu, order = _normalized_spectrum(st["logspec2"], p)
+        if st["unitary2"] is not checked:
+            _check_unitary(st["unitary2"], mu.shape[0])
+            checked = st["unitary2"]
+        mu, v = mu[order], checked[:, order]
+        return _powers_diff(np.diag(lam), np.diag(lam ** (p / q)),
+                            _power(mu, v, 1.0), _power(mu, v, p / q), p, q)
     return ev
 
 
@@ -274,16 +269,13 @@ def _make_tmap(params):
     tp = TMapParams(params["beta"], params["gamma"])
     s, r = params["s"], params["r"]
     p, q = _exponents(s, r, tp.alpha)
-    spectrum = _spectrum_reader(s)
-    return lambda st: _tmap_ratio(*spectrum(st), _as_array(st["x"]), tp, p, q, s)
+    return lambda st: _tmap_ratio(*_eigen_state(st, s), tp, p, q, s)
 
 
 def _make_triangular(params):
     p = params["p"]
     _check_exponent(p)
-    spectrum = _spectrum_reader(p)
-    return lambda st: _triangular_ratio(_power(*spectrum(st), 1.0),
-                                        _as_array(st["x"]), p)
+    return lambda st: _triangular_ratio(*_eigen_state(st, p), p)
 
 
 def _make_rx(params):
@@ -300,8 +292,8 @@ def _make_defect_min(params):
     _check_gamma0(gamma0)
 
     def ev(st):
-        d = PositiveDefiniteMatrix.from_spectral(
-            *_normalized_spectrum(st["logspec"], st["unitary"], 2.0))
+        lam, _ = _normalized_spectrum(st["logspec"], 2.0)
+        d = PositiveDefiniteMatrix.from_spectral(lam, np.eye(lam.shape[0]))
         fam = AnalyticFamily(d, st["x"], alpha)
         try:
             return convexity_defect(BoundaryGridCache(fam, gamma0), q)
@@ -333,8 +325,8 @@ OBJECTIVES = {
 # draw order; a search never moves a unitary, and under diagonal every
 # unitary is the identity and every matrix diagonal
 LAYOUTS = {
-    "dx": (("logspec",), ("unitary",), ("x",)),
-    "pair-pos": (("logspec", "logspec2"), ("unitary", "unitary2"), ()),
+    "dx": (("logspec",), (), ("x",)),
+    "pair-pos": (("logspec", "logspec2"), ("unitary2",), ()),
     "pair-gen": ((), (), ("x", "y")),
 }
 
@@ -564,11 +556,21 @@ def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
     )
 
 
+def _witness_state(obj, blob):
+    """A witness's state; ValidationError unless it has its layout's blocks."""
+    st = deserialize_state(blob)
+    want = sorted(sum(LAYOUTS[obj.kind], ()))
+    if sorted(st) != want:
+        raise ValidationError("witness has blocks %s; a %s state has %s"
+                              % (sorted(st), obj.kind, want))
+    return st
+
+
 def replay_witness(report):
     """Re-evaluate the reported best witness; must reproduce best_ratio."""
     obj = OBJECTIVES[report.objective_id]
     evaluate = obj.make_eval(report.exponents)
-    return evaluate(deserialize_state(report.witness))
+    return evaluate(_witness_state(obj, report.witness))
 
 
 def review_flagged(report, trials=3):
@@ -584,7 +586,7 @@ def review_flagged(report, trials=3):
     scale = max(abs(report.best_ratio), 1.0)
     verdicts = []
     for widx, blob in enumerate(report.flagged_witnesses):
-        st = deserialize_state(blob)
+        st = _witness_state(obj, blob)
         rng = np.random.default_rng(np.random.SeedSequence(
             entropy=report.seed, spawn_key=(0xF1A6, widx)))
         ratios = []

@@ -6,9 +6,9 @@ so results are identical on one machine and BLAS, not across platforms.
 
 The validated classes (ComplexMatrix, HermitianMatrix, PositiveDefiniteMatrix,
 SpectralDecomposition) are for input to the public API.  The search computes
-on plain arrays through the private helpers below (_positive_spectrum,
-_power, _finite, _check_unitary, _svdvals), which the classes and the
-public functions share, so each piece of arithmetic exists once.
+on plain arrays through the private helpers below (_positive_order, _power,
+_finite, _check_unitary, _svdvals, ...), which the classes and the public
+functions share, so each piece of arithmetic and each rule exists once.
 """
 
 import numpy as np
@@ -107,13 +107,7 @@ class PositiveDefiniteMatrix(HermitianMatrix):
 
     def __init__(self, entries):
         super().__init__(entries)
-        lam, v = _eigh(self.mat)
-        s = SpectralDecomposition(lam, v)
-        if lam[0] <= 1e-12 * lam[-1] or lam[0] <= 0.0:
-            raise ValidationError(
-                "matrix is not positive definite (min eig %.3e, max eig %.3e)"
-                % (lam[0], lam[-1]))
-        self._spectral = s
+        self._spectral = SpectralDecomposition(*_positive_spectrum(*_eigh(self.mat)))
 
     @classmethod
     def from_spectral(cls, eigenvalues, vectors):
@@ -161,17 +155,24 @@ def _check_unitary(v, n):
         raise ValidationError("eigenvector matrix not unitary (%.3e)" % ortho)
 
 
-def _positive_spectrum(eigenvalues, vectors):
-    """(lam ascending, V's columns in that order); ValidationError unless lam
-    is finite and min lam > 1e-12 max lam > 0."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
+def _positive_order(eigenvalues):
+    """The stable order that sorts eigenvalues ascending; ValidationError
+    unless min > 1e-12 max > 0, the package's one positivity rule."""
+    order = np.argsort(eigenvalues, kind="stable")
+    lo, hi = eigenvalues[order[0]], eigenvalues[order[-1]]
     # sorting puts NaN last, so the two ends decide: every comparison with
     # NaN or an infinite end is false
-    if not (lam[0] > 0.0 and lam[0] > 1e-12 * lam[-1]):
-        raise ValidationError("spectrum not strictly positive definite")
-    return lam, np.asarray(vectors, dtype=complex)[:, order]
+    if not (lo > 0.0 and lo > 1e-12 * hi):
+        raise ValidationError("spectrum not strictly positive definite "
+                              "(min eig %.3e, max eig %.3e)" % (lo, hi))
+    return order
+
+
+def _positive_spectrum(eigenvalues, vectors):
+    """(lam ascending, V's columns in that order), by _positive_order."""
+    lam = np.asarray(eigenvalues, dtype=float)
+    order = _positive_order(lam)
+    return lam[order], np.asarray(vectors, dtype=complex)[:, order]
 
 
 def _power(lam, v, t):
@@ -238,9 +239,7 @@ def matrix_function(S, f):
     if not np.all(np.isfinite(vals)):
         bad = S.eigenvalues[~np.isfinite(vals)]
         raise DomainError("scalar function non-finite at eigenvalue(s) %s" % bad)
-    v = S.vectors
-    m = (v * vals) @ v.conj().T
-    return HermitianMatrix(0.5 * (m + m.conj().T))
+    return HermitianMatrix(_power(vals, S.vectors, 1.0))
 
 
 def positive_power(d, t):

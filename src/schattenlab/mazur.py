@@ -7,6 +7,10 @@ numerator indicate a numerically degenerate instance, not a counterexample
 sentinel for the caller to flag and exclude.  The two-point ratios return 0
 for a pair that coincides to COINCIDENT_TOL, and an overflow of |f|^(p/q)
 raises NumericalError.
+
+A ratio on one positive d = V diag(lam) V* and one x is unitarily invariant,
+so its array function takes lam and x in d's eigenbasis, X' = V* x V, which
+only _eigen_args forms; no array function takes V.
 """
 
 import math
@@ -16,8 +20,9 @@ import numpy as np
 from .kernels import (TMapParams, divided_difference_kernel, mixed_kernel_map,
                       t_map, _divided_difference)
 from .matcore import (ComplexMatrix, NumericalError, PositiveDefiniteMatrix,
-                      ValidationError, _as_array, _finite, _power, _same_shape,
-                      _svd, _svdvals, herm_eig, positive_power)
+                      ValidationError, _as_array, _finite, _positive_spectrum,
+                      _power, _same_shape, _svd, _svdvals, herm_eig,
+                      positive_power)
 from .schatten import _exponents, _power_sum_norm, schatten_norm
 
 # denominators below this fraction of the numerator scale are flagged as
@@ -59,21 +64,15 @@ def mazur_map(f, p, q):
 
 
 # Each ratio below has one array function, which the public function calls
-# after validating its input and the search calls on its state.  The dx
-# ratios (main, interp, eq1 with sign +1, tmap) work in the eigenbasis of
-# d = V diag(lam) V*: with X' = V* x V, x d^a is X' scaled by lam_j^a in
-# column j, and dx + xd and x d^a + d^a x are the Schur products of X' with
-# lam_i + lam_j and lam_i^a + lam_j^a, so no power of d is formed.  d's own
-# norms come from lam.  The commutator of eq1 with sign -1 stays formed, so
-# that x = d gives an exact zero.  Numerators go through schatten_norm, the
-# other norms through _svdvals.  x is checked finite before use and each
-# formed denominator matrix where it is formed, raising the class the
-# public API always raised for that input.
-
-def _in_eigenbasis(x, v, error=ValidationError):
-    """V* x V for a finite x; otherwise raise error."""
-    return v.conj().T @ _finite(x, error) @ v
-
+# after validating its input and the search calls on its state.  In the dx
+# ratios (main, interp, eq1 with sign +1, tmap), x d^a is X' scaled by
+# lam_j^a in column j, and dx + xd and x d^a + d^a x are the Schur products
+# of X' with lam_i + lam_j and lam_i^a + lam_j^a; d's own norms come from
+# lam.  The commutator of eq1 with sign -1 and the power difference of eq2
+# take formed matrices, so that x = d gives an exact zero.  Numerators go
+# through schatten_norm, the other norms through _svdvals.  X' is checked
+# finite before use and each formed denominator matrix where it is formed,
+# raising the class the public API always raised for that input.
 
 def _spectrum_norm(lam, s):
     """||d||_s from the eigenvalues lam > 0 of d, in any order."""
@@ -81,32 +80,32 @@ def _spectrum_norm(lam, s):
 
 
 def _eigen_args(d, x):
-    """(lam ascending, V, x as an array) for positive definite d and x of
-    d's shape; ValidationError otherwise."""
+    """(lam ascending, V, X' = V* x V) for positive definite
+    d = V diag(lam) V* and x of d's shape; ValidationError otherwise."""
     _, xm = _same_shape(d, x)
     s = herm_eig(d)
-    if not s.eigenvalues[0] > 0.0:
-        raise ValidationError("d must be positive definite")
-    return s.eigenvalues, s.vectors, xm
+    lam, v = _positive_spectrum(s.eigenvalues, s.vectors)
+    return lam, v, v.conj().T @ xm @ v
 
 
-def _main(lam, v, x, cfg):
-    xe = _in_eigenbasis(x, v, NumericalError)
-    num = schatten_norm(xe * lam ** (1.0 + cfg.alpha), cfg.q)
-    anti = _finite(xe * np.add.outer(lam, lam))
+def _main(lam, x, cfg):
+    x = _finite(x, NumericalError)
+    num = schatten_norm(x * lam ** (1.0 + cfg.alpha), cfg.q)
+    anti = _finite(x * np.add.outer(lam, lam))
     return _safe_ratio(num, _spectrum_norm(lam, cfg.s) ** cfg.alpha
                        * _power_sum_norm(_svdvals(anti), cfg.p))
 
 
 def main_ratio(d, x, cfg):
     """||x d^(1+alpha)||_q / (||d||_s^alpha ||dx+xd||_p)."""
-    return _main(*_eigen_args(d, x), cfg)
+    lam, _, xe = _eigen_args(d, x)
+    return _main(lam, xe, cfg)
 
 
-def _interp(lam, v, x, eps, s, r, p):
-    xe = _in_eigenbasis(x, v, NumericalError)
-    num = schatten_norm(xe * lam, p)
-    sv = _svdvals(np.stack((x, _finite(xe * np.add.outer(lam, lam)))))
+def _interp(lam, x, eps, s, r, p):
+    x = _finite(x, NumericalError)
+    num = schatten_norm(x * lam, p)
+    sv = _svdvals(np.stack((x, _finite(x * np.add.outer(lam, lam)))))
     return _safe_ratio(num, (_spectrum_norm(lam, s) * _power_sum_norm(sv[0], r)) ** eps
                        * _power_sum_norm(sv[1], p) ** (1.0 - eps))
 
@@ -121,7 +120,8 @@ def _interp_exponent(eps, s, r):
 def interp_corollary_ratio(d, x, eps, s, r):
     """||xd||_p / ((||d||_s ||x||_r)^eps ||dx+xd||_p^(1-eps))."""
     p = _interp_exponent(eps, s, r)
-    return _interp(*_eigen_args(d, x), eps, s, r, p)
+    lam, _, xe = _eigen_args(d, x)
+    return _interp(lam, xe, eps, s, r, p)
 
 
 def _eq1_den(base, lam, p, q):
@@ -129,15 +129,14 @@ def _eq1_den(base, lam, p, q):
     return _power_sum_norm(_svdvals(base), p) * _spectrum_norm(lam, p) ** (p / q - 1.0)
 
 
-def _eq1_plus(lam, v, x, p, q):
-    xe = _in_eigenbasis(x, v, NumericalError)
+def _eq1_plus(lam, x, p, q):
+    x = _finite(x, NumericalError)
     a = lam ** (p / q)
-    num = schatten_norm(xe * np.add.outer(a, a), q)
-    return _safe_ratio(num, _eq1_den(_finite(xe * np.add.outer(lam, lam)), lam, p, q))
+    num = schatten_norm(x * np.add.outer(a, a), q)
+    return _safe_ratio(num, _eq1_den(_finite(x * np.add.outer(lam, lam)), lam, p, q))
 
 
-def _eq1_minus(dm, lam, v, x, p, q):
-    d_pow = _power(lam, v, p / q)
+def _eq1_minus(dm, d_pow, lam, x, p, q):
     x = _finite(x, NumericalError)
     num = schatten_norm(x @ d_pow - d_pow @ x, q)
     return _safe_ratio(num, _eq1_den(_finite(x @ dm - dm @ x), lam, p, q))
@@ -148,14 +147,14 @@ def eq1_ratio(d, x, p, q, sign):
     _check_pq(p, q)
     if sign not in (+1, -1):
         raise ValidationError("sign must be +1 or -1")
-    lam, v, xm = _eigen_args(d, x)
+    lam, v, xe = _eigen_args(d, x)
     if sign == +1:
-        return _eq1_plus(lam, v, xm, p, q)
-    return _eq1_minus(_as_array(d), lam, v, xm, p, q)
+        return _eq1_plus(lam, xe, p, q)
+    return _eq1_minus(_as_array(d), _power(lam, v, p / q), lam, _as_array(x), p, q)
 
 
-def _tmap_ratio(lam, v, x, params, p, q, s):
-    out = _finite(divided_difference_kernel(lam, params) * _in_eigenbasis(x, v))
+def _tmap_ratio(lam, x, params, p, q, s):
+    out = _finite(divided_difference_kernel(lam, params) * _finite(x))
     return _safe_ratio(schatten_norm(out, q), _power_sum_norm(_svdvals(x), p)
                        * _spectrum_norm(lam, s) ** params.alpha)
 
@@ -164,14 +163,14 @@ def tmap_ratio(d, x, params, s, r):
     """||T_{beta,gamma}(x)||_q / (||x||_p ||d||_s^alpha), with alpha =
     2 beta + gamma - 1, 1/p = 1/s + 1/r and 1/q = (1+alpha)/s + 1/r."""
     p, q = _exponents(s, r, params.alpha)
-    return _tmap_ratio(*_eigen_args(d, x), params, p, q, s)
+    lam, _, xe = _eigen_args(d, x)
+    return _tmap_ratio(lam, xe, params, p, q, s)
 
 
-def _powers_diff(xm, lx, vx, ym, ly, vy, p, q):
+def _powers_diff(xm, x_pow, ym, y_pow, p, q):
     if np.abs(xm - ym).max() < COINCIDENT_TOL:
         return 0.0
-    num = schatten_norm(_power(lx, vx, p / q) - _power(ly, vy, p / q), q)
-    return _safe_ratio(num, _lipschitz_den(xm, ym, p, q))
+    return _safe_ratio(schatten_norm(x_pow - y_pow, q), _lipschitz_den(xm, ym, p, q))
 
 
 def _lipschitz_den(x, y, p, q):
@@ -185,9 +184,8 @@ def powers_diff_ratio(x, y, p, q):
     """||x^(p/q) - y^(p/q)||_q / (max(||x||_p,||y||_p)^(p/q-1) ||x-y||_p)."""
     _check_pq(p, q)
     _same_shape(x, y)
-    sx, sy = herm_eig(x), herm_eig(y)
-    return _powers_diff(x.mat, sx.eigenvalues, sx.vectors,
-                        y.mat, sy.eigenvalues, sy.vectors, p, q)
+    return _powers_diff(x.mat, positive_power(x, p / q),
+                        y.mat, positive_power(y, p / q), p, q)
 
 
 def _mazur_lipschitz(x, y, p, q, variant):

@@ -153,10 +153,10 @@ class AnalyticFamily:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        lam, v, xm = _eigen_args(self.d, self.x)
+        lam, v, xp = _eigen_args(self.d, self.x)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "xp", v.conj().T @ xm @ v)
+        object.__setattr__(self, "xp", xp)
 
     def eig_at(self, z):
         """v* F(z) v = lam_i^(c z) xp_ij lam_j^(c (1-z)), c = 1 + alpha."""

@@ -1,10 +1,15 @@
 """The search objectives' evaluators against the public ratio functions.
 
 The evaluators compute on plain arrays and check unitarity once per unitary
-array.  These tests pin the exception class each evaluator raises for a bad
-state, that an evaluator and the public ratio function give the same bits on
-the same state, and that the eigenbasis arithmetic of the dx ratios agrees
-with the same ratios formed from d, its powers and their products.
+array.  A dx state holds d's log-spectrum and x in d's eigenbasis.  These
+tests pin the exception class each evaluator raises for a bad state, that
+an evaluator and the public ratio function give the same bits on the same
+state, and that the eigenbasis arithmetic of the dx ratios agrees with the
+same ratios formed from d = U diag(lam) U* in a general basis, its powers
+and their products.
+
+The dx instances are drawn as the search drew them while its states held
+d's unitary: log-spectrum, Haar unitary U, then x in the standard basis.
 """
 
 import itertools
@@ -15,16 +20,19 @@ import pytest
 
 from schattenlab.estimator import (LAYOUTS, LOG_SPEC_CLIP, OBJECTIVES,
                                    SPECTRUM_LAWS, X_LAWS, InstanceSpec,
-                                   _haar_unitary, _initial_state,
-                                   _normalized_spectrum, _rng_for, maximize,
-                                   replay_witness)
+                                   _draw_log_spectrum, _draw_x, _haar_unitary,
+                                   _initial_state, _normalized_spectrum,
+                                   _rng_for, _serialize_state,
+                                   _triangular_ratio, deserialize_state,
+                                   maximize, replay_witness, review_flagged)
 from schattenlab.kernels import TMapParams, _t_map
 from schattenlab.matcore import (NumericalError, PositiveDefiniteMatrix,
                                  ValidationError, _power, _svdvals)
-from schattenlab.mazur import (_eq1_plus, _interp, _main, _safe_ratio,
-                               _tmap_ratio, eq1_ratio, interp_corollary_ratio,
-                               main_ratio, mazur_lipschitz_ratio,
-                               powers_diff_ratio, tmap_ratio)
+from schattenlab.mazur import (_eigen_args, _eq1_plus, _interp, _main,
+                               _safe_ratio, _tmap_ratio, eq1_ratio,
+                               interp_corollary_ratio, main_ratio,
+                               mazur_lipschitz_ratio, powers_diff_ratio,
+                               tmap_ratio)
 from schattenlab.schatten import (ExponentConfig, _exponents, _power_sum_norm,
                                   schatten_norm)
 
@@ -42,9 +50,34 @@ PARAMS = {
 DX = ("main", "interp", "eq1-plus", "eq1-minus", "tmap", "triangular-probe")
 
 
+def dx_draw(spec, rng):
+    """(logspec, U, x): d = U diag(exp(logspec)) U* and x in the standard
+    basis, in the search's former draw order."""
+    logspec = _draw_log_spectrum(rng, spec.dim, spec.spectrum_law)
+    u = _haar_unitary(rng, spec.dim)
+    return logspec, u, _draw_x(rng, spec.dim, spec.x_law)
+
+
 def state(oid, dim=3, seed=0, start=0, **laws):
+    """A start state of oid; a dx state is dx_draw's instance in d's
+    eigenbasis, (logspec, X' = U* x U)."""
     spec = InstanceSpec(dim=dim, seed=seed, **laws)
-    return _initial_state(LAYOUTS[OBJECTIVES[oid].kind], spec, _rng_for(seed, start))
+    rng = _rng_for(seed, start)
+    kind = OBJECTIVES[oid].kind
+    if kind != "dx":
+        return _initial_state(LAYOUTS[kind], spec, rng)
+    logspec, u, x = dx_draw(spec, rng)
+    return {"logspec": logspec, "x": u.conj().T @ x @ u}
+
+
+def witness_report(oid):
+    """A report of a zero-budget search of oid: its witness is the start."""
+    return maximize(oid, PARAMS[oid], InstanceSpec(dim=3, seed=3), budget=0, starts=1)
+
+
+def with_block(blob, key, value):
+    """A copy of the serialized state blob with block key set to value."""
+    return dict(blob, **_serialize_state({key: value}))
 
 
 def evaluate(oid, st):
@@ -64,10 +97,16 @@ class TestChecksStayOnTheSearchPath:
     @pytest.mark.parametrize("oid,key", [(oid, "unitary") for oid in DX]
                              + [("eq2", "unitary"), ("eq2", "unitary2")])
     def test_scaled_unitary(self, oid, key):
-        st = state(oid)
-        st[key] = 1.01 * st[key]
-        with pytest.raises(ValidationError, match="not unitary"):
-            evaluate(oid, st)
+        # a block that is not unitary is never scored: eq2's unitary2 is
+        # checked on evaluation, and the unitary of d, which dx and eq2
+        # states no longer hold, makes replay refuse the witness
+        rep = witness_report(oid)
+        u = deserialize_state(rep.witness).get(key, np.eye(3, dtype=complex))
+        rep.witness = with_block(rep.witness, key, 1.01 * u)
+        in_layout = key in LAYOUTS[OBJECTIVES[oid].kind][1]
+        with pytest.raises(ValidationError,
+                           match="not unitary" if in_layout else "'unitary'"):
+            replay_witness(rep)
 
     @pytest.mark.parametrize("oid,exc", [
         ("main", NumericalError), ("interp", NumericalError),
@@ -92,20 +131,18 @@ class TestChecksStayOnTheSearchPath:
             evaluate(oid, st)
 
     def test_each_new_unitary_is_checked(self):
-        ev = OBJECTIVES["main"].make_eval(PARAMS["main"])
-        st = state("main")
+        ev = OBJECTIVES["eq2"].make_eval(PARAMS["eq2"])
+        st = state("eq2")
         assert math.isfinite(ev(st))
-        assert math.isfinite(ev(dict(st, logspec=st["logspec"] + 0.1)))
+        assert math.isfinite(ev(dict(st, logspec2=st["logspec2"] + 0.1)))
         with pytest.raises(ValidationError, match="not unitary"):
-            ev(dict(st, unitary=1.01 * st["unitary"]))
+            ev(dict(st, unitary2=1.01 * st["unitary2"]))
 
     def test_replay_of_tampered_unitary(self):
-        rep = maximize("main", PARAMS["main"], InstanceSpec(dim=3, seed=3),
+        rep = maximize("eq2", PARAMS["eq2"], InstanceSpec(dim=3, seed=3),
                        budget=5, starts=2)
-        u = rep.witness["unitary"]
-        rep.witness["unitary"] = {
-            "re": (1.01 * np.asarray(u["re"])).tolist(),
-            "im": (1.01 * np.asarray(u["im"])).tolist()}
+        u = deserialize_state(rep.witness)["unitary2"]
+        rep.witness = with_block(rep.witness, "unitary2", 1.01 * u)
         with pytest.raises(ValidationError, match="not unitary"):
             replay_witness(rep)
 
@@ -137,9 +174,22 @@ def test_stacked_svd_equals_single_calls(n, kind):
 
 
 def pdm(st, s, suffix=""):
-    """The state's d (or second d) as a validated matrix, scaled to ||d||_s = 1."""
-    return PositiveDefiniteMatrix.from_spectral(*_normalized_spectrum(
-        st["logspec" + suffix], st["unitary" + suffix], s))
+    """eq2's first matrix diag(exp(clip(logspec))), or with suffix "2" its
+    second U2 diag(exp(clip(logspec2))) U2*, scaled to ||.||_s = 1, as a
+    validated matrix."""
+    lam, _ = _normalized_spectrum(st["logspec" + suffix], s)
+    u = st["unitary2"] if suffix else np.eye(lam.shape[0])
+    return PositiveDefiniteMatrix.from_spectral(lam, u)
+
+
+def dx_args(st, s):
+    """A dx state as (d, x): d = diag(lam) with lam ascending, scaled to
+    ||d||_s = 1, as a validated matrix, and the state's x conjugated by the
+    permutation matrix that sorts lam."""
+    lam, order = _normalized_spectrum(st["logspec"], s)
+    perm = np.eye(lam.shape[0])[:, order]
+    return (PositiveDefiniteMatrix.from_spectral(lam[order], np.eye(lam.shape[0])),
+            perm.T @ st["x"] @ perm)
 
 
 def public_ratio(oid, st):
@@ -147,12 +197,12 @@ def public_ratio(oid, st):
     prm = PARAMS[oid]
     if oid == "main":
         cfg = ExponentConfig(prm["alpha"], prm["s"], prm["r"])
-        return main_ratio(pdm(st, cfg.s), st["x"], cfg)
+        return main_ratio(*dx_args(st, cfg.s), cfg)
     if oid == "interp":
-        return interp_corollary_ratio(pdm(st, prm["s"]), st["x"],
+        return interp_corollary_ratio(*dx_args(st, prm["s"]),
                                       prm["eps"], prm["s"], prm["r"])
     if oid in ("eq1-plus", "eq1-minus"):
-        return eq1_ratio(pdm(st, prm["p"]), st["x"], prm["p"], prm["q"],
+        return eq1_ratio(*dx_args(st, prm["p"]), prm["p"], prm["q"],
                          +1 if oid == "eq1-plus" else -1)
     if oid == "eq2":
         return powers_diff_ratio(pdm(st, prm["p"]), pdm(st, prm["p"], "2"),
@@ -161,13 +211,13 @@ def public_ratio(oid, st):
         return mazur_lipschitz_ratio(st["x"], st["y"], prm["p"], prm["q"],
                                      variant=oid)
     if oid == "tmap":
-        return tmap_ratio(pdm(st, prm["s"]), st["x"],
+        return tmap_ratio(*dx_args(st, prm["s"]),
                           TMapParams(prm["beta"], prm["gamma"]),
                           prm["s"], prm["r"])
-    d = pdm(st, prm["p"])
-    x = st["x"]
-    return _safe_ratio(schatten_norm(x @ d.mat, prm["p"]),
-                       schatten_norm(d.mat @ x + x @ d.mat, prm["p"]))
+    # triangular-probe has no public function; its eigenbasis arguments
+    # come from _eigen_args, as every public dx ratio's do
+    lam, _, xe = _eigen_args(*dx_args(st, prm["p"]))
+    return _triangular_ratio(lam, xe, prm["p"])
 
 
 @pytest.mark.parametrize("oid", sorted(PARAMS))
@@ -180,15 +230,25 @@ def test_evaluator_equals_public_ratio(oid, dim, laws):
         assert evaluate(oid, st) == public_ratio(oid, st)
 
 
-@pytest.mark.parametrize("oid", DX)
+@pytest.mark.parametrize("oid", DX + ("eq2",))
 def test_nan_in_unitary(oid):
-    # unitarity is checked once per unitary array, and the dx ratios never
-    # form d, so that check must refuse a non-finite entry itself
-    st = state(oid)
-    st["unitary"] = st["unitary"].copy()
-    st["unitary"][0, 1] = np.nan
-    with pytest.raises(ValidationError, match="not unitary"):
-        evaluate(oid, st)
+    # unitarity is checked once per unitary array, and eq2 forms its second
+    # matrix from the unitary, so that check must refuse a non-finite entry
+    # itself; a dx witness that still holds a unitary for d is refused by
+    # the flag review, which would otherwise score it without that block
+    if oid == "eq2":
+        st = state(oid)
+        st["unitary2"] = st["unitary2"].copy()
+        st["unitary2"][0, 1] = np.nan
+        with pytest.raises(ValidationError, match="not unitary"):
+            evaluate(oid, st)
+        return
+    rep = witness_report(oid)
+    u = np.eye(3, dtype=complex)
+    u[0, 1] = np.nan
+    rep.flagged_witnesses = [with_block(rep.witness, "unitary", u)]
+    with pytest.raises(ValidationError, match="'unitary'"):
+        review_flagged(rep)
 
 
 # --- one sort for d's spectrum ---------------------------------------------
@@ -205,14 +265,22 @@ def sorted_after_scaling(logspec, unitary, s):
     return lam, v, 0.5 * (m + m.conj().T)
 
 
+def eigenpairs(logspec, u, s):
+    """(lam ascending, U's columns in that order) of d = U diag(lam) U*,
+    with lam from _normalized_spectrum."""
+    lam, order = _normalized_spectrum(logspec, s)
+    return lam[order], u[:, order]
+
+
 def spectra_with_clip_ties(seed):
     """(log-spectrum, unitary) pairs: every spectrum law's draws, and draws
     with several entries past each clip, which clip to exact ties whose
     order the sort must keep."""
     rng = np.random.default_rng(seed)
     for law, dim in itertools.product(SPECTRUM_LAWS, range(1, 17)):
-        st = state("main", dim=dim, seed=seed, spectrum_law=law)
-        yield st["logspec"], st["unitary"]
+        spec = InstanceSpec(dim=dim, seed=seed, spectrum_law=law)
+        logspec, u, _ = dx_draw(spec, _rng_for(seed, 0))
+        yield logspec, u
     for dim in range(2, 17):
         logspec = rng.uniform(-2.0, 2.0, dim) * LOG_SPEC_CLIP
         logspec[rng.permutation(dim)[:2]] = [LOG_SPEC_CLIP, -LOG_SPEC_CLIP - 1.0]
@@ -223,7 +291,7 @@ def spectra_with_clip_ties(seed):
 def test_normalized_spectrum_sorts_once_with_the_same_bits(s):
     ties = 0
     for logspec, u in spectra_with_clip_ties(seed=9):
-        lam, v = _normalized_spectrum(logspec, u, s)
+        lam, v = eigenpairs(logspec, u, s)
         want = sorted_after_scaling(logspec, u, s)
         assert np.array_equal(lam, want[0])
         assert np.array_equal(v, want[1])
@@ -266,8 +334,12 @@ def formed_tmap(dm, lam, v, x, params, p, q, s):
                        _power_sum_norm(sv[0], p) * _power_sum_norm(sv[1], s) ** params.alpha)
 
 
+def formed_triangular(dm, x, p):
+    return _safe_ratio(schatten_norm(x @ dm, p), schatten_norm(dm @ x + x @ dm, p))
+
+
 def ratio_pairs():
-    """(name, the s-norm d is scaled by, eigenbasis ratio of (lam, V, x),
+    """(name, the s-norm d is scaled by, eigenbasis ratio of (lam, X'),
     formed ratio of (dm, lam, V, x)) for each dx ratio at PARAMS."""
     cfg = ExponentConfig(*(PARAMS["main"][k] for k in ("alpha", "s", "r")))
     ip = PARAMS["interp"]
@@ -277,23 +349,26 @@ def ratio_pairs():
     tm = PARAMS["tmap"]
     tp = TMapParams(tm["beta"], tm["gamma"])
     tpq = _exponents(tm["s"], tm["r"], tp.alpha)
+    p_tri = PARAMS["triangular-probe"]["p"]
     return [
-        ("main", cfg.s, lambda lam, v, x: _main(lam, v, x, cfg),
+        ("main", cfg.s, lambda lam, xe: _main(lam, xe, cfg),
          lambda dm, lam, v, x: formed_main(dm, lam, v, x, cfg)),
-        ("interp", s, lambda lam, v, x: _interp(lam, v, x, eps, s, r, p_int),
+        ("interp", s, lambda lam, xe: _interp(lam, xe, eps, s, r, p_int),
          lambda dm, lam, v, x: formed_interp(dm, x, eps, s, r, p_int)),
-        ("eq1-plus", p, lambda lam, v, x: _eq1_plus(lam, v, x, p, q),
+        ("eq1-plus", p, lambda lam, xe: _eq1_plus(lam, xe, p, q),
          lambda dm, lam, v, x: formed_eq1_plus(dm, lam, v, x, p, q)),
-        ("tmap", tm["s"], lambda lam, v, x: _tmap_ratio(lam, v, x, tp, *tpq, tm["s"]),
+        ("tmap", tm["s"], lambda lam, xe: _tmap_ratio(lam, xe, tp, *tpq, tm["s"]),
          lambda dm, lam, v, x: formed_tmap(dm, lam, v, x, tp, *tpq, tm["s"])),
+        ("triangular-probe", p_tri, lambda lam, xe: _triangular_ratio(lam, xe, p_tri),
+         lambda dm, lam, v, x: formed_triangular(dm, x, p_tri)),
     ]
 
 
 def dx_states(spectrum_law, seed):
-    """Two start states of every x law at each dim from 1 to 16."""
+    """(logspec, U, x) of two starts of every x law at each dim from 1 to 16."""
     for x_law, dim, start in itertools.product(X_LAWS, range(1, 17), range(2)):
         spec = InstanceSpec(dim=dim, spectrum_law=spectrum_law, x_law=x_law, seed=seed)
-        yield _initial_state(LAYOUTS["dx"], spec, _rng_for(seed, start))
+        yield dx_draw(spec, _rng_for(seed, start))
 
 
 def relative_gap(a, b):
@@ -302,13 +377,15 @@ def relative_gap(a, b):
 
 @pytest.mark.parametrize("spectrum_law", SPECTRUM_LAWS)
 def test_eigenbasis_ratios_agree_with_formed_matrices(spectrum_law):
-    # largest gap here: 7.0e-13 (eq1-plus, clustered pairs, dim 10), from the
-    # SVDs' absolute accuracy on the small singular values of graded products
-    for st in dx_states(spectrum_law, seed=5):
+    # The ratios are invariant under conjugating d and x by one unitary,
+    # which is what lets the search hold (logspec, X') alone.  Largest gap
+    # here: 7.0e-13 (eq1-plus, clustered pairs, dim 10), from the SVDs'
+    # absolute accuracy on the small singular values of graded products.
+    for logspec, u, x in dx_states(spectrum_law, seed=5):
         for name, s, eigen, formed in ratio_pairs():
-            lam, v = _normalized_spectrum(st["logspec"], st["unitary"], s)
-            dm = _power(lam, v, 1.0)
-            got, want = eigen(lam, v, st["x"]), formed(dm, lam, v, st["x"])
+            lam, v = eigenpairs(logspec, u, s)
+            got = eigen(lam, v.conj().T @ x @ v)
+            want = formed(_power(lam, v, 1.0), lam, v, x)
             assert relative_gap(got, want) <= 1e-12, (name, lam.shape[0])
 
 
@@ -318,12 +395,12 @@ def test_eigenpair_order_moves_only_the_svd_rounding(spectrum_law):
     # exactly, and d's norms sort lam first; what moves is LAPACK's SVD of
     # the permuted product, accurate to eps * sigma_max, not relative to
     # each singular value.  On graded products that reaches the ratio: the
-    # largest gap here is 4.9e-12 (eq1-plus, dim 11), where a singular value
-    # of 2.3e-12 sigma_max moves by 5.6e-6 of itself.
-    for st in dx_states(spectrum_law, seed=6):
-        n = st["x"].shape[0]
+    # largest gap here is 4.4e-12 (eq1-plus, log-uniform, dim 11).
+    for logspec, u, x in dx_states(spectrum_law, seed=6):
+        n = x.shape[0]
         perm = np.random.default_rng(n).permutation(n)
         for name, s, eigen, _ in ratio_pairs():
-            lam, v = _normalized_spectrum(st["logspec"], st["unitary"], s)
-            got = eigen(lam[perm], v[:, perm], st["x"])
-            assert relative_gap(got, eigen(lam, v, st["x"])) <= 1e-11, (name, n)
+            lam, v = eigenpairs(logspec, u, s)
+            xe = v.conj().T @ x @ v
+            got = eigen(lam[perm], xe[np.ix_(perm, perm)])
+            assert relative_gap(got, eigen(lam, xe)) <= 1e-11, (name, n)

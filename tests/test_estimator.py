@@ -132,6 +132,38 @@ class TestSearch:
             assert all(v["benign"] for v in review_flagged(rep))
 
 
+class TestWitnessBlocks:
+    # a witness must hold exactly its layout's blocks: a missing block would
+    # escape as a bare KeyError, and an extra one (the unitary of d that dx
+    # witnesses once held) would be ignored, replaying another instance
+    @staticmethod
+    def report(blocks):
+        rep = maximize("main", {"alpha": 1.0, "s": 2.0, "r": math.inf},
+                       InstanceSpec(dim=3, seed=9), budget=5, starts=1)
+        rep.witness = blocks(rep.witness)
+        rep.flagged_witnesses = [rep.witness]
+        return rep
+
+    @pytest.mark.parametrize("replay", [replay_witness, review_flagged])
+    def test_refuses_a_witness_without_x(self, replay):
+        rep = self.report(lambda w: {"logspec": w["logspec"]})
+        with pytest.raises(ValidationError,
+                           match=r"blocks \['logspec'\]; a dx state has \['logspec', 'x'\]"):
+            replay(rep)
+
+    @pytest.mark.parametrize("replay", [replay_witness, review_flagged])
+    def test_refuses_a_dx_witness_with_a_unitary(self, replay):
+        eye = np.eye(3).tolist()
+        rep = self.report(lambda w: dict(w, unitary={"re": eye, "im": eye}))
+        with pytest.raises(ValidationError, match=r"\['logspec', 'unitary', 'x'\]"):
+            replay(rep)
+
+    def test_replays_a_witness_with_its_blocks(self):
+        rep = self.report(lambda w: w)
+        assert replay_witness(rep) == rep.best_ratio
+        assert len(review_flagged(rep)) == 1
+
+
 class TestFailureContext:
     @pytest.mark.parametrize("exc_type", [NumericalError, DomainError])
     def test_names_objective_start_iteration_seed(self, monkeypatch, exc_type,

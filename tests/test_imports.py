@@ -3,15 +3,22 @@ parameter of its functions is read in the function's body, and every
 module-level private name is read somewhere in the package, so a deleted
 code path cannot leave its helper behind.
 
+It also checks that every objective's evaluator reads every block of its
+state layout.
+
 No linter is part of the toolchain, so this parses the sources with ast.
 An import whose lines carry a '# noqa' comment is exempt (estimator's
 'import numpy.random' is there for the forked pool workers to inherit).
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
+
+from schattenlab.estimator import (LAYOUTS, OBJECTIVES, InstanceSpec,
+                                   _initial_state, _rng_for)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "schattenlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -123,3 +130,48 @@ def test_the_check_sees_an_unread_private_name():
     assert unread_private_names(sources) == [
         ("a.py", 2, "_unused"), ("a.py", 4, "_f"), ("a.py", 6, "_C"),
         ("b.py", 4, "_mine")]
+
+
+# --- every evaluator reads every block of its layout ----------------------
+
+EXPONENTS = {
+    "main": {"alpha": 1.0, "s": 4.0 / 3.0, "r": math.inf},
+    "interp": {"eps": 0.3, "s": 0.5, "r": math.inf},
+    "eq1-plus": {"p": 1.0, "q": 0.5},
+    "eq1-minus": {"p": 1.0, "q": 0.5},
+    "eq2": {"p": 1.0, "q": 2.0 / 3.0},
+    "mazur": {"p": 2.0, "q": 0.5},
+    "abs-power": {"p": 2.0, "q": 0.5},
+    "tmap": {"beta": 0.3, "gamma": 0.7, "s": 1.0, "r": math.inf},
+    "triangular-probe": {"p": 1.5},
+    "rx-probe": {"alpha": 1.0},
+    "convexity-defect-min": {"alpha": 1.0, "q": 1.0},
+}
+
+
+class ReadRecorder(dict):
+    """A state that records the keys its evaluator reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_every_objective_is_listed():
+    assert set(EXPONENTS) == set(OBJECTIVES)
+
+
+@pytest.mark.parametrize("oid", sorted(EXPONENTS))
+def test_every_evaluator_reads_every_block_of_its_layout(oid):
+    # a block no evaluator reads cannot change a ratio, yet the search would
+    # draw it, perturb it and store it in every witness
+    obj = OBJECTIVES[oid]
+    layout = LAYOUTS[obj.kind]
+    st = ReadRecorder(_initial_state(layout, InstanceSpec(dim=3, seed=1),
+                                     _rng_for(1, 0)))
+    obj.make_eval(EXPONENTS[oid])(st)
+    assert st.read == {key for block in layout for key in block}

@@ -197,3 +197,24 @@ class TestDecomposition:
         x, y = rand_pdm(2), rand_pdm(2)
         with pytest.raises(ValidationError):
             decomposition_residual(x, y, 0.6)
+
+
+NEAR_SINGULAR_CASES = {
+    "main": lambda d, x: main_ratio(d, x, ExponentConfig(1.0, 4.0 / 3.0, math.inf)),
+    "interp": lambda d, x: interp_corollary_ratio(d, x, 0.3, 0.5, math.inf),
+    "eq1-plus": lambda d, x: eq1_ratio(d, x, 1.0, 0.5, +1),
+    "eq1-minus": lambda d, x: eq1_ratio(d, x, 1.0, 0.5, -1),
+    "tmap": lambda d, x: tmap_ratio(d, x, TMapParams(0.3, 0.7), 1.0, math.inf),
+    "family": lambda d, x: AnalyticFamily(d, x, 1.0),
+    "matrix-class": lambda d, x: PositiveDefiniteMatrix(d.mat),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_SINGULAR_CASES))
+def test_near_singular_d_is_refused_by_the_one_positivity_rule(case):
+    # min eig 1e-14 is positive but below 1e-12 * max eig: every entry point
+    # refuses the d that PositiveDefiniteMatrix refuses, with its message
+    d = HermitianMatrix(np.diag([1.0, 1e-14]).astype(complex))
+    x = np.array([[1.0, 2.0 - 1.0j], [0.5j, -1.0]])
+    with pytest.raises(ValidationError, match="positive definite"):
+        NEAR_SINGULAR_CASES[case](d, x)
