@@ -156,16 +156,6 @@ def _draw_x(rng, dim, law):
     return _haar_unitary(rng, dim)
 
 
-def random_instance(spec):
-    """(d, x) drawn deterministically from the spec."""
-    rng = _rng_for(spec.seed, 0)
-    logspec = _draw_log_spectrum(rng, spec.dim, spec.spectrum_law)
-    u = _haar_unitary(rng, spec.dim)
-    d = PositiveDefiniteMatrix.from_spectral(np.exp(logspec), u)
-    x = _draw_x(rng, spec.dim, spec.x_law)
-    return d, x
-
-
 # --- objective machinery -------------------------------------------------
 
 def _spectrum(logspec):

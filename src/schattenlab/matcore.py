@@ -52,9 +52,6 @@ class ComplexMatrix:
     def dim(self):
         return self._m.shape[0]
 
-    def adjoint(self):
-        return ComplexMatrix(self._m.conj().T)
-
     def __repr__(self):
         return "%s(dim=%d)" % (type(self).__name__, self.dim)
 
@@ -245,6 +242,7 @@ def matrix_function(S, f):
 def positive_power(d, t):
     """d**t for positive definite d, via the cached eigendecomposition."""
     s = herm_eig(d)
+    _positive_order(s.eigenvalues)   # the identity order: they are ascending
     return _power(s.eigenvalues, s.vectors, t)
 
 
@@ -264,21 +262,8 @@ def polar_decompose(A):
 def imaginary_power(d, h):
     """The unitary d^(ih) = V diag(exp(i h log lam)) V* for d > 0."""
     s = herm_eig(d)
-    lam = s.eigenvalues
-    if np.any(lam <= 0.0):
-        raise DomainError("imaginary power needs a strictly positive spectrum")
-    phases = np.exp(1j * h * np.log(lam))
+    _positive_order(s.eigenvalues)
+    phases = np.exp(1j * h * np.log(s.eigenvalues))
     v = s.vectors
     return ComplexMatrix((v * phases) @ v.conj().T)
 
-
-def anticommutator(d, x):
-    """dx + xd."""
-    dm, xm = _same_shape(d, x)
-    return ComplexMatrix(dm @ xm + xm @ dm)
-
-
-def commutator(d, x):
-    """dx - xd."""
-    dm, xm = _same_shape(d, x)
-    return ComplexMatrix(dm @ xm - xm @ dm)

@@ -154,7 +154,8 @@ def eq1_ratio(d, x, p, q, sign):
 
 
 def _tmap_ratio(lam, x, params, p, q, s):
-    out = _finite(divided_difference_kernel(lam, params) * _finite(x))
+    x = _finite(x, NumericalError)
+    out = _finite(divided_difference_kernel(lam, params) * x)
     return _safe_ratio(schatten_norm(out, q), _power_sum_norm(_svdvals(x), p)
                        * _spectrum_norm(lam, s) ** params.alpha)
 

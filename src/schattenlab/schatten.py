@@ -7,6 +7,8 @@ exponents (p well below 1) neither overflow nor underflow.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .matcore import ValidationError, _as_array, _svdvals
 
 # singular values below this fraction of the largest are treated as exact
@@ -76,6 +78,36 @@ def _power_sum_norm(sig, p):
     if p < 1.0:
         scaled = scaled[scaled > ZERO_CUT]
     return float(smax * (scaled ** p).sum() ** (1.0 / p))
+
+
+def _power_sum_norms(sig, p):
+    """_power_sum_norm of each row of a (..., n) stack of descending rows,
+    bit for bit, as an array of the stack's leading shape.
+
+    The entries ZERO_CUT keeps are a prefix of each row, so rows with the
+    same kept count are summed as one contiguous block.  The last step,
+    smax * v ** (1/p), is a scalar power per row: numpy's array ** can
+    differ from the scalar one in the last bit.  A stack of one row costs
+    more than _power_sum_norm, so single norms keep calling that.
+    """
+    rows = sig.reshape(-1, sig.shape[-1])
+    smax = rows[:, 0]
+    out = np.zeros(rows.shape[0])
+    live = np.flatnonzero(smax)
+    if math.isinf(p):
+        out[live] = smax[live]
+        return out.reshape(sig.shape[:-1])
+    scaled = rows[live] / smax[live, None]
+    powered = scaled ** p
+    kept = (scaled > ZERO_CUT).sum(axis=1) if p < 1.0 else np.full(live.size, rows.shape[1])
+    sums = np.empty(live.size)
+    # a set, not np.unique, whose first call imports numpy.ma (1.5 MB)
+    for k in set(kept.tolist()):
+        block = kept == k
+        sums[block] = np.ascontiguousarray(powered[block, :k]).sum(axis=1)
+    inv = 1.0 / p
+    out[live] = [s * v ** inv for s, v in zip(smax[live].tolist(), sums.tolist())]
+    return out.reshape(sig.shape[:-1])
 
 
 def _check_alpha(alpha):

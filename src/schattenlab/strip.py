@@ -21,11 +21,13 @@ import numpy as np
 
 from .matcore import ComplexMatrix, ValidationError, _svdvals
 from .mazur import _eigen_args
-from .schatten import _check_alpha, _power_sum_norm, schatten_norm, singular_values
+from .schatten import (_check_alpha, _check_exponent, _power_sum_norm,
+                       _power_sum_norms, singular_values)
 
 # tail truncation for unbounded boundary integrals: the density at |t| = 40
 # is below 1e-54, far under every tolerance used here
 TAIL_CUT = 40.0
+_HALF_PI = 0.5 * math.pi
 
 
 def _merge(intervals):
@@ -42,16 +44,17 @@ def _merge(intervals):
     return tuple(merged)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundarySet:
-    """Finite union of closed intervals on the two boundary lines."""
+    """Finite union of closed intervals on the two boundary lines, each line
+    held as sorted, disjoint intervals."""
 
-    intervals0: tuple = ()
-    intervals1: tuple = ()
+    intervals0: tuple
+    intervals1: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "intervals0", _merge(self.intervals0))
-        object.__setattr__(self, "intervals1", _merge(self.intervals1))
+    def __init__(self, intervals0=(), intervals1=()):
+        object.__setattr__(self, "intervals0", _merge(intervals0))
+        object.__setattr__(self, "intervals1", _merge(intervals1))
 
     @staticmethod
     def full():
@@ -88,14 +91,17 @@ def _arctan_measure(c, intervals):
     (1/pi) atan2(c (T_b - T_a), c^2 + T_a T_b), T = tanh(pi t/2): unlike the
     plain difference of arctangents, it keeps relative accuracy in the tails."""
     total = 0.0
+    cc = c * c
     for a, b in intervals:
-        a = max(a, -TAIL_CUT)
-        b = min(b, TAIL_CUT)
+        if a < -TAIL_CUT:
+            a = -TAIL_CUT
+        if b > TAIL_CUT:
+            b = TAIL_CUT
         if b <= a:
             continue
-        ha, hb = 0.5 * math.pi * a, 0.5 * math.pi * b
-        diff = math.sinh(0.5 * math.pi * (b - a)) / (math.cosh(ha) * math.cosh(hb))
-        total += math.atan2(c * diff, c * c + math.tanh(ha) * math.tanh(hb))
+        ha, hb = _HALF_PI * a, _HALF_PI * b
+        diff = math.sinh(_HALF_PI * (b - a)) / (math.cosh(ha) * math.cosh(hb))
+        total += math.atan2(c * diff, cc + math.tanh(ha) * math.tanh(hb))
     return total / math.pi
 
 
@@ -107,17 +113,21 @@ def boundary_measure(gamma0, A):
                               A.intervals1))
 
 
+def _doubled(intervals):
+    ivs = tuple([(2 * a, 2 * b) for a, b in intervals])
+    if ivs and not (math.isfinite(ivs[0][0]) and math.isfinite(ivs[-1][1])):
+        raise ValidationError("interval endpoints must be finite")
+    return ivs
+
+
 def dilate(A):
     """Dilation by a factor 2 in the imaginary direction.
 
     Doubling keeps merged intervals sorted and disjoint, so the result skips
     _merge; only the outermost endpoints of a line can overflow."""
     out = object.__new__(BoundarySet)
-    for line in ("intervals0", "intervals1"):
-        ivs = tuple((2 * a, 2 * b) for a, b in getattr(A, line))
-        if ivs and not (math.isfinite(ivs[0][0]) and math.isfinite(ivs[-1][1])):
-            raise ValidationError("interval endpoints must be finite")
-        object.__setattr__(out, line, ivs)
+    object.__setattr__(out, "intervals0", _doubled(A.intervals0))
+    object.__setattr__(out, "intervals1", _doubled(A.intervals1))
     return out
 
 
@@ -173,11 +183,18 @@ def family_eval(F, z):
 
 
 def boundary_norm_profile(F, q, t_grid):
-    """Schatten q-norms of F along both boundary lines at the given t values."""
+    """Schatten q-norms of F along both boundary lines at the given t values.
+
+    F is evaluated at every node; the singular values of all the nodes come
+    from one stacked SVD and their norms from one stacked norm."""
+    _check_exponent(q)
     t_grid = np.asarray(t_grid, dtype=float)
-    norms0 = np.array([schatten_norm(family_eval(F, 1j * t), q) for t in t_grid])
-    norms1 = np.array([schatten_norm(family_eval(F, 1.0 + 1j * t), q) for t in t_grid])
-    return norms0, norms1
+    mats = ([family_eval(F, 1j * t).mat for t in t_grid]
+            + [family_eval(F, 1.0 + 1j * t).mat for t in t_grid])
+    # reshape keeps an empty grid a (0, n, n) stack
+    n = F.lam.size
+    norms = _power_sum_norms(_svdvals(np.array(mats).reshape(-1, n, n)), q)
+    return norms[:t_grid.size], norms[t_grid.size:]
 
 
 @functools.cache
@@ -241,8 +258,7 @@ def convexity_defect(cache, q):
     """
     _check_defect_q(q)
     acc = 0.0
-    for weights, rows in zip(cache.weights, cache.diff_sv):
-        norms = np.array([_power_sum_norm(sv, q) for sv in rows])
+    for weights, norms in zip(cache.weights, _power_sum_norms(cache.diff_sv, q)):
         acc += float((weights * norms ** q).sum())
     dev = acc ** (1.0 / q)
     if dev <= 1e-12:

@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 from schattenlab.estimator import (LAYOUTS, InstanceSpec, OBJECTIVES,
-                                   _merged_trace, deserialize_state, maximize,
-                                   random_instance, replay_witness,
+                                   _initial_state, _merged_trace, _rng_for,
+                                   deserialize_state, maximize, replay_witness,
                                    review_flagged)
 from schattenlab.matcore import DomainError, NumericalError, ValidationError
+
+
+def start_state(spec):
+    """The state the first start of a dx search draws."""
+    return _initial_state(LAYOUTS["dx"], spec, _rng_for(spec.seed, 0))
 
 
 class TestInstanceSpec:
@@ -26,21 +31,18 @@ class TestInstanceSpec:
 
     def test_instances_reproducible(self):
         spec = InstanceSpec(dim=5, seed=123)
-        d1, x1 = random_instance(spec)
-        d2, x2 = random_instance(spec)
-        assert np.array_equal(d1.mat, d2.mat)
-        assert np.array_equal(x1, x2)
+        a, b = start_state(spec), start_state(spec)
+        assert np.array_equal(a["logspec"], b["logspec"])
+        assert np.array_equal(a["x"], b["x"])
 
     def test_seed_changes_instance(self):
-        d1, _ = random_instance(InstanceSpec(dim=5, seed=1))
-        d2, _ = random_instance(InstanceSpec(dim=5, seed=2))
-        assert np.abs(d1.mat - d2.mat).max() > 1e-6
+        a = start_state(InstanceSpec(dim=5, seed=1))
+        b = start_state(InstanceSpec(dim=5, seed=2))
+        assert np.abs(a["logspec"] - b["logspec"]).max() > 1e-6
 
     def test_clustered_pairs_law(self):
-        d, _ = random_instance(InstanceSpec(dim=6, seed=3,
-                                            spectrum_law="clustered-pairs"))
-        lam = np.sort(d.spectral.eigenvalues)
-        gaps = np.diff(np.log(lam))
+        st = start_state(InstanceSpec(dim=6, seed=3, spectrum_law="clustered-pairs"))
+        gaps = np.diff(np.sort(st["logspec"]))
         assert (gaps < 1e-8).sum() >= 3
 
 

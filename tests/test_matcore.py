@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ import pytest
 from schattenlab.matcore import (ComplexMatrix, DomainError, HermitianMatrix,
                                  NumericalError, PositiveDefiniteMatrix,
                                  SpectralDecomposition, ValidationError,
-                                 anticommutator, commutator, herm_eig,
-                                 imaginary_power, matrix_function,
+                                 herm_eig, imaginary_power, matrix_function,
                                  polar_decompose, positive_power)
 
 RNG = np.random.default_rng(2024)
@@ -189,6 +189,16 @@ class TestPolarAndUnitaries:
         u = imaginary_power(d, 1.7).mat
         assert np.abs(u.conj().T @ u - np.eye(5)).max() <= 1e-11
 
+    @pytest.mark.parametrize("power", [positive_power, imaginary_power])
+    def test_indefinite_hermitian_is_refused_without_nan(self, power):
+        # the positivity rule refuses diag(1, -1) before any power is taken:
+        # positive_power used to return an all-NaN matrix after a warning
+        d = HermitianMatrix(np.diag([1.0, -1.0]).astype(complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="positive definite"):
+                power(d, 0.5)
+
     def test_imaginary_power_group_law(self):
         d = rand_pdm(4)
         u = imaginary_power(d, 0.4).mat
@@ -196,19 +206,3 @@ class TestPolarAndUnitaries:
         w = imaginary_power(d, 1.5).mat
         assert np.abs(u @ v - w).max() <= 1e-11
 
-
-class TestCommutators:
-    def test_anticommutator_hermitian_input(self):
-        d = rand_pdm(4)
-        x = rand_hermitian(4)
-        m = anticommutator(d, x).mat
-        assert np.abs(m - m.conj().T).max() <= 1e-12
-
-    def test_commutator_trace_free(self):
-        d = rand_pdm(4)
-        x = rand_complex(4)
-        assert abs(np.trace(commutator(d, x).mat)) <= 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            anticommutator(rand_pdm(3), rand_complex(4))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from schattenlab.matcore import (HermitianMatrix, PositiveDefiniteMatrix,
-                                 ValidationError)
+                                 ValidationError, imaginary_power,
+                                 positive_power)
 from schattenlab.mazur import (COINCIDENT_TOL, decomposition_residual, eq1_ratio,
                                interp_corollary_ratio, main_ratio,
                                mazur_lipschitz_ratio, mazur_map,
@@ -207,6 +208,8 @@ NEAR_SINGULAR_CASES = {
     "tmap": lambda d, x: tmap_ratio(d, x, TMapParams(0.3, 0.7), 1.0, math.inf),
     "family": lambda d, x: AnalyticFamily(d, x, 1.0),
     "matrix-class": lambda d, x: PositiveDefiniteMatrix(d.mat),
+    "positive-power": lambda d, x: positive_power(d, 0.5),
+    "imaginary-power": lambda d, x: imaginary_power(d, 0.5),
 }
 
 

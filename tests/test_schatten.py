@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from schattenlab.matcore import NumericalError, ValidationError
-from schattenlab.schatten import (ExponentConfig, _exponents, schatten_norm,
-                                  singular_values)
+from schattenlab.schatten import (ZERO_CUT, ExponentConfig, _exponents,
+                                  _power_sum_norm, _power_sum_norms,
+                                  schatten_norm, singular_values)
 
 RNG = np.random.default_rng(515)
 
@@ -85,6 +86,36 @@ class TestNormValues:
         for p in (0.0, -1.0, -math.inf, math.nan):
             with pytest.raises(ValidationError, match="Schatten exponent"):
                 schatten_norm(np.diag([3.0, 1.0]).astype(complex), p)
+
+
+def descending_rows(rng, m, n):
+    """m descending rows of length n: graded rows spanning up to 40 decades
+    at scales 1e-150 to 1e150, rows whose tail is cut at 1e-20 of their
+    largest entry or at exactly ZERO_CUT, and all-zero rows."""
+    rows = np.exp(rng.uniform(-92.0, 0.0, (m, n))) * 10.0 ** rng.uniform(-150, 150, (m, 1))
+    for i in range(m // 4, m // 2):
+        k = int(rng.integers(1, n + 1))
+        rows[i, k:] = 1e-20 * rows[i].max() * rng.uniform(0.0, 1.0, n - k)
+    rows[m // 2, 1:] = ZERO_CUT * rows[m // 2].max()
+    rows[-3:] = 0.0
+    return -np.sort(-rows, axis=1)
+
+
+class TestStackedNorm:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_equals_the_row_norm_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        rows = descending_rows(rng, 24, n)
+        for p in (0.3, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, math.inf):
+            want = [_power_sum_norm(r, p) for r in rows]
+            assert _power_sum_norms(rows, p).tolist() == want
+            # a leading stack shape, and a stack of one row
+            assert _power_sum_norms(rows.reshape(2, 12, n), p).ravel().tolist() == want
+            assert _power_sum_norms(rows[:1], p).tolist() == want[:1]
+
+    def test_keeps_the_leading_shape(self):
+        rows = descending_rows(np.random.default_rng(0), 12, 3).reshape(2, 2, 3, 3)
+        assert _power_sum_norms(rows, 0.5).shape == (2, 2, 3)
 
 
 class TestNormProperties:

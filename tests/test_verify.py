@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from schattenlab import strip, verify
 from schattenlab.matcore import PositiveDefiniteMatrix, ValidationError
 from schattenlab.mazur import powers_diff_ratio
+from schattenlab.schatten import _power_sum_norm, schatten_norm
 
 
 def test_boundary_constancy_seed_24():
@@ -133,3 +135,108 @@ class TestMazurChecks:
         # p/q alone failed here (seeds 1, 3, 8, 9, 10, 14 and 16 of 0-19)
         results = {r["name"]: r for r in verify.verify_mazur(seed=1)}
         assert results["mazur.diagonal_ceiling"]["passed"], results
+
+
+# --- the strip checks against copies of their per-set and per-node loops ---
+#
+# The copies below are the strip check's loops as they were before its
+# norms were stacked: each set built and merged on its own, each interval
+# clipped with max and min, each node's norm taken from its own SVD, and
+# each defect row's norm on its own.  The checks must report exactly (==)
+# what these loops report.
+
+def merge_loop(intervals):
+    merged = []
+    for a, b in sorted((float(a), float(b)) for a, b in intervals):
+        assert math.isfinite(a) and math.isfinite(b) and a <= b
+        if merged and a <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        else:
+            merged.append((a, b))
+    return tuple(merged)
+
+
+def measure_loop(c, intervals):
+    total = 0.0
+    for a, b in intervals:
+        a, b = max(a, -strip.TAIL_CUT), min(b, strip.TAIL_CUT)
+        if b <= a:
+            continue
+        ha, hb = 0.5 * math.pi * a, 0.5 * math.pi * b
+        diff = math.sinh(0.5 * math.pi * (b - a)) / (math.cosh(ha) * math.cosh(hb))
+        total += math.atan2(c * diff, c * c + math.tanh(ha) * math.tanh(hb))
+    return total / math.pi
+
+
+def harmonic_loop(gamma0, lines):
+    return (measure_loop(math.tan(0.5 * gamma0 * math.pi), lines[0])
+            + measure_loop(math.tan(0.5 * (1.0 - gamma0) * math.pi), lines[1]))
+
+
+def sets_loop(rng, count):
+    branch = rng.uniform(size=(count, 2))
+    ks = rng.integers(1, 4, size=(count, 2))
+    a = rng.uniform(-4, 4, size=(count, 2, 3))
+    ivs = np.stack((a, a + rng.uniform(0.05, 2.0, size=(count, 2, 3))), axis=-1)
+    for i in range(count):
+        line0, line1 = ivs[i, 0, :ks[i, 0]], ivs[i, 1, :ks[i, 1]]
+        if branch[i, 0] < 0.2:
+            line1 = ()
+        elif branch[i, 1] < 0.25:
+            line0 = ()
+        yield merge_loop(line0), merge_loop(line1)
+
+
+def doubling_loop(seed, sets_per_gamma, gammas):
+    rng = verify._rng(seed, "doubling")
+    worst_excess = -math.inf
+    for g in gammas:
+        bound = 4.0 / (1.0 - abs(math.cos(g * math.pi)))
+        for lines in sets_loop(rng, sets_per_gamma):
+            doubled = [tuple((2 * a, 2 * b) for a, b in line) for line in lines]
+            ratio = harmonic_loop(g, doubled) / harmonic_loop(g, lines)
+            worst_excess = max(worst_excess, ratio - bound)
+    worst = -math.inf
+    for lines in sets_loop(rng, sets_per_gamma):
+        doubled = [tuple((2 * a, 2 * b) for a, b in line) for line in lines]
+        worst = max(worst, 2.0 * measure_loop(1.0, doubled[0] + doubled[1])
+                    - 2.0 * (2.0 * measure_loop(1.0, lines[0] + lines[1])))
+    return [worst_excess, worst]
+
+
+def norm_profile_loop(F, q, t_grid):
+    return (np.array([schatten_norm(strip.family_eval(F, 1j * t), q) for t in t_grid]),
+            np.array([schatten_norm(strip.family_eval(F, 1.0 + 1j * t), q)
+                      for t in t_grid]))
+
+
+def defect_loop(cache, q):
+    acc = 0.0
+    for weights, rows in zip(cache.weights, cache.diff_sv):
+        norms = np.array([_power_sum_norm(sv, q) for sv in rows])
+        acc += float((weights * norms ** q).sum())
+    dev = acc ** (1.0 / q)
+    if dev <= 1e-12:
+        raise ValidationError("degenerate family")
+    full = ((1.0 - cache.gamma0) * _power_sum_norm(cache.sv[0], q) ** q
+            + cache.gamma0 * _power_sum_norm(cache.sv[1], q) ** q) ** (1.0 / q)
+    center = _power_sum_norm(cache.center_sv, q)
+    return (full ** 2 - center ** 2) / dev ** 2
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+class TestStripChecksEqualTheirLoops:
+    def test_doubling(self, seed):
+        results = verify.verify_doubling(seed=seed)
+        assert [r["value"] for r in results] == doubling_loop(
+            seed, verify.SETS_PER_GAMMA, verify.GAMMAS)
+
+    def test_boundary_constancy(self, seed, monkeypatch):
+        stacked = verify.verify_boundary_constancy(seed=seed)
+        monkeypatch.setattr(verify, "boundary_norm_profile", norm_profile_loop)
+        assert stacked == verify.verify_boundary_constancy(seed=seed)
+
+    def test_convexity_defect(self, seed, monkeypatch):
+        stacked = verify.verify_convexity_defect(seed=seed, families=50)
+        monkeypatch.setattr(verify, "convexity_defect", defect_loop)
+        assert stacked == verify.verify_convexity_defect(seed=seed, families=50)
