@@ -7,7 +7,9 @@ reported with a monotone improvement trace.  Identical inputs give
 byte-identical reports; parallel workers merge in start-index order so the
 worker count never changes the result.  A run of many searches opens one
 pool (open_pool) and hands it to every maximize call, which maps its
-starts over it in one chunk per worker.
+starts over it in one chunk per worker.  The pool's module is imported
+on first use, so importing the package loads no multiprocessing.  Each
+result carries a diagnostics block of deterministic search counters.
 
 A state is a dict of arrays whose blocks LAYOUTS lists per objective
 kind.  The ratios on one d and one x are unitarily invariant, so a dx
@@ -24,7 +26,6 @@ positivity are checked on every evaluation; unitarity once per unitary.
 
 import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -50,6 +51,14 @@ LOG_SPEC_CLIP = 8.0              # hill climbing keeps log-eigenvalues in [-8, 8
 
 DEFAULT_SCHEDULE = (0.5, 1e-3)   # geometric step decay over the budget
 REVIEW_JITTER = 1e-6             # step of the flag review's jittered copies
+
+# the counters of a report's diagnostics block, summed over its starts:
+# objective evaluations (the initial state and one proposal per budget
+# step), accepted proposals, proposals that repeated the last accepted
+# displacement (pattern moves) and those of them accepted, proposals
+# refused with ValidationError, and +inf sentinels of a maximized objective
+DIAGNOSTICS = ("evaluations", "accepted", "pattern_moves", "pattern_accepted",
+               "rejected", "flagged")
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,7 @@ class RatioReport:
     budget: int
     spec: dict
     direction: str
+    diagnostics: dict            # DIAGNOSTICS, summed over the starts
 
     def plateau_improvement(self):
         """Relative improvement over the final quarter of the trace."""
@@ -160,7 +170,9 @@ def _draw_x(rng, dim, law):
 
 def _spectrum(logspec):
     """exp(logspec), clipped, in logspec's order."""
-    return np.exp(np.clip(logspec, -LOG_SPEC_CLIP, LOG_SPEC_CLIP))
+    # minimum(maximum(...)) is clip's arithmetic without its overhead; a NaN
+    # passes through both to _positive_order
+    return np.exp(np.minimum(np.maximum(logspec, -LOG_SPEC_CLIP), LOG_SPEC_CLIP))
 
 
 def _normalized_spectrum(logspec, s):
@@ -175,7 +187,7 @@ def _eigen_state(st, s):
     """(lam ascending, the state's x with rows and columns in that order) of
     a dx state normalized at s: the arguments of the dx array functions."""
     lam, order = _normalized_spectrum(st["logspec"], s)
-    return lam[order], _as_array(st["x"])[np.ix_(order, order)]
+    return lam[order], _as_array(st["x"])[order[:, None], order]
 
 
 def _triangular_ratio(lam, x, p):
@@ -406,8 +418,10 @@ def _run_start(args):
     obj = OBJECTIVES[objective_id]
     score = obj.make_eval(params)
     rng = _rng_for(spec.seed, start_index)
+    counts = dict.fromkeys(DIAGNOSTICS, 0)
 
     def evaluate(state, iteration):
+        counts["evaluations"] += 1
         try:
             return score(state)
         except (NumericalError, DomainError) as exc:
@@ -419,12 +433,11 @@ def _run_start(args):
     moved = layout[0] + layout[2]
     st = _initial_state(layout, spec, rng, diagonal)
     sign = 1.0 if obj.direction == "max" else -1.0
-    flagged = 0
     flagged_states = []
 
     val = evaluate(st, 0)
     if math.isinf(val) and obj.direction == "max":
-        flagged += 1
+        counts["flagged"] += 1
         flagged_states.append(_serialize_state(st))
         val = -math.inf
     best, best_st = val, st
@@ -435,7 +448,9 @@ def _run_start(args):
     # narrow ridges these ratio landscapes develop near their suprema
     delta = None
     for i in range(budget):
-        if delta is not None:
+        pattern = delta is not None
+        counts["pattern_moves"] += pattern
+        if pattern:
             cand = {k: best_st[k] + delta[k] if k in delta else best_st[k]
                     for k in best_st}
         else:
@@ -444,23 +459,26 @@ def _run_start(args):
         try:
             v = evaluate(cand, i + 1)
         except ValidationError:
+            counts["rejected"] += 1
             delta = None
             continue
         if math.isinf(v) and obj.direction == "max":
-            flagged += 1
+            counts["flagged"] += 1
             if len(flagged_states) < 3:
                 flagged_states.append(_serialize_state(cand))
             delta = None
             continue
         if sign * v > sign * best:
+            counts["accepted"] += 1
+            counts["pattern_accepted"] += pattern
             delta = {k: cand[k] - best_st[k] for k in moved
-                     if not np.array_equal(cand[k], best_st[k])}
+                     if not (cand[k] == best_st[k]).all()}
             best, best_st = v, cand
             events.append((i + 1, best))
         else:
             delta = None
 
-    return best, _serialize_state(best_st), events, flagged, flagged_states
+    return best, _serialize_state(best_st), events, counts, flagged_states
 
 
 def _merged_trace(events, sign):
@@ -484,6 +502,9 @@ def open_pool(jobs, starts):
     idle.  At one job, a context that yields None.
     """
     if jobs > 1:
+        # imported here: the pool machinery (multiprocessing, socket,
+        # logging, ...) costs every import of the package otherwise
+        from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor(max_workers=min(jobs, starts))
     return contextlib.nullcontext()
 
@@ -522,7 +543,7 @@ def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
 
     trace = _merged_trace([res[2] for res in results], sign)
 
-    flagged_total = sum(res[3] for res in results)
+    diagnostics = {key: sum(res[3][key] for res in results) for key in DIAGNOSTICS}
     flagged_witnesses = []
     for res in results:
         for fs in res[4]:
@@ -536,13 +557,14 @@ def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
         witness=results[best_idx][1],
         trace=trace,
         seed=spec.seed,
-        flagged_instances=flagged_total,
+        flagged_instances=diagnostics["flagged"],
         flagged_witnesses=flagged_witnesses,
         starts=starts,
         budget=budget,
         spec={"dim": spec.dim, "spectrum_law": spec.spectrum_law,
               "x_law": spec.x_law, "diagonal": diagonal},
         direction=obj.direction,
+        diagnostics=diagnostics,
     )
 
 

@@ -75,8 +75,9 @@ def mazur_map(f, p, q):
 # raising the class the public API always raised for that input.
 
 def _spectrum_norm(lam, s):
-    """||d||_s from the eigenvalues lam > 0 of d, in any order."""
-    return _power_sum_norm(np.sort(lam)[::-1], s)
+    """||d||_s from the eigenvalues lam > 0 of d, which must be ascending
+    (as _eigen_args and the search give them): it reads them reversed."""
+    return _power_sum_norm(lam[::-1], s)
 
 
 def _eigen_args(d, x):
@@ -192,8 +193,9 @@ def powers_diff_ratio(x, y, p, q):
 def _mazur_lipschitz(x, y, p, q, variant):
     if variant not in ("mazur", "abs-power"):
         raise ValidationError("unknown variant %r" % (variant,))
-    # the SVDs refuse a non-finite x or y before the coincidence test
-    (wx, sx, vx), (wy, sy, vy) = _svd(x), _svd(y)
+    # one SVD call on the pair, bit for bit two calls, refuses a non-finite
+    # x or y before the coincidence test
+    (wx, wy), (sx, sy), (vx, vy) = _svd(np.stack((x, y)))
     if np.abs(x - y).max() < COINCIDENT_TOL:
         return 0.0
     if variant == "abs-power":   # V S^(p/q) V* in place of W S^(p/q) V*

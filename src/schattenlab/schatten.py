@@ -15,6 +15,12 @@ from .matcore import ValidationError, _as_array, _svdvals
 # zeros before raising to powers below 1
 ZERO_CUT = 1e-14
 
+# LAPACK's SVD rescales a matrix whose largest entry lies outside about
+# [6.7e-139, 1.5e138] by an inexact factor, which moves a small singular
+# value by up to eps times the largest; a largest singular value outside
+# this range (at most 64 times the largest entry) flags such a matrix
+SVD_SAFE_RANGE = (1e-130, 1e130)
+
 
 def _exponents(s, r, alpha=0.0):
     """(p, q) with 1/p = 1/s + 1/r and 1/q = (1+alpha)/s + 1/r, 1/inf = 0.
@@ -64,20 +70,38 @@ class ExponentConfig:
 
 
 def singular_values(A):
-    """Singular values of A, descending, from LAPACK's SVD of A itself."""
-    return _svdvals(_as_array(A))
+    """Singular values of A, descending, from LAPACK's SVD of A itself.
+
+    Outside SVD_SAFE_RANGE they come from the SVD of 2^-e A, which is exact,
+    times 2^e, so that the norms are homogeneous at any scale.
+    """
+    a = _as_array(A)
+    sig = _svdvals(a)
+    top = float(sig[0])
+    lo, hi = SVD_SAFE_RANGE
+    if lo <= top <= hi or top == 0.0:
+        return sig
+    e = min(max(math.frexp(top)[1], -1000), 1000)   # 2^+-e stays finite
+    return _svdvals(a * 2.0 ** -e) * 2.0 ** e
 
 
 def _power_sum_norm(sig, p):
-    smax = sig[0]
+    """(sum sig_i^p)^(1/p), max-scaled, of one row sig that must be
+    descending (as LAPACK's SVD gives it): sig[0] is read as the largest
+    entry and, for p < 1, sig[-1] as the smallest.
+
+    The final power is taken on a Python float, which is libm's pow; numpy's
+    array ** can differ from it in the last bit.
+    """
+    smax = float(sig[0])
     if smax == 0.0:
         return 0.0
     if math.isinf(p):
-        return float(smax)
+        return smax
     scaled = sig / smax
-    if p < 1.0:
+    if p < 1.0 and not scaled[-1] > ZERO_CUT:
         scaled = scaled[scaled > ZERO_CUT]
-    return float(smax * (scaled ** p).sum() ** (1.0 / p))
+    return smax * float(np.add.reduce(scaled ** p)) ** (1.0 / p)
 
 
 def _power_sum_norms(sig, p):

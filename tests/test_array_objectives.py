@@ -392,10 +392,12 @@ def test_eigenbasis_ratios_agree_with_formed_matrices(spectrum_law):
 @pytest.mark.parametrize("spectrum_law", SPECTRUM_LAWS)
 def test_eigenpair_order_moves_only_the_svd_rounding(spectrum_law):
     # Permuting the eigenpairs permutes the entries of every Schur product
-    # exactly, and d's norms sort lam first; what moves is LAPACK's SVD of
-    # the permuted product, accurate to eps * sigma_max, not relative to
-    # each singular value.  On graded products that reaches the ratio: the
-    # largest gap here is 4.4e-12 (eq1-plus, log-uniform, dim 11).
+    # exactly; what moves is LAPACK's SVD of the permuted product, accurate
+    # to eps * sigma_max, not relative to each singular value, and the
+    # rounding of d's norms, which read lam in the order given (ascending
+    # from the search and the public functions).  On graded products that
+    # reaches the ratio: the largest gap here is 4.4e-12 (eq1-plus,
+    # log-uniform, dim 11).
     for logspec, u, x in dx_states(spectrum_law, seed=6):
         n = x.shape[0]
         perm = np.random.default_rng(n).permutation(n)

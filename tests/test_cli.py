@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -286,15 +287,19 @@ POOL_CFG = """\
 
 
 class TestWorkerPool:
+    # open_pool imports ProcessPoolExecutor from concurrent.futures when it
+    # opens a pool, so the tests replace it there
+
     def test_one_executor_per_run(self, tmp_path, monkeypatch):
         made = []
 
-        class CountingExecutor(estimator.ProcessPoolExecutor):
+        class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 made.append(None)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(estimator, "ProcessPoolExecutor", CountingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            CountingExecutor)
         cfg = write_config(tmp_path, POOL_CFG)
         out = str(tmp_path / "r.json")
         assert cli.main(["--config", cfg, "--out", out, "--jobs", "2"]) == 0
@@ -319,7 +324,8 @@ class TestWorkerPool:
             def map(self, fn, iterable, chunksize=1):
                 return map(fn, iterable)
 
-        monkeypatch.setattr(estimator, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
         cfg = write_config(tmp_path, POOL_CFG)
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
                          "--jobs", "8"]) == 0
@@ -424,4 +430,17 @@ def test_cli_import_modules():
         [sys.executable, "-c",
          "import schattenlab.cli, sys; assert 'scipy' not in sys.modules;"
          " assert 'numpy.random' in sys.modules"],
+        env=env, check=True, timeout=60)
+
+
+def test_cli_import_loads_no_process_pool():
+    # the pool's module and multiprocessing (with socket, logging,
+    # subprocess and selectors) are imported when a run first opens a pool
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import schattenlab.cli, sys;"
+         " assert 'concurrent.futures' not in sys.modules;"
+         " assert 'multiprocessing' not in sys.modules"],
         env=env, check=True, timeout=60)

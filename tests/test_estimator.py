@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.estimator import (LAYOUTS, InstanceSpec, OBJECTIVES,
-                                   _initial_state, _merged_trace, _rng_for,
-                                   deserialize_state, maximize, replay_witness,
-                                   review_flagged)
+from schattenlab.estimator import (DIAGNOSTICS, LAYOUTS, InstanceSpec,
+                                   OBJECTIVES, _Objective, _initial_state,
+                                   _merged_trace, _rng_for, deserialize_state,
+                                   maximize, replay_witness, review_flagged)
 from schattenlab.matcore import DomainError, NumericalError, ValidationError
 
 
@@ -132,6 +132,40 @@ class TestSearch:
             assert review_flagged(rep) == []
         else:
             assert all(v["benign"] for v in review_flagged(rep))
+
+
+class TestDiagnostics:
+    def test_equal_at_any_jobs_and_one_evaluation_per_state(self):
+        spec = InstanceSpec(dim=3, seed=12)
+        budget, starts = 30, 5
+        diags = [maximize("mazur", {"p": 2.0, "q": 0.5}, spec, budget=budget,
+                          starts=starts, jobs=jobs).diagnostics
+                 for jobs in (1, 2, 3)]
+        assert diags[0] == diags[1] == diags[2]
+        d = diags[0]
+        assert list(d) == list(DIAGNOSTICS)
+        assert d["evaluations"] == starts * (budget + 1)
+        assert 0 < d["pattern_accepted"] <= d["pattern_moves"]
+        assert d["pattern_accepted"] <= d["accepted"] < d["evaluations"]
+
+    def test_counts_rejections_and_pattern_moves(self, monkeypatch,
+                                                 failing_objective):
+        # per start: the initial state and proposals 1-3 improve (1 random,
+        # 2 and 3 pattern moves), pattern move 4 and proposals 5-10 raise
+        monkeypatch.setitem(OBJECTIVES, "main", failing_objective(ValidationError, 4))
+        rep = maximize("main", {"alpha": 1.0, "s": 2.0, "r": math.inf},
+                       InstanceSpec(dim=3, seed=5), budget=10, starts=2)
+        assert rep.diagnostics == {"evaluations": 22, "accepted": 6,
+                                   "pattern_moves": 6, "pattern_accepted": 4,
+                                   "rejected": 14, "flagged": 0}
+
+    def test_counts_flags(self, monkeypatch):
+        monkeypatch.setitem(OBJECTIVES, "main", _Objective(
+            "dx", "max", lambda params: lambda st: math.inf, ("alpha", "s", "r")))
+        rep = maximize("main", {"alpha": 1.0, "s": 2.0, "r": math.inf},
+                       InstanceSpec(dim=3, seed=5), budget=10, starts=2)
+        assert rep.diagnostics["flagged"] == rep.flagged_instances == 22
+        assert rep.diagnostics["accepted"] == 0
 
 
 class TestWitnessBlocks:

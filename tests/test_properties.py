@@ -1,10 +1,13 @@
 """Property tests of the spectral layer on rank-deficient, graded and
-1e+-100-scaled matrices.
+1e+-100-scaled matrices, and of the Schatten norm's homogeneity at
+scales near 1e+-150.
 
 Hypothesis draws the structure (dimension, kind, scale, exponents) and a
 seed for numpy, which fills in the entries.  The runs are derandomized, so
 every run checks the same examples.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +67,25 @@ def test_polar_factors(a):
     assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-12 * n
     assert np.abs(p - p.conj().T).max() <= 1e-12 * n * top
     assert np.linalg.eigvalsh(p).min() >= -1e-12 * n * top
+
+
+# the powers of two nearest 1e+-150, so that c A is exact and the test sees
+# the program's own scaling: a decimal c rounds each entry of A by up to
+# eps/2, which by itself moves a 1e-12 singular value by about 1e-4
+# relative and the p = 0.3 quasinorm by about 2e-8
+EXTREME = (2.0 ** 498, 2.0 ** -498)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.sampled_from(("rank-deficient", "graded")),
+       st.sampled_from(EXTREME), st.sampled_from((0.3, 0.5, 1.0, 2.0, math.inf)),
+       st.integers(0, 2 ** 32 - 1))
+def test_schatten_norm_is_homogeneous_at_extreme_scales(n, kind, c, p, seed):
+    # graded: sigma from 1e-12 to 1; LAPACK rescales c A by an inexact
+    # factor unless singular_values first scales it by a power of two
+    a = structured(np.random.default_rng(seed), n, kind, 1.0)
+    want = c * schatten_norm(a, p)
+    assert abs(schatten_norm(c * a, p) - want) <= 1e-13 * want
 
 
 @PROPERTY
