@@ -20,7 +20,7 @@ import time
 
 from . import __version__, verify
 from .estimator import (InstanceSpec, OBJECTIVES, maximize, open_pool,
-                        replay_witness, review_flagged)
+                        queue_starts, replay_witness, review_flagged)
 from .matcore import DomainError, NumericalError, ValidationError
 from .strip import BoundarySet, _check_defect_q, _check_gamma0, boundary_measure
 
@@ -216,24 +216,29 @@ def _instance_spec(cfg):
 def run_estimate(cfg, jobs):
     inst = cfg["instances"]
     spec = _instance_spec(cfg)
+    search = {"budget": inst["budget"], "starts": inst["starts"], "jobs": jobs,
+              "diagonal": inst["diagonal"]}
     results = []
     failed = False
-    # one pool for the whole run, closed before this returns or raises
+    # one pool for the whole run, closed before this returns or raises.
+    # Every grid point's starts are queued before the first is read, so the
+    # workers go straight on while this process merges, replays and
+    # reviews; at one job each point's starts run inside its maximize
     with open_pool(jobs, inst["starts"]) as pool:
-        for objective_id, grid in cfg["objectives"]:
-            for point in grid:
-                report = maximize(objective_id, point, spec,
-                                  budget=inst["budget"], starts=inst["starts"],
-                                  jobs=jobs, diagonal=inst["diagonal"], pool=pool)
-                entry = report.to_dict()
-                entry["replay_ratio"] = replay_witness(report)
-                verdicts = review_flagged(report)
-                entry["flag_review"] = verdicts
-                if not math.isfinite(report.best_ratio):
-                    failed = True
-                if any(not v["benign"] for v in verdicts):
-                    failed = True
-                results.append(entry)
+        queued = [(objective_id, point,
+                   queue_starts(objective_id, point, spec, pool=pool, **search))
+                  for objective_id, grid in cfg["objectives"] for point in grid]
+        for objective_id, point, started in queued:
+            report = maximize(objective_id, point, spec, results=started, **search)
+            entry = report.to_dict()
+            entry["replay_ratio"] = replay_witness(report)
+            verdicts = review_flagged(report)
+            entry["flag_review"] = verdicts
+            if not math.isfinite(report.best_ratio):
+                failed = True
+            if any(not v["benign"] for v in verdicts):
+                failed = True
+            results.append(entry)
     return results, failed
 
 

@@ -6,10 +6,13 @@ perturbations of the off-diagonal element, and the best witness is
 reported with a monotone improvement trace.  Identical inputs give
 byte-identical reports; parallel workers merge in start-index order so the
 worker count never changes the result.  A run of many searches opens one
-pool (open_pool) and hands it to every maximize call, which maps its
-starts over it in one chunk per worker.  The pool's module is imported
-on first use, so importing the package loads no multiprocessing.  Each
-result carries a diagnostics block of deterministic search counters.
+pool (open_pool) and queues every search's starts on it at once
+(queue_starts), in one chunk per worker, before maximize merges the first
+search's results, so the workers go on while the merge runs.  A start
+returns its states as arrays; maximize serializes only the witnesses it
+reports.  The pool's module is imported on first use, so importing the
+package loads no multiprocessing.  Each result carries a diagnostics
+block of deterministic search counters.
 
 A state is a dict of arrays whose blocks LAYOUTS lists per objective
 kind.  The ratios on one d and one x are unitarily invariant, so a dx
@@ -414,6 +417,9 @@ def _step_at(i, budget):
 
 
 def _run_start(args):
+    """One start's hill climb: (best value, best state, improvement events,
+    DIAGNOSTICS counts, up to 3 flagged states), states as dicts of arrays;
+    a state's arrays are never changed in place once made."""
     (objective_id, params, spec, start_index, budget, diagonal) = args
     obj = OBJECTIVES[objective_id]
     score = obj.make_eval(params)
@@ -438,7 +444,7 @@ def _run_start(args):
     val = evaluate(st, 0)
     if math.isinf(val) and obj.direction == "max":
         counts["flagged"] += 1
-        flagged_states.append(_serialize_state(st))
+        flagged_states.append(st)
         val = -math.inf
     best, best_st = val, st
     events = [(0, best)]
@@ -465,7 +471,7 @@ def _run_start(args):
         if math.isinf(v) and obj.direction == "max":
             counts["flagged"] += 1
             if len(flagged_states) < 3:
-                flagged_states.append(_serialize_state(cand))
+                flagged_states.append(cand)
             delta = None
             continue
         if sign * v > sign * best:
@@ -478,7 +484,7 @@ def _run_start(args):
         else:
             delta = None
 
-    return best, _serialize_state(best_st), events, counts, flagged_states
+    return best, best_st, events, counts, flagged_states
 
 
 def _merged_trace(events, sign):
@@ -494,46 +500,76 @@ def _merged_trace(events, sign):
     return trace
 
 
+@contextlib.contextmanager
 def open_pool(jobs, starts):
     """Process pool for searches of `starts` starts at `jobs` jobs.
 
     At jobs > 1, a ProcessPoolExecutor of min(jobs, starts) workers: it
     forks all of them at once, and a worker beyond one per start would
-    idle.  At one job, a context that yields None.
+    idle.  At one job, None.  On an error inside the block the starts
+    still queued are cancelled, not run; either way every worker has
+    exited when the block is left.
     """
-    if jobs > 1:
-        # imported here: the pool machinery (multiprocessing, socket,
-        # logging, ...) costs every import of the package otherwise
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor(max_workers=min(jobs, starts))
-    return contextlib.nullcontext()
+    if jobs <= 1:
+        yield None
+        return
+    # imported here: the pool machinery (multiprocessing, socket,
+    # logging, ...) costs every import of the package otherwise
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=min(jobs, starts)) as pool:
+        try:
+            yield pool
+        except BaseException:
+            # the executor's exit would run every queued start first
+            pool.shutdown(wait=True, cancel_futures=True)
+            raise
 
 
-def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
-             diagonal=False, pool=None):
-    """Multi-start hill climbing of a registered ratio objective.
-
-    Returns a RatioReport; 'convexity-defect-min' minimizes instead.
-    Identical arguments yield an identical report regardless of jobs.
-    At jobs > 1 the starts are mapped over `pool` (from open_pool, sized
-    for the same jobs and starts) in one chunk per worker; without a pool
-    one is opened for this call alone.
-    """
+def _search_objective(objective_id, starts):
     if objective_id not in OBJECTIVES:
         raise ValidationError("unknown objective %r (known: %s)"
                               % (objective_id, ", ".join(sorted(OBJECTIVES))))
     if starts < 1:
         raise ValidationError("needs at least one start")
-    obj = OBJECTIVES[objective_id]
+    return OBJECTIVES[objective_id]
+
+
+def queue_starts(objective_id, exponents, spec, budget, starts=16, jobs=1,
+                 diagonal=False, pool=None):
+    """Iterator over the _run_start results of a search's starts, in start
+    order, for maximize to merge.
+
+    With a pool (from open_pool, sized for the same jobs and starts) every
+    start is submitted now, in one chunk per worker, so a run can queue
+    all its searches before it reads the first.  Without one, a lazy map
+    that runs each start as it is read.
+    """
+    _search_objective(objective_id, starts)
     tasks = [(objective_id, dict(exponents), spec, idx, budget, diagonal)
              for idx in range(starts)]
-    scope = open_pool(jobs, starts) if pool is None else contextlib.nullcontext(pool)
-    with scope as pool:
-        if pool is None:
-            results = [_run_start(t) for t in tasks]
-        else:
-            chunk = -(-starts // min(jobs, starts))
-            results = list(pool.map(_run_start, tasks, chunksize=chunk))
+    if pool is None:
+        return map(_run_start, tasks)
+    return pool.map(_run_start, tasks, chunksize=-(-starts // min(jobs, starts)))
+
+
+def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
+             diagonal=False, results=None):
+    """Multi-start hill climbing of a registered ratio objective.
+
+    Returns a RatioReport; 'convexity-defect-min' minimizes instead.
+    Identical arguments yield an identical report regardless of jobs.
+    `results` is queue_starts' iterator for the same arguments; without
+    it the starts run here, over a pool opened for this call at jobs > 1.
+    Only the winning start's state and the reported flagged states are
+    serialized.
+    """
+    obj = _search_objective(objective_id, starts)
+    if results is None:
+        with open_pool(jobs, starts) as pool:
+            results = list(queue_starts(objective_id, exponents, spec, budget,
+                                        starts, jobs, diagonal, pool))
+    else:
+        results = list(results)
 
     sign = 1.0 if obj.direction == "max" else -1.0
     best_idx = 0
@@ -544,21 +580,17 @@ def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
     trace = _merged_trace([res[2] for res in results], sign)
 
     diagnostics = {key: sum(res[3][key] for res in results) for key in DIAGNOSTICS}
-    flagged_witnesses = []
-    for res in results:
-        for fs in res[4]:
-            if len(flagged_witnesses) < 5:
-                flagged_witnesses.append(fs)
+    flagged = [st for res in results for st in res[4]][:5]
 
     return RatioReport(
         objective_id=objective_id,
         exponents=dict(exponents),
         best_ratio=float(results[best_idx][0]),
-        witness=results[best_idx][1],
+        witness=_serialize_state(results[best_idx][1]),
         trace=trace,
         seed=spec.seed,
         flagged_instances=diagnostics["flagged"],
-        flagged_witnesses=flagged_witnesses,
+        flagged_witnesses=[_serialize_state(st) for st in flagged],
         starts=starts,
         budget=budget,
         spec={"dim": spec.dim, "spectrum_law": spec.spectrum_law,

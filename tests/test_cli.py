@@ -122,6 +122,22 @@ class TestConfigParsing:
         assert cfg["objectives"][0][1][0]["r"] == float("inf")
 
 
+# two grid points of an objective that the failure tests replace
+FAILING_CFG = """\
+    [experiment]
+    kind = estimate
+    seed = 11
+    [instances]
+    dim = 3
+    budget = 5
+    starts = 3
+    [objective.main]
+    alpha = 1 2
+    s = 2
+    r = inf
+"""
+
+
 class TestRuns:
     def test_estimate_json_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, ESTIMATE_CFG)
@@ -146,17 +162,21 @@ class TestRuns:
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_jobs_flag_reports_identical(self, tmp_path, jobs):
-        # 5 starts divide evenly over neither 2 nor 3 workers
-        cfg = write_config(tmp_path, ESTIMATE_CFG.replace("starts = 2", "starts = 5"))
+        # two objectives of two grid points each, all queued on one pool at
+        # once; 5 starts divide evenly over neither 2 nor 3 workers
+        cfg = write_config(tmp_path, POOL_CFG.replace("starts = 4", "starts = 5"))
         out1 = str(tmp_path / "a.json")
         out2 = str(tmp_path / "b.json")
-        cli.main(["--config", cfg, "--out", out1, "--jobs", "1"])
-        cli.main(["--config", cfg, "--out", out2, "--jobs", str(jobs)])
+        assert cli.main(["--config", cfg, "--out", out1, "--jobs", "1"]) == 0
+        assert cli.main(["--config", cfg, "--out", out2, "--jobs", str(jobs)]) == 0
         a = json.loads(Path(out1).read_text())
         b = json.loads(Path(out2).read_text())
+        assert len(a["results"]) == 4
+        assert all("diagnostics" in r for r in a["results"])
         a.pop("timing")
         b.pop("timing")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert multiprocessing.active_children() == []
 
     def test_verify_run(self, tmp_path):
         cfg = write_config(tmp_path, """\
@@ -208,21 +228,10 @@ class TestRuns:
     def test_numerical_failure_exit_code_names_the_start(
             self, tmp_path, monkeypatch, capsys, failing_objective, jobs):
         # every start fails; at jobs 2 the failures are raised in workers
+        # while the second grid point's starts are still queued
         monkeypatch.setitem(estimator.OBJECTIVES, "main",
                             failing_objective(NumericalError, 2))
-        cfg = write_config(tmp_path, """\
-            [experiment]
-            kind = estimate
-            seed = 11
-            [instances]
-            dim = 3
-            budget = 5
-            starts = 3
-            [objective.main]
-            alpha = 1
-            s = 2
-            r = inf
-        """)
+        cfg = write_config(tmp_path, FAILING_CFG)
         status = cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
                            "--jobs", str(jobs)])
         assert status == cli.EXIT_NUMERICAL_FAILURE
@@ -333,6 +342,62 @@ class TestWorkerPool:
         estimator.maximize("mazur", {"p": 2.0, "q": 0.5}, spec, budget=3,
                            starts=3, jobs=8)
         assert sizes == [4, 3]
+
+    @staticmethod
+    def recording_executor(monkeypatch):
+        """Replaces the executor by one that maps in this process and logs
+        each map, the first read of each map's results, each shutdown and
+        the exit of its with block; nothing forks."""
+        events = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                events.append("exit")
+                return False
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                events.append(("shutdown", wait, cancel_futures))
+
+            def map(self, fn, iterable, chunksize=1):
+                index = sum(ev == "map" for ev in events)
+                events.append("map")
+
+                def read():
+                    events.append(("read", index))
+                    yield from map(fn, iterable)
+                return read()
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingExecutor)
+        return events
+
+    def test_every_grid_point_is_queued_before_the_first_read(
+            self, tmp_path, monkeypatch):
+        events = self.recording_executor(monkeypatch)
+        cfg = write_config(tmp_path, POOL_CFG)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
+                         "--jobs", "2"]) == 0
+        assert events == ["map"] * 4 + [("read", i) for i in range(4)] + ["exit"]
+
+    def test_failure_cancels_the_queued_starts(self, tmp_path, monkeypatch,
+                                               capsys, failing_objective):
+        # the executor's own exit would first run every start still queued
+        events = self.recording_executor(monkeypatch)
+        monkeypatch.setitem(estimator.OBJECTIVES, "main",
+                            failing_objective(NumericalError, 2))
+        cfg = write_config(tmp_path, FAILING_CFG)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
+                         "--jobs", "2"]) == cli.EXIT_NUMERICAL_FAILURE
+        assert "objective main, start 0, iteration 2, seed 11" \
+            in capsys.readouterr().err
+        assert events == ["map", "map", ("read", 0), ("shutdown", True, True),
+                          "exit"]
 
 
 def small_estimate(objective_id, point, budget):

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from schattenlab import estimator
 from schattenlab.estimator import (DIAGNOSTICS, LAYOUTS, InstanceSpec,
                                    OBJECTIVES, _Objective, _initial_state,
-                                   _merged_trace, _rng_for, deserialize_state,
-                                   maximize, replay_witness, review_flagged)
+                                   _merged_trace, _rng_for, _serialize_state,
+                                   deserialize_state, maximize, queue_starts,
+                                   replay_witness, review_flagged)
 from schattenlab.matcore import DomainError, NumericalError, ValidationError
 
 
@@ -166,6 +168,50 @@ class TestDiagnostics:
                        InstanceSpec(dim=3, seed=5), budget=10, starts=2)
         assert rep.diagnostics["flagged"] == rep.flagged_instances == 22
         assert rep.diagnostics["accepted"] == 0
+
+
+class TestSerializedWitnesses:
+    # a start returns its states as arrays; maximize serializes the winner
+    # and the flagged states it reports, and nothing else
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("objective_id, params", [
+        ("main", {"alpha": 1.0, "s": 4.0 / 3.0, "r": math.inf}),
+        ("eq2", {"p": 1.0, "q": 2.0 / 3.0}),
+        ("mazur", {"p": 2.0, "q": 0.5}),
+    ])
+    def test_witness_is_the_winning_start_serialized(self, objective_id,
+                                                     params, jobs):
+        spec = InstanceSpec(dim=3, seed=17)
+        search = dict(budget=30, starts=3)
+        starts = list(queue_starts(objective_id, params, spec, **search))
+        for best, state, *_ in starts:
+            assert all(isinstance(v, np.ndarray) for v in state.values())
+        # the first start of the highest value wins, as in the merge
+        win = max(range(len(starts)), key=lambda i: (starts[i][0], -i))
+        rep = maximize(objective_id, params, spec, jobs=jobs, **search)
+        assert rep.best_ratio == starts[win][0]
+        assert rep.witness == _serialize_state(starts[win][1])
+        assert replay_witness(rep) == rep.best_ratio
+
+    def test_at_most_five_flagged_witnesses_are_serialized(self, monkeypatch):
+        # every evaluation flags, so each of 3 starts keeps 3 flagged states
+        monkeypatch.setitem(OBJECTIVES, "main", _Objective(
+            "dx", "max", lambda params: lambda st: math.inf, ("alpha", "s", "r")))
+        serialized = []
+
+        def counting(st):
+            serialized.append(st)
+            return _serialize_state(st)
+        monkeypatch.setattr(estimator, "_serialize_state", counting)
+        args = ("main", {"alpha": 1.0, "s": 2.0, "r": math.inf},
+                InstanceSpec(dim=3, seed=5))
+        starts = list(queue_starts(*args, budget=10, starts=3))
+        assert serialized == []
+        kept = [st for res in starts for st in res[4]]
+        assert len(kept) == 9
+        rep = maximize(*args, budget=10, starts=3)
+        assert len(serialized) == 1 + 5
+        assert rep.flagged_witnesses == [_serialize_state(st) for st in kept[:5]]
 
 
 class TestWitnessBlocks:
