@@ -15,6 +15,12 @@ import numpy as np
 
 MAX_DIM = 64
 
+# LAPACK's SVD rescales a matrix whose largest entry lies outside about
+# [6.7e-139, 1.5e138] by an inexact factor, which moves a small singular
+# value by up to eps times the largest; a largest singular value outside
+# this range (at most 64 times the largest entry) flags such a matrix
+SVD_SAFE_RANGE = (1e-130, 1e130)
+
 
 class ValidationError(ValueError):
     """Raised when an input matrix violates a structural precondition."""
@@ -203,15 +209,47 @@ def _eigh(h, want_vectors=True):
     return _lapack(np.linalg.eigvalsh, h), None
 
 
+def _svd_any_scale(a, compute_uv):
+    """numpy's SVD of a matrix or a stack, from one LAPACK call; a matrix whose
+    largest singular value lies outside SVD_SAFE_RANGE is decomposed again
+    as 2^-e m, which is exact, and its singular values scaled back by 2^e,
+    so that every SVD in the package is homogeneous at any scale."""
+    out = _lapack(np.linalg.svd, a, compute_uv=compute_uv)
+    sig = out[1] if compute_uv else out
+    if not sig.size:
+        return out
+    lo, hi = SVD_SAFE_RANGE
+    if sig.ndim == 1:
+        top = float(sig[0])
+        if lo <= top <= hi or top == 0.0:
+            return out
+        redo = ...   # the one matrix
+    else:
+        top = sig[..., 0]
+        if lo <= top.min() and top.max() <= hi:
+            return out
+        redo = (top > hi) | (top < lo) & (top > 0.0)
+        top = top[redo]
+    e = np.clip(np.frexp(top)[1], -1000, 1000)   # 2^+-e stays finite
+    again = _lapack(np.linalg.svd, a[redo] * np.ldexp(1.0, -e)[..., None, None],
+                    compute_uv=compute_uv)
+    if compute_uv:
+        out[0][redo], out[2][redo] = again[0], again[2]
+        again = again[1]
+    sig[redo] = again * np.ldexp(1.0, e)[..., None]
+    return out
+
+
 def _svdvals(a):
     """Singular values, descending; for a stack of matrices, one row per
     matrix from one call, bit for bit what one call per matrix gives."""
-    return _lapack(np.linalg.svd, a, compute_uv=False)
+    return _svd_any_scale(a, False)
 
 
 def _svd(a):
-    """The SVD a = W diag(sigma) V* as (W, sigma descending, V*)."""
-    return _lapack(np.linalg.svd, _as_array(a))
+    """The SVD a = W diag(sigma) V* as (W, sigma descending, V*); a stack
+    gives stacked factors, each matrix's bit for bit its own."""
+    return _svd_any_scale(_as_array(a), True)
 
 
 def herm_eig(A):

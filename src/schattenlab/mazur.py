@@ -70,9 +70,11 @@ def mazur_map(f, p, q):
 # of X' with lam_i + lam_j and lam_i^a + lam_j^a; d's own norms come from
 # lam.  The commutator of eq1 with sign -1 and the power difference of eq2
 # take formed matrices, so that x = d gives an exact zero.  Numerators go
-# through schatten_norm, the other norms through _svdvals.  X' is checked
-# finite before use and each formed denominator matrix where it is formed,
-# raising the class the public API always raised for that input.
+# through schatten_norm and the other norms through _svdvals; both reach
+# the one SVD, and the split only keeps one traced singular_values call
+# per evaluation for the benchmark.  X' is checked finite before use and
+# each formed denominator matrix where it is formed, raising the class the
+# public API always raised for that input.
 
 def _spectrum_norm(lam, s):
     """||d||_s from the eigenvalues lam > 0 of d, which must be ascending

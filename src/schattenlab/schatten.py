@@ -15,12 +15,6 @@ from .matcore import ValidationError, _as_array, _svdvals
 # zeros before raising to powers below 1
 ZERO_CUT = 1e-14
 
-# LAPACK's SVD rescales a matrix whose largest entry lies outside about
-# [6.7e-139, 1.5e138] by an inexact factor, which moves a small singular
-# value by up to eps times the largest; a largest singular value outside
-# this range (at most 64 times the largest entry) flags such a matrix
-SVD_SAFE_RANGE = (1e-130, 1e130)
-
 
 def _exponents(s, r, alpha=0.0):
     """(p, q) with 1/p = 1/s + 1/r and 1/q = (1+alpha)/s + 1/r, 1/inf = 0.
@@ -70,19 +64,12 @@ class ExponentConfig:
 
 
 def singular_values(A):
-    """Singular values of A, descending, from LAPACK's SVD of A itself.
-
-    Outside SVD_SAFE_RANGE they come from the SVD of 2^-e A, which is exact,
-    times 2^e, so that the norms are homogeneous at any scale.
-    """
+    """Singular values of a non-empty 2-D A, descending, from matcore's SVD,
+    which is homogeneous at any scale."""
     a = _as_array(A)
-    sig = _svdvals(a)
-    top = float(sig[0])
-    lo, hi = SVD_SAFE_RANGE
-    if lo <= top <= hi or top == 0.0:
-        return sig
-    e = min(max(math.frexp(top)[1], -1000), 1000)   # 2^+-e stays finite
-    return _svdvals(a * 2.0 ** -e) * 2.0 ** e
+    if a.ndim != 2 or not a.size:
+        raise ValidationError("expected a non-empty matrix, got shape %s" % (a.shape,))
+    return _svdvals(a)
 
 
 def _power_sum_norm(sig, p):

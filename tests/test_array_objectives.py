@@ -27,7 +27,7 @@ from schattenlab.estimator import (LAYOUTS, LOG_SPEC_CLIP, OBJECTIVES,
                                    maximize, replay_witness, review_flagged)
 from schattenlab.kernels import TMapParams, _t_map
 from schattenlab.matcore import (NumericalError, PositiveDefiniteMatrix,
-                                 ValidationError, _power, _svdvals)
+                                 ValidationError, _power, _svd, _svdvals)
 from schattenlab.mazur import (_eigen_args, _eq1_plus, _interp, _main,
                                _safe_ratio, _tmap_ratio, eq1_ratio,
                                interp_corollary_ratio, main_ratio,
@@ -168,9 +168,22 @@ def test_stacked_svd_equals_single_calls(n, kind):
             sig = np.repeat(rng.uniform(0.5, 2, (n + 1) // 2), 2)[:n] \
                 + rng.uniform(-1e-10, 1e-10, n)
         mats.append((u * sig) @ v.conj().T)
-    stacked = _svdvals(np.stack(mats))
-    for row, m in zip(stacked, mats):
+    # members that the SVD decomposes again as 2^-e m, and zero matrices,
+    # which it leaves as they are
+    mats += [2.0 ** 498 * mats[0], 2.0 ** -498 * mats[1], np.zeros((n, n), complex)]
+    stack = np.stack(mats)
+    for row, m in zip(_svdvals(stack), mats):
         assert np.array_equal(row, _svdvals(m))
+    for factors, m in zip(zip(*_svd(stack)), mats):
+        for got, want in zip(factors, _svd(m)):
+            assert np.array_equal(got, want)
+    # decomposed again at an exact power of two, a scaled member keeps the
+    # bits of the matrix it was scaled from
+    assert np.array_equal(_svdvals(mats[4]), 2.0 ** 498 * _svdvals(mats[0]))
+    assert np.array_equal(_svdvals(mats[5]), 2.0 ** -498 * _svdvals(mats[1]))
+    empty = np.zeros((0, n, n), complex)
+    assert _svdvals(empty).shape == (0, n)
+    assert [f.shape for f in _svd(empty)] == [(0, n, n), (0, n), (0, n, n)]
 
 
 def pdm(st, s, suffix=""):

@@ -1,6 +1,6 @@
 """Property tests of the spectral layer on rank-deficient, graded and
-1e+-100-scaled matrices, and of the Schatten norm's homogeneity at
-scales near 1e+-150.
+1e+-100-scaled matrices, and of the homogeneity of the Schatten norm, the
+polar factors and the degree-0 ratios at scales near 1e+-150.
 
 Hypothesis draws the structure (dimension, kind, scale, exponents) and a
 seed for numpy, which fills in the entries.  The runs are derandomized, so
@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from schattenlab.kernels import TMapParams, t_map
 from schattenlab.matcore import (NumericalError, PositiveDefiniteMatrix,
-                                 polar_decompose)
-from schattenlab.mazur import mazur_map
-from schattenlab.schatten import ZERO_CUT, schatten_norm
+                                 ValidationError, polar_decompose)
+from schattenlab.mazur import (eq1_ratio, interp_corollary_ratio, main_ratio,
+                               mazur_lipschitz_ratio, mazur_map, tmap_ratio)
+from schattenlab.schatten import ZERO_CUT, ExponentConfig, schatten_norm
+from schattenlab.strip import AnalyticFamily, BoundaryGridCache, convexity_defect
 
 PROPERTY = settings(max_examples=200, derandomize=True, deadline=None,
                     database=None)
@@ -82,10 +84,72 @@ EXTREME = (2.0 ** 498, 2.0 ** -498)
        st.integers(0, 2 ** 32 - 1))
 def test_schatten_norm_is_homogeneous_at_extreme_scales(n, kind, c, p, seed):
     # graded: sigma from 1e-12 to 1; LAPACK rescales c A by an inexact
-    # factor unless singular_values first scales it by a power of two
+    # factor unless matcore's SVD first scales it by a power of two
     a = structured(np.random.default_rng(seed), n, kind, 1.0)
     want = c * schatten_norm(a, p)
     assert abs(schatten_norm(c * a, p) - want) <= 1e-13 * want
+
+
+@PROPERTY
+@given(matrices(), st.sampled_from(EXTREME))
+def test_polar_factors_are_homogeneous_at_extreme_scales(a, c):
+    # U of c A is U of A, and P of c A is c P, bit for bit: both come from
+    # one SVD, which scales by a power of two, not by LAPACK's inexact factor
+    u, p = polar_decompose(a)
+    uc, pc = polar_decompose(c * a)
+    assert np.array_equal(uc, u)
+    assert np.array_equal(pc, c * p)
+
+
+def outcome(ratio, *args):
+    """ratio(*args), or the class of the error it raises."""
+    try:
+        return ratio(*args)
+    except (ValidationError, NumericalError) as exc:
+        return type(exc)
+
+
+def agree(got, want):
+    if isinstance(want, type):
+        return got is want
+    return got == want or abs(got - want) <= 1e-13 * abs(want)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.sampled_from(("rank-deficient", "graded")),
+       st.sampled_from((0.5, 1.0, 2.0)), st.sampled_from((0.5, 2.0, math.inf)),
+       st.integers(0, 2 ** 32 - 1))
+def test_degree_zero_ratios_are_homogeneous_at_extreme_scales(n, kind, s, r, seed):
+    # every ratio below is unchanged when x, or x and y together, are
+    # scaled; c = 2^498 puts c x where LAPACK would rescale inexactly (2^450
+    # would not) and keeps the Mazur map's |c x|^1.5 finite.  The defect
+    # squares norms of c x, so x has sigma_max <= 1 and d's spectrum lies
+    # in [1/e, e], which keeps them finite
+    rng = np.random.default_rng(seed)
+    d = PositiveDefiniteMatrix.from_spectral(np.exp(rng.uniform(-1, 1, n)),
+                                             haar_unitary(rng, n))
+    x, y = (a / max(np.linalg.norm(a, 2), 1.0)
+            for a in (structured(rng, n, kind, 1.0) for _ in range(2)))
+    cfg = ExponentConfig(1.0 / s, s, r)
+    params = TMapParams(0.5 / s, 0.5)
+    ratios = [lambda x: main_ratio(d, x, cfg),
+              lambda x: interp_corollary_ratio(d, x, 0.5, s, r),
+              lambda x: eq1_ratio(d, x, 2.0 * s, s, +1),
+              lambda x: eq1_ratio(d, x, 2.0 * s, s, -1),
+              lambda x: tmap_ratio(d, x, params, s, r)]
+    if n > 1:
+        # a dim-1 family is constant, which convexity_defect refuses by an
+        # absolute test (dev <= 1e-12) that rounding passes at c x but not
+        # at x: a known floor (ROADMAP item 8), not the SVD's scaling
+        ratios.append(lambda x: convexity_defect(
+            BoundaryGridCache(AnalyticFamily(d, x, 1.0 / s), 0.5), 0.5))
+    c = 2.0 ** 498
+    for ratio in ratios:
+        assert agree(outcome(ratio, c * x), outcome(ratio, x))
+    for variant in ("mazur", "abs-power"):
+        want = outcome(mazur_lipschitz_ratio, x, y, 1.5 * s, s, variant)
+        got = outcome(mazur_lipschitz_ratio, c * x, c * y, 1.5 * s, s, variant)
+        assert agree(got, want)
 
 
 @PROPERTY

@@ -51,6 +51,16 @@ class TestSingularValues:
         with pytest.raises(NumericalError):
             singular_values(a)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (3,), (2, 3, 3)])
+    @pytest.mark.parametrize("call", [singular_values, lambda a: schatten_norm(a, 1.0)],
+                             ids=["singular_values", "schatten_norm"])
+    def test_malformed_input_is_refused(self, shape, call):
+        # a rectangular matrix stays accepted; an empty one, a vector and a
+        # stack are refused as input errors, not numerical failures
+        assert singular_values(np.ones((2, 3))).shape == (2,)
+        with pytest.raises(ValidationError, match="non-empty matrix"):
+            call(np.ones(shape, complex))
+
 
 class TestNormValues:
     def test_known_diagonal(self):
