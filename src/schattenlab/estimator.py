@@ -35,9 +35,10 @@ import numpy as np
 import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit it
 
 from .kernels import TMapParams, rx_kernel
-from .matcore import (MAX_DIM, DomainError, NumericalError,
-                      PositiveDefiniteMatrix, ValidationError, _as_array,
-                      _check_unitary, _power, _positive_order)
+from .matcore import (MAX_DIM, DomainError, NumericalError, ValidationError,
+                      _as_array, _check_unitary, _power, _positive_order)
+# bench/tests/test_bench.py reads estimator.PositiveDefiniteMatrix
+from .matcore import PositiveDefiniteMatrix  # noqa: F401
 from .mazur import (_check_pq, _eq1_minus, _eq1_plus, _interp,
                     _interp_exponent, _main, _mazur_lipschitz, _powers_diff,
                     _safe_ratio, _tmap_ratio)
@@ -297,9 +298,7 @@ def _make_defect_min(params):
     _check_gamma0(gamma0)
 
     def ev(st):
-        lam, _ = _normalized_spectrum(st["logspec"], 2.0)
-        d = PositiveDefiniteMatrix.from_spectral(lam, np.eye(lam.shape[0]))
-        fam = AnalyticFamily(d, st["x"], alpha)
+        fam = AnalyticFamily._of_eigenbasis(*_eigen_state(st, 2.0), alpha)
         try:
             return convexity_defect(BoundaryGridCache(fam, gamma0), q)
         except ValidationError:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import ComplexMatrix, ValidationError, _svdvals
+from .matcore import ComplexMatrix, NumericalError, ValidationError, _svdvals
 from .mazur import _eigen_args
 from .schatten import (_check_alpha, _check_exponent, _power_sum_norm,
                        _power_sum_norms, singular_values)
@@ -152,21 +152,25 @@ def cosh_measure(A):
     return 2.0 * _arctan_measure(1.0, A.intervals0 + A.intervals1)
 
 
-@dataclass(frozen=True)
 class AnalyticFamily:
     """The analytic family z -> d^((1+alpha) z) x d^((1+alpha)(1-z)), kept as
-    lam, v and xp = v* x v from d = v diag(lam) v*, computed once."""
+    lam ascending, v and xp = v* x v from d = v diag(lam) v*, computed once."""
 
-    d: object   # PositiveDefiniteMatrix
-    x: object   # ComplexMatrix or ndarray
-    alpha: float
+    __slots__ = ("lam", "v", "xp", "alpha")
 
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        lam, v, xp = _eigen_args(self.d, self.x)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "xp", xp)
+    def __init__(self, d, x, alpha):
+        _check_alpha(alpha)
+        self.lam, self.v, self.xp = _eigen_args(d, x)
+        self.alpha = alpha
+
+    @classmethod
+    def _of_eigenbasis(cls, lam, xp, alpha):
+        """The family of d = diag(lam) and x = xp, v the identity, from data
+        that is already valid: lam ascending and positive, alpha checked."""
+        fam = cls.__new__(cls)
+        fam.lam, fam.xp, fam.alpha = lam, xp, alpha
+        fam.v = np.eye(lam.size, dtype=complex)
+        return fam
 
     def eig_at(self, z):
         """v* F(z) v = lam_i^(c z) xp_ij lam_j^(c (1-z)), c = 1 + alpha."""
@@ -254,16 +258,25 @@ def convexity_defect(cache, q):
     each line, so the F term takes the exact line masses, which the grid's
     weights miss (by 1.6e-3 at gamma0 = 0.9); only F - F(gamma0) is
     integrated on the grid.  Degenerate (constant) families raise a
-    validation error.
+    validation error; a power that overflows raises NumericalError.
     """
     _check_defect_q(q)
     acc = 0.0
-    for weights, norms in zip(cache.weights, _power_sum_norms(cache.diff_sv, q)):
-        acc += float((weights * norms ** q).sum())
-    dev = acc ** (1.0 / q)
-    if dev <= 1e-12:
-        raise ValidationError("degenerate family: F is constant on the boundary")
-    full = ((1.0 - cache.gamma0) * _power_sum_norm(cache.sv[0], q) ** q
-            + cache.gamma0 * _power_sum_norm(cache.sv[1], q) ** q) ** (1.0 / q)
-    center = _power_sum_norm(cache.center_sv, q)
-    return (full ** 2 - center ** 2) / dev ** 2
+    with np.errstate(over="ignore"):
+        for weights, norms in zip(cache.weights, _power_sum_norms(cache.diff_sv, q)):
+            acc += float((weights * norms ** q).sum())
+    try:
+        dev = acc ** (1.0 / q)
+        if dev <= 1e-12:
+            raise ValidationError("degenerate family: F is constant on the boundary")
+        full = ((1.0 - cache.gamma0) * _power_sum_norm(cache.sv[0], q) ** q
+                + cache.gamma0 * _power_sum_norm(cache.sv[1], q) ** q) ** (1.0 / q)
+        center = _power_sum_norm(cache.center_sv, q)
+        defect = (full ** 2 - center ** 2) / dev ** 2
+    except OverflowError:
+        defect = math.nan
+    # an overflow in the array powers leaves acc infinite and defect 0
+    if not (math.isfinite(acc) and math.isfinite(defect)):
+        raise NumericalError("convexity defect at q = %r: a power of the "
+                             "boundary norms overflows" % (q,))
+    return defect

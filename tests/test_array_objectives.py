@@ -26,8 +26,9 @@ from schattenlab.estimator import (LAYOUTS, LOG_SPEC_CLIP, OBJECTIVES,
                                    _triangular_ratio, deserialize_state,
                                    maximize, replay_witness, review_flagged)
 from schattenlab.kernels import TMapParams, _t_map
-from schattenlab.matcore import (NumericalError, PositiveDefiniteMatrix,
-                                 ValidationError, _power, _svd, _svdvals)
+from schattenlab.matcore import (HermitianMatrix, NumericalError,
+                                 PositiveDefiniteMatrix, ValidationError,
+                                 _power, _svd, _svdvals)
 from schattenlab.mazur import (_eigen_args, _eq1_plus, _interp, _main,
                                _safe_ratio, _tmap_ratio, eq1_ratio,
                                interp_corollary_ratio, main_ratio,
@@ -35,6 +36,7 @@ from schattenlab.mazur import (_eigen_args, _eq1_plus, _interp, _main,
                                tmap_ratio)
 from schattenlab.schatten import (ExponentConfig, _exponents, _power_sum_norm,
                                   schatten_norm)
+from schattenlab.strip import AnalyticFamily, BoundaryGridCache, convexity_defect
 
 PARAMS = {
     "main": {"alpha": 1.0, "s": 4.0 / 3.0, "r": math.inf},
@@ -46,6 +48,7 @@ PARAMS = {
     "abs-power": {"p": 2.0, "q": 0.5},
     "tmap": {"beta": 0.3, "gamma": 0.7, "s": 1.0, "r": math.inf},
     "triangular-probe": {"p": 1.5},
+    "convexity-defect-min": {"alpha": 2.0, "q": 1.0, "gamma0": 0.6},
 }
 DX = ("main", "interp", "eq1-plus", "eq1-minus", "tmap", "triangular-probe")
 
@@ -120,10 +123,12 @@ class TestChecksStayOnTheSearchPath:
             evaluate(oid, st)
 
     @pytest.mark.parametrize("oid,exc", [("mazur", NumericalError),
-                                         ("abs-power", NumericalError)])
+                                         ("abs-power", NumericalError),
+                                         ("convexity-defect-min", NumericalError)])
     def test_power_overflow(self, oid, exc):
-        # |x|^(p/q) = |x|^4 of entries near 1e200 overflows: a numerical
-        # failure of both variants, not a rejected proposal
+        # |x|^(p/q) = |x|^4 of entries near 1e200 overflows, and so does the
+        # square of the defect's boundary norms: a numerical failure, not a
+        # rejected proposal
         st = state(oid)
         st["x"] = 1e200 * st["x"]
         with np.errstate(invalid="ignore", over="ignore"), \
@@ -227,6 +232,9 @@ def public_ratio(oid, st):
         return tmap_ratio(*dx_args(st, prm["s"]),
                           TMapParams(prm["beta"], prm["gamma"]),
                           prm["s"], prm["r"])
+    if oid == "convexity-defect-min":
+        return convexity_defect(BoundaryGridCache(
+            AnalyticFamily(*dx_args(st, 2.0), prm["alpha"]), prm["gamma0"]), prm["q"])
     # triangular-probe has no public function; its eigenbasis arguments
     # come from _eigen_args, as every public dx ratio's do
     lam, _, xe = _eigen_args(*dx_args(st, prm["p"]))
@@ -241,6 +249,22 @@ def test_evaluator_equals_public_ratio(oid, dim, laws):
     for start in range(3):
         st = state(oid, dim=dim, seed=17, start=start, **laws)
         assert evaluate(oid, st) == public_ratio(oid, st)
+
+
+def test_defect_evaluator_builds_no_validated_matrix(monkeypatch):
+    # the defect family is built from _eigen_state's (lam, X'), as every
+    # other dx evaluator's arguments are: no validated matrix is built and
+    # the diagonal d is not diagonalized again
+    from schattenlab import mazur
+    st = state("convexity-defect-min")
+    want = evaluate("convexity-defect-min", st)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validated matrix or eigensolver on the search path")
+    monkeypatch.setattr(PositiveDefiniteMatrix, "from_spectral", refuse)
+    monkeypatch.setattr(HermitianMatrix, "__init__", refuse)
+    monkeypatch.setattr(mazur, "herm_eig", refuse)
+    assert evaluate("convexity-defect-min", st) == want
 
 
 @pytest.mark.parametrize("oid", DX + ("eq2",))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from schattenlab import cli, estimator, strip
-from schattenlab.matcore import PositiveDefiniteMatrix, ValidationError, herm_eig
+from schattenlab.matcore import (NumericalError, PositiveDefiniteMatrix,
+                                 ValidationError, herm_eig)
 from schattenlab.schatten import _power_sum_norm, schatten_norm, singular_values
 from schattenlab.strip import (AnalyticFamily, BoundaryGridCache, BoundarySet,
                                boundary_measure, boundary_norm_profile,
@@ -258,8 +259,9 @@ class TestAnalyticFamily:
         lam = np.exp(rng.uniform(-2.0, 2.0, n))
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         for alpha in (0.3, 1.0, 3.0):
-            fam = AnalyticFamily(PositiveDefiniteMatrix.from_spectral(lam, u), x, alpha)
-            s, c = fam.d.spectral, 1.0 + alpha
+            d = PositiveDefiniteMatrix.from_spectral(lam, u)
+            fam = AnalyticFamily(d, x, alpha)
+            s, c = d.spectral, 1.0 + alpha
             for z in [k + 1j * t for k in (0.0, 1.0) for t in rng.uniform(-5.0, 5.0, 4)]:
                 left = (s.vectors * np.exp(c * z * np.log(s.eigenvalues))) @ s.vectors.conj().T
                 right = (s.vectors * np.exp(c * (1.0 - z) * np.log(s.eigenvalues))) \
@@ -351,14 +353,33 @@ class TestConvexityDefect:
         with pytest.raises(ValidationError):
             convexity_defect(BoundaryGridCache(fam, 0.5), 3.0)
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    def test_overflow_is_a_numerical_error(self, q):
+        # the defect is a ratio of squared norms: with x graded from 1 down
+        # to 1e-12 and scaled by 30 2^510 they overflow, which must raise
+        # NumericalError (the CLI's numerical-failure exit), with no
+        # RuntimeWarning and no bare OverflowError; at 2^498 they do not
+        rng = np.random.default_rng(20)
 
-def per_node_tables(F, gamma0, nodes):
-    """center_sv, sv and diff_sv built one line and one node at a time: the
-    reference for the cache's stacked tables."""
-    s = herm_eig(F.d)
+        def unitary():
+            z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            return np.linalg.qr(z)[0]
+        d = PositiveDefiniteMatrix.from_spectral(np.exp(rng.uniform(-1, 1, 4)), unitary())
+        x = (unitary() * 10.0 ** -np.array([0.0, 4.0, 8.0, 12.0])) @ unitary().conj().T
+        assert math.isfinite(convexity_defect(
+            BoundaryGridCache(AnalyticFamily(d, 2.0 ** 498 * x, 2.0), 0.5), q))
+        cache = BoundaryGridCache(AnalyticFamily(d, 30 * 2.0 ** 510 * x, 2.0), 0.5)
+        with pytest.raises(NumericalError, match="overflows"):
+            convexity_defect(cache, q)
+
+
+def per_node_tables(d, x, alpha, gamma0, nodes):
+    """center_sv, sv and diff_sv of the family of (d, x, alpha) built one line
+    and one node at a time: the reference for the cache's stacked tables."""
+    s = herm_eig(d)
     lam, v = s.eigenvalues, s.vectors
-    xp = v.conj().T @ np.asarray(F.x, dtype=complex) @ v
-    c = 1.0 + F.alpha
+    xp = v.conj().T @ np.asarray(x, dtype=complex) @ v
+    c = 1.0 + alpha
     log_lam = np.log(lam)
     center = (lam ** (c * gamma0))[:, None] * xp * (lam ** (c * (1 - gamma0)))[None, :]
     sv, diff_sv = [], []
@@ -414,7 +435,8 @@ class TestBoundaryGridTables:
         fam = AnalyticFamily(d, x, alpha)
         cache = BoundaryGridCache(fam, gamma0)
         ref = BoundaryGridCache(fam, gamma0)
-        ref.center_sv, ref.sv, ref.diff_sv = per_node_tables(fam, gamma0, cache.nodes)
+        ref.center_sv, ref.sv, ref.diff_sv = per_node_tables(d, x, alpha, gamma0,
+                                                             cache.nodes)
         nodes = len(cache.nodes)
         assert nodes == 192
         assert cache.sv.shape == (2, n)
