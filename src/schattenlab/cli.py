@@ -197,14 +197,22 @@ def run_strip_check(cfg):
         mf = boundary_measure(g, BoundarySet.full())
         tables["poisson_mass"].append(
             {"gamma0": g, "boundary1": m1, "full": mf})
-    results.extend(verify.verify_poisson_mass(sc["gamma0"]))
-    results.extend(verify.verify_doubling(
-        cfg["seed"], sets_per_gamma=sc["sets_per_gamma"], gammas=sc["gamma0"]))
-    results.extend(verify.verify_boundary_constancy(cfg["seed"]))
-    results.extend(verify.verify_convexity_defect(
-        cfg["seed"], families=sc["families"], qs=sc["q"]))
+    suites = (
+        ("poisson_mass", lambda: verify.verify_poisson_mass(sc["gamma0"])),
+        ("doubling", lambda: verify.verify_doubling(
+            cfg["seed"], sets_per_gamma=sc["sets_per_gamma"], gammas=sc["gamma0"])),
+        ("boundary_constancy", lambda: verify.verify_boundary_constancy(cfg["seed"])),
+        ("convexity_defect", lambda: verify.verify_convexity_defect(
+            cfg["seed"], families=sc["families"], qs=sc["q"])),
+    )
+    # wall seconds per suite, which go under the report's "timing"
+    check_seconds = {}
+    for name, run in suites:
+        start = time.monotonic()
+        results.extend(run())
+        check_seconds[name] = time.monotonic() - start
     failed = any(not r["passed"] for r in results)
-    return results, tables, failed
+    return results, tables, failed, check_seconds
 
 
 def _instance_spec(cfg):
@@ -331,9 +339,10 @@ def main(argv=None):
             results, failed = run_verify(cfg)
             report = _base_report(cfg, results, time.monotonic() - start)
         elif cfg["kind"] == "strip-check":
-            results, tables, failed = run_strip_check(cfg)
+            results, tables, failed, check_seconds = run_strip_check(cfg)
             report = _base_report(cfg, results, time.monotonic() - start)
             report["tables"] = tables
+            report["timing"]["check_seconds"] = check_seconds
         else:
             results, failed = run_estimate(cfg, args.jobs)
             report = _base_report(cfg, results, time.monotonic() - start)

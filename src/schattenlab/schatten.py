@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matcore import ValidationError, _as_array, _svdvals
+from .matcore import NumericalError, ValidationError, _as_array, _svdvals
 
 # singular values below this fraction of the largest are treated as exact
 # zeros before raising to powers below 1
@@ -78,7 +78,8 @@ def _power_sum_norm(sig, p):
     entry and, for p < 1, sig[-1] as the smallest.
 
     The final power is taken on a Python float, which is libm's pow; numpy's
-    array ** can differ from it in the last bit.
+    array ** can differ from it in the last bit.  A last power past the
+    float range, at a small p, raises NumericalError.
     """
     smax = float(sig[0])
     if smax == 0.0:
@@ -88,7 +89,10 @@ def _power_sum_norm(sig, p):
     scaled = sig / smax
     if p < 1.0 and not scaled[-1] > ZERO_CUT:
         scaled = scaled[scaled > ZERO_CUT]
-    return smax * float(np.add.reduce(scaled ** p)) ** (1.0 / p)
+    try:
+        return smax * float(np.add.reduce(scaled ** p)) ** (1.0 / p)
+    except OverflowError:
+        raise _overflow(p) from None
 
 
 def _power_sum_norms(sig, p):
@@ -117,8 +121,18 @@ def _power_sum_norms(sig, p):
         block = kept == k
         sums[block] = np.ascontiguousarray(powered[block, :k]).sum(axis=1)
     inv = 1.0 / p
-    out[live] = [s * v ** inv for s, v in zip(smax[live].tolist(), sums.tolist())]
+    try:
+        out[live] = [s * v ** inv for s, v in zip(smax[live].tolist(), sums.tolist())]
+    except OverflowError:
+        raise _overflow(p) from None
     return out.reshape(sig.shape[:-1])
+
+
+def _overflow(p):
+    # the last power, (sum of scaled powers)^(1/p), reaches n^(1/p) for n
+    # equal singular values: past the float range at a small p
+    return NumericalError("Schatten norm at p = %r: the power (sum)^(1/p)"
+                          " overflows" % (p,))
 
 
 def _check_alpha(alpha):

@@ -44,6 +44,40 @@ def _merge(intervals):
     return tuple(merged)
 
 
+def _merge_rows(a, b, used):
+    """_merge of every row of (L, 3) interval slots [a, b] at once, the
+    slots where the bool mask `used` is False left out.
+
+    Returns the merged starts and ends of all rows, row after row, as two
+    flat arrays, and the (L,) count of merged intervals in each row.  The
+    used slots are sorted by (start, end) with the three compare-exchanges
+    of a stable 3-slot network, so ties go by end as sorted() takes them;
+    a sorted slot then joins the interval before it when its start is at
+    most the running maximum of the ends, as in _merge.
+    """
+    a, b = np.where(used, a, math.inf), np.where(used, b, math.inf)
+    bad = used & ~(np.isfinite(a) & np.isfinite(b))
+    if bad.any():
+        raise ValidationError("interval endpoints must be finite")
+    if (b < a).any():
+        raise ValidationError("an interval ends before it starts")
+    # unused slots are (inf, inf) and sort after every used one
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        ai, aj, bi, bj = a[:, i], a[:, j], b[:, i], b[:, j]
+        swap = (ai > aj) | ((ai == aj) & (bi > bj))
+        a[:, i], a[:, j] = np.where(swap, aj, ai), np.where(swap, ai, aj)
+        b[:, i], b[:, j] = np.where(swap, bj, bi), np.where(swap, bi, bj)
+    # sorted, the used slots lead each row
+    used = a < math.inf
+    top = np.maximum.accumulate(b, axis=1)
+    opens = used.copy()
+    opens[:, 1:] &= a[:, 1:] > top[:, :-1]
+    # a used slot closes its interval when the next slot opens one or is unused
+    closes = used.copy()
+    closes[:, :-1] &= opens[:, 1:] | ~used[:, 1:]
+    return a[opens], top[closes], opens.sum(axis=1)
+
+
 @dataclass(frozen=True, init=False)
 class BoundarySet:
     """Finite union of closed intervals on the two boundary lines, each line
@@ -55,6 +89,15 @@ class BoundarySet:
     def __init__(self, intervals0=(), intervals1=()):
         object.__setattr__(self, "intervals0", _merge(intervals0))
         object.__setattr__(self, "intervals1", _merge(intervals1))
+
+    @classmethod
+    def _of_merged(cls, intervals0, intervals1):
+        """The set of lines that are already merged and valid: tuples of
+        (a, b) float pairs, finite, a <= b, sorted and disjoint."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "intervals0", intervals0)
+        object.__setattr__(out, "intervals1", intervals1)
+        return out
 
     @staticmethod
     def full():
@@ -125,10 +168,7 @@ def dilate(A):
 
     Doubling keeps merged intervals sorted and disjoint, so the result skips
     _merge; only the outermost endpoints of a line can overflow."""
-    out = object.__new__(BoundarySet)
-    object.__setattr__(out, "intervals0", _doubled(A.intervals0))
-    object.__setattr__(out, "intervals1", _doubled(A.intervals1))
-    return out
+    return BoundarySet._of_merged(_doubled(A.intervals0), _doubled(A.intervals1))
 
 
 def doubling_bound(gamma0):
@@ -137,13 +177,17 @@ def doubling_bound(gamma0):
     return 4.0 / (1.0 - abs(math.cos(gamma0 * math.pi)))
 
 
-def doubling_ratio(gamma0, A):
-    """measure(2.A) / measure(A) together with its proven upper bound."""
+def _doubling_ratio(gamma0, A, A2):
+    """measure(A2) / measure(A), A2 the dilation of A."""
     base = boundary_measure(gamma0, A)
     if base <= 1e-12:
         raise ValidationError("boundary set has near-null measure")
-    ratio = boundary_measure(gamma0, dilate(A)) / base
-    return ratio, doubling_bound(gamma0)
+    return boundary_measure(gamma0, A2) / base
+
+
+def doubling_ratio(gamma0, A):
+    """measure(2.A) / measure(A) together with its proven upper bound."""
+    return _doubling_ratio(gamma0, A, dilate(A)), doubling_bound(gamma0)
 
 
 def cosh_measure(A):

@@ -19,8 +19,9 @@ from .mazur import (decomposition_residual, main_ratio, mazur_map,
                     powers_diff_ratio)
 from .schatten import ExponentConfig, _exponents, schatten_norm
 from .strip import (AnalyticFamily, BoundaryGridCache, BoundarySet,
-                    boundary_measure, boundary_norm_profile, convexity_defect,
-                    cosh_measure, dilate, doubling_ratio)
+                    _doubling_ratio, _merge_rows, boundary_measure,
+                    boundary_norm_profile, convexity_defect, cosh_measure,
+                    doubling_bound)
 
 
 # the strip checks' defaults, which the strip-check experiment shares
@@ -372,29 +373,44 @@ def verify_poisson_mass(gammas=GAMMAS):
     return out
 
 
+# random boundary sets merged and doubled per array call
+SET_CHUNK = 256
+
+
 def _random_boundary_sets(rng, count):
-    """Yield `count` random boundary sets.
+    """Yield `count` random boundary sets A, each as the pair (A, 2.A).
 
     Each set populates line 0 only with probability 0.2, else line 1 only
     with probability 0.25 (0.2 overall), else both lines (0.6).  A populated
     line gets 1 to 3 intervals [a, a + l], a uniform on [-4, 4) and l
     uniform on [0.05, 2), merged where they overlap.  The random numbers of
     the whole batch are drawn at the first step in one call per array; the
-    sets are built one row at a time, so a batch is never held in memory.
+    lines are merged and doubled as arrays, SET_CHUNK sets at a time, and
+    the sets built lazily, so a batch of sets is never held in memory.
     """
     branch = rng.uniform(size=(count, 2))
     ks = rng.integers(1, 4, size=(count, 2))
     a = rng.uniform(-4, 4, size=(count, 2, 3))
-    ivs = np.stack((a, a + rng.uniform(0.05, 2.0, size=(count, 2, 3))), axis=-1)
-    for i in range(count):
-        b0, b1 = branch[i].tolist()
-        (k0, k1), (line0, line1) = ks[i].tolist(), ivs[i].tolist()
-        if b0 < 0.2:
-            yield BoundarySet(line0[:k0], ())
-        elif b1 < 0.25:
-            yield BoundarySet((), line1[:k1])
-        else:
-            yield BoundarySet(line0[:k0], line1[:k1])
+    b = a + rng.uniform(0.05, 2.0, size=(count, 2, 3))
+    only0 = branch[:, 0] < 0.2
+    only1 = ~only0 & (branch[:, 1] < 0.25)
+    # slot j of line k is used when the line is populated and j < ks[k]
+    used = ((np.arange(3) < ks[..., None])
+            & np.stack((~only1, ~only0), axis=1)[..., None])
+    for lo in range(0, count, SET_CHUNK):
+        # rows 2i and 2i + 1 are lines 0 and 1 of the chunk's set i
+        starts, ends, counts = _merge_rows(*(x[lo:lo + SET_CHUNK].reshape(-1, 3)
+                                             for x in (a, b, used)))
+        # doubling is exact: only an endpoint past the float range can fail
+        starts2, ends2 = 2 * starts, 2 * ends
+        if not (np.isfinite(starts2).all() and np.isfinite(ends2).all()):
+            raise ValidationError("interval endpoints must be finite")
+        ivs = tuple(zip(starts.tolist(), ends.tolist()))
+        ivs2 = tuple(zip(starts2.tolist(), ends2.tolist()))
+        off = [0] + np.cumsum(counts).tolist()
+        for o0, o1, o2 in zip(off[:-1:2], off[1::2], off[2::2]):
+            yield (BoundarySet._of_merged(ivs[o0:o1], ivs[o1:o2]),
+                   BoundarySet._of_merged(ivs2[o0:o1], ivs2[o1:o2]))
 
 
 def verify_doubling(seed=0, sets_per_gamma=SETS_PER_GAMMA, gammas=GAMMAS):
@@ -402,17 +418,17 @@ def verify_doubling(seed=0, sets_per_gamma=SETS_PER_GAMMA, gammas=GAMMAS):
     out = []
     worst_excess = -math.inf
     for g in gammas:
-        for a in _random_boundary_sets(rng, sets_per_gamma):
-            ratio, bound = doubling_ratio(g, a)
-            worst_excess = max(worst_excess, ratio - bound)
+        bound = doubling_bound(g)
+        for a, a2 in _random_boundary_sets(rng, sets_per_gamma):
+            worst_excess = max(worst_excess, _doubling_ratio(g, a, a2) - bound)
     out.append(_result("strip.doubling_bound", worst_excess <= 0.0,
                        worst_excess, 0.0,
                        detail="max of ratio - 4/(1-|cos(g pi)|) over %d sets"
                        % (sets_per_gamma * len(gammas))))
 
     worst = -math.inf
-    for b in _random_boundary_sets(rng, sets_per_gamma):
-        worst = max(worst, cosh_measure(dilate(b)) - 2.0 * cosh_measure(b))
+    for b, b2 in _random_boundary_sets(rng, sets_per_gamma):
+        worst = max(worst, cosh_measure(b2) - 2.0 * cosh_measure(b))
     out.append(_result("strip.cosh_doubling", worst <= 1e-9, worst, 1e-9,
                        detail="max of cosh(2.A) - 2 cosh(A) over %d sets"
                        % sets_per_gamma))

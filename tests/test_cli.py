@@ -239,6 +239,42 @@ class TestRuns:
         assert "objective main, start 0, iteration 2, seed 11" in err
         assert multiprocessing.active_children() == []
 
+    def test_small_exponent_overflow_exit_code(self, tmp_path, capsys):
+        # ||.||_p at p = 0.001 of a dim-4 state reaches 4^1000
+        cfg = write_config(tmp_path, """\
+            [experiment]
+            kind = estimate
+            seed = 1
+            [instances]
+            dim = 4
+            budget = 2
+            starts = 1
+            [objective.triangular-probe]
+            p = 0.001
+        """)
+        status = cli.main(["--config", cfg, "--out", str(tmp_path / "r.json")])
+        assert status == cli.EXIT_NUMERICAL_FAILURE
+        err = capsys.readouterr().err
+        assert "objective triangular-probe, start 0" in err and "p = 0.001" in err
+        assert "Traceback" not in err
+
+    def test_strip_check_times_each_suite(self, tmp_path):
+        cfg = write_config(tmp_path, STRIP_CFG)
+        reports = []
+        for name in ("a.json", "b.json"):
+            assert cli.main(["--config", cfg, "--out", str(tmp_path / name)]) == 0
+            reports.append(json.loads((tmp_path / name).read_text()))
+        for report in reports:
+            seconds = report["timing"]["check_seconds"]
+            assert sorted(seconds) == sorted(["poisson_mass", "doubling",
+                                              "boundary_constancy",
+                                              "convexity_defect"])
+            assert all(s >= 0.0 for s in seconds.values())
+            assert sum(seconds.values()) <= report["timing"]["wall_clock_seconds"]
+            report.pop("timing")
+        # the body outside "timing" stays byte-identical
+        assert cli._to_json(reports[0]) == cli._to_json(reports[1])
+
     def test_zero_starts_is_a_config_error(self, tmp_path):
         cfg = write_config(tmp_path, ESTIMATE_CFG.replace("starts = 2", "starts = 0"))
         assert cli.main(["--config", cfg, "--jobs", "2"]) == cli.EXIT_CONFIG_ERROR

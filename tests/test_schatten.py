@@ -92,6 +92,18 @@ class TestNormValues:
         m = np.diag([1.0, 0.0]).astype(complex)
         assert abs(schatten_norm(m, 0.5) - 1.0) <= 1e-13
 
+    def test_small_exponent_overflow_is_a_numerical_error(self):
+        # ||I_4||_p = 4^(1/p) is 4^1000 at p = 0.001, past the float range
+        with pytest.raises(NumericalError, match="p = 0.001"):
+            schatten_norm(np.eye(4), 0.001)
+        with pytest.raises(NumericalError, match="p = 0.001"):
+            _power_sum_norm(np.ones(4), 0.001)
+        with pytest.raises(NumericalError, match="p = 0.001"):
+            _power_sum_norms(np.array([[1.0, 0.5, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]), 0.001)
+        # just inside the range the value is the plain formula's
+        assert schatten_norm(np.eye(4), 0.002) == 4.0 ** (1.0 / 0.002)
+        assert _power_sum_norms(np.ones((2, 4)), 0.002).tolist() == [4.0 ** (1.0 / 0.002)] * 2
+
     def test_invalid_exponent(self):
         for p in (0.0, -1.0, -math.inf, math.nan):
             with pytest.raises(ValidationError, match="Schatten exponent"):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schattenlab import cli, estimator, strip
 from schattenlab.matcore import (NumericalError, PositiveDefiniteMatrix,
@@ -97,6 +99,76 @@ class TestBoundarySet:
                     BoundarySet(((-1.7e308, 1.7e308),), ())):
             with pytest.raises(ValidationError):
                 dilate(bad)
+
+
+def merged_rows(rows):
+    """strip._merge_rows of rows of three (a, b, used) slots, as one tuple
+    of (a, b) float pairs per row, as _merge returns them."""
+    a, b, used = (np.array([[slot[k] for slot in row] for row in rows]).reshape(-1, 3)
+                  for k in range(3))
+    starts, ends, counts = strip._merge_rows(a.astype(float), b.astype(float),
+                                             used.astype(bool))
+    pairs = tuple(zip(starts.tolist(), ends.tolist()))
+    off = [0] + np.cumsum(counts).tolist()
+    return [pairs[i:j] for i, j in zip(off, off[1:])]
+
+
+def row_by_row(rows):
+    return [strip._merge([(a, b) for a, b, used in row if used]) for row in rows]
+
+
+# endpoints from a small grid, so that ties and touching intervals are common
+ENDPOINT = st.sampled_from((-1.0, 0.0, 0.5, 1.0, 1.5, 2.0)) | st.floats(-3.0, 3.0)
+SLOT = st.builds(lambda a, length, used: (a, a + length, used),
+                 ENDPOINT, st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 2.0),
+                 st.booleans())
+
+
+class TestMergeRows:
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.lists(SLOT, min_size=3, max_size=3), min_size=1, max_size=12))
+    def test_equals_merge_row_by_row(self, rows):
+        assert merged_rows(rows) == row_by_row(rows)
+
+    @pytest.mark.parametrize("row, want", [
+        # equal starts with different ends, in either order
+        (((1.0, 3.0), (1.0, 2.0), (5.0, 6.0)), ((1.0, 3.0), (5.0, 6.0))),
+        (((1.0, 2.0), (4.0, 5.0), (1.0, 3.0)), ((1.0, 3.0), (4.0, 5.0))),
+        # touching: a start equal to the previous end
+        (((1.0, 2.0), (0.0, 1.0), (3.0, 4.0)), ((0.0, 2.0), (3.0, 4.0))),
+        (((2.0, 3.0), (1.0, 2.0), (0.0, 1.0)), ((0.0, 3.0),)),
+        # a contained interval, before or after the one containing it
+        (((1.0, 2.0), (0.0, 5.0), (6.0, 7.0)), ((0.0, 5.0), (6.0, 7.0))),
+        (((0.0, 5.0), (6.0, 7.0), (1.0, 2.0)), ((0.0, 5.0), (6.0, 7.0))),
+        # all three slots merging into one
+        (((2.0, 3.0), (0.0, 2.5), (2.9, 4.0)), ((0.0, 4.0),)),
+        (((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)), ((0.0, 1.0),)),
+        # three disjoint, unsorted
+        (((4.0, 5.0), (0.0, 1.0), (2.0, 3.0)), ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0))),
+    ])
+    def test_hand_picked_rows(self, row, want):
+        rows = [tuple((a, b, True) for a, b in row)]
+        assert merged_rows(rows) == row_by_row(rows) == [want]
+
+    def test_unused_slots_are_left_out(self):
+        rows = [((0.0, 1.0, False), (0.0, 1.0, False), (0.0, 1.0, False)),
+                ((5.0, 6.0, False), (0.0, 1.0, True), (0.5, 2.0, False)),
+                ((0.0, 3.0, True), (9.0, 9.5, False), (1.0, 4.0, True))]
+        assert merged_rows(rows) == row_by_row(rows) == [
+            (), ((0.0, 1.0),), ((0.0, 4.0),)]
+
+    @pytest.mark.parametrize("bad", [(math.nan, 1.0), (0.0, math.nan), (2.0, 1.0),
+                                     (-math.inf, 0.0), (0.0, math.inf)])
+    def test_rejects_a_bad_used_slot(self, bad):
+        rows = [((0.0, 1.0, True), (0.5, 2.0, True), (3.0, 4.0, True)),
+                ((0.0, 1.0, True), bad + (True,), (3.0, 4.0, False))]
+        with pytest.raises(ValidationError):
+            merged_rows(rows)
+        with pytest.raises(ValidationError):
+            row_by_row(rows)
+        # the same slot, unused, is left out unread
+        rows[1] = rows[1][:1] + (bad + (False,),) + rows[1][2:]
+        assert merged_rows(rows) == row_by_row(rows)
 
 
 class TestPoisson:

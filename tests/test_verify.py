@@ -61,7 +61,7 @@ class TestRandomBoundarySets:
     def test_line_choice_shares(self):
         count = 20000
         shares = {"line0": 0, "line1": 0, "both": 0}
-        for a in verify._random_boundary_sets(np.random.default_rng(1), count):
+        for a, _ in verify._random_boundary_sets(np.random.default_rng(1), count):
             if a.intervals0 and a.intervals1:
                 shares["both"] += 1
             else:
@@ -70,13 +70,17 @@ class TestRandomBoundarySets:
             assert abs(shares[key] / count - expected) <= 0.015, shares
 
     def test_interval_law(self, monkeypatch):
+        # the used slots of each line, as they go into the merge
         raw = []
-        real = verify.BoundarySet
+        real = verify._merge_rows
 
-        def record(intervals0, intervals1):
-            raw.append((intervals0, intervals1))
-            return real(intervals0, intervals1)
-        monkeypatch.setattr(verify, "BoundarySet", record)
+        def record(a, b, used):
+            lines = [tuple(zip(ra[ru].tolist(), rb[ru].tolist()))
+                     for ra, rb, ru in zip(a, b, used)]
+            # rows 2i and 2i + 1 are the two lines of one set
+            raw.extend(zip(lines[::2], lines[1::2]))
+            return real(a, b, used)
+        monkeypatch.setattr(verify, "_merge_rows", record)
         list(verify._random_boundary_sets(np.random.default_rng(2), 2000))
         assert len(raw) == 2000
         counts = set()
@@ -88,6 +92,18 @@ class TestRandomBoundarySets:
                     assert -4.0 <= a < 4.0
                     assert 0.05 - 1e-12 <= b - a <= 2.0 + 1e-12
         assert counts == {1, 2, 3}
+
+    @pytest.mark.parametrize("count", [1, 7, 257, 3000])
+    def test_pairs_are_merged_sets_and_their_dilations(self, count):
+        # SET_CHUNK is 256: 257 and 3000 sets cross chunk edges
+        pairs = list(verify._random_boundary_sets(np.random.default_rng(count), count))
+        assert len(pairs) == count
+        for a, a2 in pairs:
+            assert a == strip.BoundarySet(a.intervals0, a.intervals1)
+            assert a2 == strip.dilate(a)
+            assert all(type(x) is float for line in (a.intervals0, a.intervals1,
+                                                     a2.intervals0, a2.intervals1)
+                       for iv in line for x in iv)
 
 
 class TestDoubling:
@@ -224,18 +240,24 @@ def defect_loop(cache, q):
     return (full ** 2 - center ** 2) / dev ** 2
 
 
-@pytest.mark.parametrize("seed", [0, 7])
 class TestStripChecksEqualTheirLoops:
-    def test_doubling(self, seed):
-        results = verify.verify_doubling(seed=seed)
+    # the last case is the strip-defect workload's size: 3000 sets per gamma0
+    @pytest.mark.parametrize("seed, sets", [(0, verify.SETS_PER_GAMMA),
+                                            (7, verify.SETS_PER_GAMMA),
+                                            (2024, 3000)],
+                             ids=["0", "7", "2024-bench-size"])
+    def test_doubling(self, seed, sets):
+        results = verify.verify_doubling(seed=seed, sets_per_gamma=sets)
         assert [r["value"] for r in results] == doubling_loop(
-            seed, verify.SETS_PER_GAMMA, verify.GAMMAS)
+            seed, sets, verify.GAMMAS)
 
+    @pytest.mark.parametrize("seed", [0, 7])
     def test_boundary_constancy(self, seed, monkeypatch):
         stacked = verify.verify_boundary_constancy(seed=seed)
         monkeypatch.setattr(verify, "boundary_norm_profile", norm_profile_loop)
         assert stacked == verify.verify_boundary_constancy(seed=seed)
 
+    @pytest.mark.parametrize("seed", [0, 7])
     def test_convexity_defect(self, seed, monkeypatch):
         stacked = verify.verify_convexity_defect(seed=seed, families=50)
         monkeypatch.setattr(verify, "convexity_defect", defect_loop)
