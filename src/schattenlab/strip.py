@@ -28,6 +28,9 @@ from .schatten import (_check_alpha, _check_exponent, _power_sum_norm,
 # is below 1e-54, far under every tolerance used here
 TAIL_CUT = 40.0
 _HALF_PI = 0.5 * math.pi
+# convexity_defect refuses a family whose boundary deviation from F(gamma0)
+# is at most this share of ||F||: rounding alone leaves about 1e-16 of ||F||
+DEGENERATE_REL = 1e-12
 
 
 def _merge(intervals):
@@ -53,9 +56,11 @@ def _merge_rows(a, b, used):
     used slots are sorted by (start, end) with the three compare-exchanges
     of a stable 3-slot network, so ties go by end as sorted() takes them;
     a sorted slot then joins the interval before it when its start is at
-    most the running maximum of the ends, as in _merge.
+    most the running maximum of the ends, as in _merge.  a and b are
+    overwritten, so a whole batch of slots takes no second copy.
     """
-    a, b = np.where(used, a, math.inf), np.where(used, b, math.inf)
+    a[~used] = math.inf
+    b[~used] = math.inf
     bad = used & ~(np.isfinite(a) & np.isfinite(b))
     if bad.any():
         raise ValidationError("interval endpoints must be finite")
@@ -69,7 +74,7 @@ def _merge_rows(a, b, used):
         b[:, i], b[:, j] = np.where(swap, bj, bi), np.where(swap, bi, bj)
     # sorted, the used slots lead each row
     used = a < math.inf
-    top = np.maximum.accumulate(b, axis=1)
+    top = np.maximum.accumulate(b, axis=1, out=b)
     opens = used.copy()
     opens[:, 1:] &= a[:, 1:] > top[:, :-1]
     # a used slot closes its interval when the next slot opens one or is unused
@@ -95,8 +100,9 @@ class BoundarySet:
         """The set of lines that are already merged and valid: tuples of
         (a, b) float pairs, finite, a <= b, sorted and disjoint."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "intervals0", intervals0)
-        object.__setattr__(out, "intervals1", intervals1)
+        # the frozen __setattr__ refuses; the fields live in the instance dict
+        fields = out.__dict__
+        fields["intervals0"], fields["intervals1"] = intervals0, intervals1
         return out
 
     @staticmethod
@@ -129,31 +135,55 @@ def _density(gamma0, k, cosh_pt):
         2.0 * (cosh_pt - sign * math.cos(gamma0 * math.pi)))
 
 
-def _arctan_measure(c, intervals):
+def _arctan_measure(c, cc, intervals, sinh=math.sinh, cosh=math.cosh,
+                    tanh=math.tanh, atan2=math.atan2, half_pi=_HALF_PI,
+                    lo=-TAIL_CUT, hi=TAIL_CUT):
     """Sum over [a, b] of (1/pi) [arctan(tanh(pi t/2) / c)] from a to b, as
-    (1/pi) atan2(c (T_b - T_a), c^2 + T_a T_b), T = tanh(pi t/2): unlike the
-    plain difference of arctangents, it keeps relative accuracy in the tails."""
+    (1/pi) atan2(c (T_b - T_a), c^2 + T_a T_b), T = tanh(pi t/2), cc = c^2:
+    unlike the plain difference of arctangents, it keeps relative accuracy in
+    the tails.  The defaults, which no caller passes, bind the functions and
+    the tail clip [lo, hi] as locals for the doubling check's tens of
+    thousands of calls; keyword-only defaults would cost a dict lookup each."""
     total = 0.0
-    cc = c * c
     for a, b in intervals:
-        if a < -TAIL_CUT:
-            a = -TAIL_CUT
-        if b > TAIL_CUT:
-            b = TAIL_CUT
+        if a < lo:
+            a = lo
+        if b > hi:
+            b = hi
         if b <= a:
             continue
-        ha, hb = _HALF_PI * a, _HALF_PI * b
-        diff = math.sinh(_HALF_PI * (b - a)) / (math.cosh(ha) * math.cosh(hb))
-        total += math.atan2(c * diff, cc + math.tanh(ha) * math.tanh(hb))
+        ha, hb = half_pi * a, half_pi * b
+        diff = sinh(half_pi * (b - a)) / (cosh(ha) * cosh(hb))
+        total += atan2(c * diff, cc + tanh(ha) * tanh(hb))
     return total / math.pi
+
+
+# gamma0 -> its line constants, for at most 64 gamma0; only a gamma0 that
+# passed _check_gamma0 enters
+_LINE_CONSTANTS = {}
+
+
+def _line_constants(gamma0):
+    """(c, c^2) on Re z = 0 and on Re z = 1, c = tan(theta/2): the constants
+    of _arctan_measure, checked and cached per gamma0 by value."""
+    _check_gamma0(gamma0)
+    c0 = math.tan(0.5 * gamma0 * math.pi)
+    c1 = math.tan(0.5 * (1.0 - gamma0) * math.pi)
+    lines = c0, c0 * c0, c1, c1 * c1
+    if len(_LINE_CONSTANTS) < 64:
+        # by value: a float and an np.float64 share it, and an unhashable
+        # 0-d array gamma0, never found, takes this path on every call
+        _LINE_CONSTANTS[float(gamma0)] = lines
+    return lines
 
 
 def boundary_measure(gamma0, A):
     """Harmonic measure of a boundary set, from the closed-form antiderivative."""
-    _check_gamma0(gamma0)
-    return (_arctan_measure(math.tan(0.5 * gamma0 * math.pi), A.intervals0)
-            + _arctan_measure(math.tan(0.5 * (1.0 - gamma0) * math.pi),
-                              A.intervals1))
+    try:
+        c0, cc0, c1, cc1 = _LINE_CONSTANTS[gamma0]
+    except (KeyError, TypeError):
+        c0, cc0, c1, cc1 = _line_constants(gamma0)
+    return _arctan_measure(c0, cc0, A.intervals0) + _arctan_measure(c1, cc1, A.intervals1)
 
 
 def _doubled(intervals):
@@ -193,18 +223,20 @@ def doubling_ratio(gamma0, A):
 def cosh_measure(A):
     """Reference measure with density 1/cosh(pi t) on both boundary lines:
     (2/pi) arctan(tanh(pi t/2)), twice the harmonic measure at theta = pi/2."""
-    return 2.0 * _arctan_measure(1.0, A.intervals0 + A.intervals1)
+    return 2.0 * _arctan_measure(1.0, 1.0, A.intervals0 + A.intervals1)
 
 
 class AnalyticFamily:
     """The analytic family z -> d^((1+alpha) z) x d^((1+alpha)(1-z)), kept as
-    lam ascending, v and xp = v* x v from d = v diag(lam) v*, computed once."""
+    lam ascending, v, vh = v* and xp = v* x v from d = v diag(lam) v*,
+    computed once."""
 
-    __slots__ = ("lam", "v", "xp", "alpha")
+    __slots__ = ("lam", "v", "vh", "xp", "alpha")
 
     def __init__(self, d, x, alpha):
         _check_alpha(alpha)
         self.lam, self.v, self.xp = _eigen_args(d, x)
+        self.vh = self.v.conj().T
         self.alpha = alpha
 
     @classmethod
@@ -214,6 +246,7 @@ class AnalyticFamily:
         fam = cls.__new__(cls)
         fam.lam, fam.xp, fam.alpha = lam, xp, alpha
         fam.v = np.eye(lam.size, dtype=complex)
+        fam.vh = fam.v.conj().T
         return fam
 
     def eig_at(self, z):
@@ -227,7 +260,7 @@ def family_eval(F, z):
     z = complex(z)
     if not -1e-12 <= z.real <= 1.0 + 1e-12:
         raise ValidationError("Re z = %r outside [0, 1]" % (z.real,))
-    return ComplexMatrix(F.v @ F.eig_at(z) @ F.v.conj().T)
+    return ComplexMatrix(F.v @ F.eig_at(z) @ F.vh)
 
 
 def boundary_norm_profile(F, q, t_grid):
@@ -301,8 +334,9 @@ def convexity_defect(cache, q):
     norms being (integral of ||.||_q^q dP)^(1/q).  ||F||_q is constant on
     each line, so the F term takes the exact line masses, which the grid's
     weights miss (by 1.6e-3 at gamma0 = 0.9); only F - F(gamma0) is
-    integrated on the grid.  Degenerate (constant) families raise a
-    validation error; a power that overflows raises NumericalError.
+    integrated on the grid.  Degenerate (constant) families, where
+    ||F - F(gamma0)|| <= DEGENERATE_REL ||F||, raise a validation error; a
+    power that overflows raises NumericalError.
     """
     _check_defect_q(q)
     acc = 0.0
@@ -311,10 +345,12 @@ def convexity_defect(cache, q):
             acc += float((weights * norms ** q).sum())
     try:
         dev = acc ** (1.0 / q)
-        if dev <= 1e-12:
-            raise ValidationError("degenerate family: F is constant on the boundary")
         full = ((1.0 - cache.gamma0) * _power_sum_norm(cache.sv[0], q) ** q
                 + cache.gamma0 * _power_sum_norm(cache.sv[1], q) ** q) ** (1.0 / q)
+        # relative to ||F||, so the test does not depend on the scale of x;
+        # an infinite ||F|| is the overflow below, not a degenerate family
+        if dev <= DEGENERATE_REL * full < math.inf:
+            raise ValidationError("degenerate family: F is constant on the boundary")
         center = _power_sum_norm(cache.center_sv, q)
         defect = (full ** 2 - center ** 2) / dev ** 2
     except OverflowError:

@@ -373,42 +373,55 @@ def verify_poisson_mass(gammas=GAMMAS):
     return out
 
 
-# random boundary sets merged and doubled per array call
+# random boundary sets built per chunk from the merged batch
 SET_CHUNK = 256
 
 
-def _random_boundary_sets(rng, count):
-    """Yield `count` random boundary sets A, each as the pair (A, 2.A).
+def _random_slots(rng, count):
+    """The interval slots of `count` random boundary sets, as the arrays
+    (a, b, used) of _merge_rows, rows 2i and 2i + 1 lines 0 and 1 of set i.
 
     Each set populates line 0 only with probability 0.2, else line 1 only
     with probability 0.25 (0.2 overall), else both lines (0.6).  A populated
     line gets 1 to 3 intervals [a, a + l], a uniform on [-4, 4) and l
-    uniform on [0.05, 2), merged where they overlap.  The random numbers of
-    the whole batch are drawn at the first step in one call per array; the
-    lines are merged and doubled as arrays, SET_CHUNK sets at a time, and
-    the sets built lazily, so a batch of sets is never held in memory.
+    uniform on [0.05, 2).  The random numbers are drawn in one call per
+    array.
     """
     branch = rng.uniform(size=(count, 2))
     ks = rng.integers(1, 4, size=(count, 2))
     a = rng.uniform(-4, 4, size=(count, 2, 3))
-    b = a + rng.uniform(0.05, 2.0, size=(count, 2, 3))
+    b = rng.uniform(0.05, 2.0, size=(count, 2, 3))
+    b += a
     only0 = branch[:, 0] < 0.2
     only1 = ~only0 & (branch[:, 1] < 0.25)
     # slot j of line k is used when the line is populated and j < ks[k]
     used = ((np.arange(3) < ks[..., None])
             & np.stack((~only1, ~only0), axis=1)[..., None])
+    return a.reshape(-1, 3), b.reshape(-1, 3), used.reshape(-1, 3)
+
+
+def _random_boundary_sets(rng, count):
+    """Yield `count` random boundary sets A (see _random_slots), each as the
+    pair (A, 2.A), its intervals merged where they overlap.
+
+    The whole batch is drawn at the first step, and its lines merged and
+    doubled as arrays in one call; the tuples and sets are built lazily,
+    SET_CHUNK sets at a time, so a batch of sets is never held in memory.
+    """
+    starts, ends, counts = _merge_rows(*_random_slots(rng, count))
+    # doubling is exact: only an endpoint past the float range can fail
+    starts2, ends2 = 2 * starts, 2 * ends
+    if not (np.isfinite(starts2).all() and np.isfinite(ends2).all()):
+        raise ValidationError("interval endpoints must be finite")
+    # row r's merged intervals are starts[off[r]:off[r + 1]]
+    off = np.concatenate(([0], np.cumsum(counts)))
     for lo in range(0, count, SET_CHUNK):
-        # rows 2i and 2i + 1 are lines 0 and 1 of the chunk's set i
-        starts, ends, counts = _merge_rows(*(x[lo:lo + SET_CHUNK].reshape(-1, 3)
-                                             for x in (a, b, used)))
-        # doubling is exact: only an endpoint past the float range can fail
-        starts2, ends2 = 2 * starts, 2 * ends
-        if not (np.isfinite(starts2).all() and np.isfinite(ends2).all()):
-            raise ValidationError("interval endpoints must be finite")
-        ivs = tuple(zip(starts.tolist(), ends.tolist()))
-        ivs2 = tuple(zip(starts2.tolist(), ends2.tolist()))
-        off = [0] + np.cumsum(counts).tolist()
-        for o0, o1, o2 in zip(off[:-1:2], off[1::2], off[2::2]):
+        rows = off[2 * lo:2 * min(lo + SET_CHUNK, count) + 1]
+        first, last = rows[0], rows[-1]
+        ivs = tuple(zip(starts[first:last].tolist(), ends[first:last].tolist()))
+        ivs2 = tuple(zip(starts2[first:last].tolist(), ends2[first:last].tolist()))
+        rows = (rows - first).tolist()
+        for o0, o1, o2 in zip(rows[:-1:2], rows[1::2], rows[2::2]):
             yield (BoundarySet._of_merged(ivs[o0:o1], ivs[o1:o2]),
                    BoundarySet._of_merged(ivs2[o0:o1], ivs2[o1:o2]))
 

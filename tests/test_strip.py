@@ -297,6 +297,69 @@ class TestDoubling:
             doubling_ratio(0.5, BoundarySet(((0.0, 0.0),), ()))
 
 
+# the boundary measures as plain loops: every call takes tan(theta/2) anew,
+# clips with global TAIL_CUT and calls math.* by attribute.  The module must
+# give the same bits
+def measure_loop(c, intervals):
+    total = 0.0
+    cc = c * c
+    for a, b in intervals:
+        if a < -strip.TAIL_CUT:
+            a = -strip.TAIL_CUT
+        if b > strip.TAIL_CUT:
+            b = strip.TAIL_CUT
+        if b <= a:
+            continue
+        ha, hb = 0.5 * math.pi * a, 0.5 * math.pi * b
+        diff = math.sinh(0.5 * math.pi * (b - a)) / (math.cosh(ha) * math.cosh(hb))
+        total += math.atan2(c * diff, cc + math.tanh(ha) * math.tanh(hb))
+    return total / math.pi
+
+
+def boundary_measure_loop(gamma0, aset):
+    return (measure_loop(math.tan(0.5 * gamma0 * math.pi), aset.intervals0)
+            + measure_loop(math.tan(0.5 * (1.0 - gamma0) * math.pi), aset.intervals1))
+
+
+# endpoints past the tail cut and on it, and widths of zero
+MEASURE_END = (st.sampled_from((-strip.TAIL_CUT, 0.0, strip.TAIL_CUT))
+               | st.floats(-50.0, 50.0))
+MEASURE_LINE = st.lists(st.tuples(MEASURE_END, st.just(0.0) | st.floats(0.0, 60.0))
+                        .map(lambda iv: (iv[0], iv[0] + iv[1])), max_size=4)
+MEASURE_SET = st.builds(BoundarySet, MEASURE_LINE, MEASURE_LINE)
+
+
+class TestMeasuresEqualTheirLoops:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from((0.1, 0.25, 0.5, 0.75, 0.9)) | st.floats(1e-3, 1.0 - 1e-3),
+           MEASURE_SET)
+    def test_boundary_measure(self, gamma0, aset):
+        assert boundary_measure(gamma0, aset).hex() == \
+            boundary_measure_loop(gamma0, aset).hex()
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(MEASURE_SET)
+    def test_cosh_measure(self, aset):
+        assert cosh_measure(aset).hex() == \
+            (2.0 * measure_loop(1.0, aset.intervals0 + aset.intervals1)).hex()
+
+    @pytest.mark.parametrize("gamma0", [0.1, 2.0 / 3.0, 0.9])
+    def test_gamma0_types_give_the_same_bits(self, gamma0):
+        aset = BoundarySet(((-41.0, -3.0), (0.5, 0.5), (2.0, 2.25)), ((-1.0, 45.0),))
+        want = boundary_measure_loop(gamma0, aset).hex()
+        for g in (gamma0, np.float64(gamma0), np.array(gamma0), gamma0, np.array(gamma0)):
+            assert boundary_measure(g, aset).hex() == want
+
+    @pytest.mark.parametrize("gamma0", [0.0, 1.0, 1.5, math.nan, np.float64(math.nan),
+                                        np.array(1.0)])
+    def test_out_of_range_gamma0_raises_on_every_call(self, gamma0):
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="gamma0 must be in"):
+                boundary_measure(gamma0, BoundarySet.full())
+        assert boundary_measure(0.5, BoundarySet.full()) == \
+            boundary_measure_loop(0.5, BoundarySet.full())
+
+
 class TestAnalyticFamily:
     def test_center_value(self):
         d = rand_pdm(4)
@@ -341,6 +404,21 @@ class TestAnalyticFamily:
                 ref = left @ x @ right
                 got = family_eval(fam, z).mat
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("construct", ["public", "eigenbasis"])
+    def test_evaluation_equals_v_f_v_star_bit_for_bit(self, construct):
+        # the reference forms v* at every node, as family_eval once did
+        rng = np.random.default_rng(41)
+        for n in (1, 3, 5):
+            x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            if construct == "public":
+                fam = AnalyticFamily(rand_pdm(n), x, 1.5)
+            else:
+                fam = AnalyticFamily._of_eigenbasis(np.sort(np.exp(rng.uniform(-2, 2, n))),
+                                                    x, 1.5)
+            for z in (0.0, 1.0, 0.6, 0.3 - 2j, 1.0 + 7.5j, 1j * -0.25):
+                want = fam.v @ fam.eig_at(complex(z)) @ fam.v.conj().T
+                assert family_eval(fam, z).mat.tobytes() == want.tobytes()
 
     def test_evaluation_reuses_the_eigenbasis_of_construction(self, monkeypatch):
         from schattenlab import mazur
@@ -419,6 +497,25 @@ class TestConvexityDefect:
         fam = AnalyticFamily(d, rand_complex(3), 1.0)
         with pytest.raises(ValidationError):
             convexity_defect(BoundaryGridCache(fam, 0.5), 1.0)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    def test_constant_family_of_large_norm_raises(self, q):
+        # a 1x1 family is constant, F = d^(1 + alpha) x with ||F|| near 3e10;
+        # rounding leaves ||F - F(gamma0)|| near 1e-6, far above an absolute
+        # floor of 1e-12, and the defect came out as -2e17, -5e16 and 0.0
+        d = PositiveDefiniteMatrix(np.array([[math.exp(8.0)]], dtype=complex))
+        fam = AnalyticFamily(d, np.array([[1.0 + 0.5j]]), 2.0)
+        with pytest.raises(ValidationError, match="degenerate"):
+            convexity_defect(BoundaryGridCache(fam, 2.0 / 3.0), q)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    def test_degeneracy_does_not_depend_on_the_scale_of_x(self, q):
+        # the defect is a degree-0 ratio; at x -> 2^-60 x the boundary norms
+        # are near 1e-18, under an absolute floor of 1e-12
+        d, x = rand_pdm(3, spread=1.0), rand_complex(3)
+        want = convexity_defect(BoundaryGridCache(AnalyticFamily(d, x, 1.0), 0.5), q)
+        small = BoundaryGridCache(AnalyticFamily(d, 2.0 ** -60 * x, 1.0), 0.5)
+        assert convexity_defect(small, q) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_large_q(self):
         fam = AnalyticFamily(rand_pdm(2), rand_complex(2), 1.0)

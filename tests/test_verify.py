@@ -232,10 +232,10 @@ def defect_loop(cache, q):
         norms = np.array([_power_sum_norm(sv, q) for sv in rows])
         acc += float((weights * norms ** q).sum())
     dev = acc ** (1.0 / q)
-    if dev <= 1e-12:
-        raise ValidationError("degenerate family")
     full = ((1.0 - cache.gamma0) * _power_sum_norm(cache.sv[0], q) ** q
             + cache.gamma0 * _power_sum_norm(cache.sv[1], q) ** q) ** (1.0 / q)
+    if dev <= 1e-12 * full:
+        raise ValidationError("degenerate family")
     center = _power_sum_norm(cache.center_sv, q)
     return (full ** 2 - center ** 2) / dev ** 2
 
