@@ -19,8 +19,9 @@ import sys
 import time
 
 from . import __version__, verify
-from .estimator import (InstanceSpec, OBJECTIVES, maximize, open_pool,
-                        queue_starts, replay_witness, review_flagged)
+from .estimator import (InstanceSpec, OBJECTIVES, _search_objective, maximize,
+                        open_pool, queue_starts, replay_witness,
+                        review_flagged)
 from .matcore import DomainError, NumericalError, ValidationError
 from .strip import BoundarySet, _check_defect_q, _check_gamma0, boundary_measure
 
@@ -69,10 +70,8 @@ def _expand_grid(objective_id, section):
     """Cartesian product of the per-key value lists, one dict per point.
 
     A point is valid when its objective's evaluator can be built for it.
+    The objective is registered: load_config checked it first.
     """
-    if objective_id not in OBJECTIVES:
-        raise ConfigError("unknown objective %r (known: %s)"
-                          % (objective_id, ", ".join(sorted(OBJECTIVES))))
     obj = OBJECTIVES[objective_id]
     for key in section:
         if key not in obj.keys:
@@ -136,7 +135,7 @@ def load_config(path):
             "starts": _parse_count(inst, "starts", 16, 1),
         }
         try:
-            _instance_spec(cfg)
+            spec = _instance_spec(cfg)
         except ValidationError as exc:
             raise ConfigError("section [instances]: %s" % exc)
         cfg["objectives"] = []
@@ -144,10 +143,10 @@ def load_config(path):
             if not name.startswith("objective."):
                 continue
             objective_id = name[len("objective."):]
-            if objective_id == "convexity-defect-min" and cfg["instances"]["diagonal"]:
-                # d and x commute, so every family is constant on the boundary
-                raise ConfigError("objective 'convexity-defect-min' has no"
-                                  " non-degenerate family under diagonal = true")
+            try:
+                _search_objective(objective_id, cfg["instances"]["starts"], spec)
+            except ValidationError as exc:
+                raise ConfigError(str(exc))
             cfg["objectives"].append(
                 (objective_id, _expand_grid(objective_id, parser[name])))
         if not cfg["objectives"]:
@@ -197,14 +196,8 @@ def run_strip_check(cfg):
         mf = boundary_measure(g, BoundarySet.full())
         tables["poisson_mass"].append(
             {"gamma0": g, "boundary1": m1, "full": mf})
-    suites = (
-        ("poisson_mass", lambda: verify.verify_poisson_mass(sc["gamma0"])),
-        ("doubling", lambda: verify.verify_doubling(
-            cfg["seed"], sets_per_gamma=sc["sets_per_gamma"], gammas=sc["gamma0"])),
-        ("boundary_constancy", lambda: verify.verify_boundary_constancy(cfg["seed"])),
-        ("convexity_defect", lambda: verify.verify_convexity_defect(
-            cfg["seed"], families=sc["families"], qs=sc["q"])),
-    )
+    suites = verify.strip_suites(cfg["seed"], sc["gamma0"], sc["sets_per_gamma"],
+                                 sc["families"], sc["q"])
     # wall seconds per suite, which go under the report's "timing"
     check_seconds = {}
     for name, run in suites:
@@ -218,14 +211,14 @@ def run_strip_check(cfg):
 def _instance_spec(cfg):
     inst = cfg["instances"]
     return InstanceSpec(dim=inst["dim"], spectrum_law=inst["spectrum_law"],
-                        x_law=inst["x_law"], seed=cfg["seed"])
+                        x_law=inst["x_law"], seed=cfg["seed"],
+                        diagonal=inst["diagonal"])
 
 
 def run_estimate(cfg, jobs):
     inst = cfg["instances"]
     spec = _instance_spec(cfg)
-    search = {"budget": inst["budget"], "starts": inst["starts"], "jobs": jobs,
-              "diagonal": inst["diagonal"]}
+    search = {"budget": inst["budget"], "starts": inst["starts"], "jobs": jobs}
     results = []
     failed = False
     # one pool for the whole run, closed before this returns or raises.

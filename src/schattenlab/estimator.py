@@ -1,9 +1,12 @@
 """Reproducible adversarial search over the inequality ratio objectives.
 
-Instances are generated deterministically from a seed, hill-climbed with
-multiplicative log-space perturbations of spectra and additive
-perturbations of the off-diagonal element, and the best witness is
-reported with a monotone improvement trace.  Identical inputs give
+Instances are drawn deterministically from an InstanceSpec, the whole
+recipe (seed and diagonal included; a report's spec block and seed
+rebuild it), hill-climbed with multiplicative log-space perturbations of
+spectra and additive perturbations of the off-diagonal element, and the
+best witness is reported with a monotone improvement trace.  On
+commuting instances (diagonal, or dim 1) every convexity-defect-min
+family is degenerate, so that search is refused.  Identical inputs give
 byte-identical reports; parallel workers merge in start-index order so the
 worker count never changes the result.  A run of many searches opens one
 pool (open_pool) and queues every search's starts on it at once
@@ -67,12 +70,13 @@ DIAGNOSTICS = ("evaluations", "accepted", "pattern_moves", "pattern_accepted",
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Deterministic recipe for one random instance family."""
+    """Deterministic recipe for one random instance family; diagonal ones commute."""
 
     dim: int
     spectrum_law: str = "log-uniform"
     x_law: str = "gaussian-complex"
     seed: int = 0
+    diagonal: bool = False
 
     def __post_init__(self):
         if not 1 <= self.dim <= MAX_DIM:
@@ -335,29 +339,29 @@ LAYOUTS = {
 }
 
 
-def _initial_state(layout, spec, rng, diagonal=False):
+def _initial_state(layout, spec, rng):
     spectra, unitaries, mats = layout
     st = {k: _draw_log_spectrum(rng, spec.dim, spec.spectrum_law) for k in spectra}
     for k in unitaries:
-        st[k] = np.eye(spec.dim, dtype=complex) if diagonal \
+        st[k] = np.eye(spec.dim, dtype=complex) if spec.diagonal \
             else _haar_unitary(rng, spec.dim)
     for k in mats:
         x = _draw_x(rng, spec.dim, spec.x_law)
-        st[k] = np.diag(np.diagonal(x)).astype(complex) if diagonal else x
+        st[k] = np.diag(np.diagonal(x)).astype(complex) if spec.diagonal else x
     return st
 
 
-def _matrix_bump(st, key, rng, step, x_law, diagonal):
+def _matrix_bump(st, key, rng, step, spec):
     scale = max(np.abs(st[key]).max(), 1e-6)
     bump = step * scale * _complex_gaussian(rng, st[key].shape)
-    if x_law == "hermitian-gaussian":
+    if spec.x_law == "hermitian-gaussian":
         bump = 0.5 * (bump + bump.conj().T)
-    if diagonal:
+    if spec.diagonal:
         bump = np.diag(np.diagonal(bump))
     return bump
 
 
-def _perturb(st, layout, rng, step, x_law, diagonal=False):
+def _perturb(st, layout, rng, step, spec):
     """One random proposal: perturb a random block of the state, or all of it.
 
     Blocks are the log-spectra (multiplicative moves) and the matrix parts
@@ -373,7 +377,7 @@ def _perturb(st, layout, rng, step, x_law, diagonal=False):
 
     out = dict(st)
     if mode == "translate":
-        bump = _matrix_bump(st, "x", rng, step, x_law, diagonal)
+        bump = _matrix_bump(st, "x", rng, step, spec)
         out["x"] = st["x"] + bump
         out["y"] = st["y"] + bump
         return out
@@ -382,7 +386,7 @@ def _perturb(st, layout, rng, step, x_law, diagonal=False):
             out[key] = st[key] + step * rng.standard_normal(st[key].shape)
     for key in mats:
         if mode in ("all", key):
-            out[key] = st[key] + _matrix_bump(st, key, rng, step, x_law, diagonal)
+            out[key] = st[key] + _matrix_bump(st, key, rng, step, spec)
     return out
 
 
@@ -419,7 +423,7 @@ def _run_start(args):
     """One start's hill climb: (best value, best state, improvement events,
     DIAGNOSTICS counts, up to 3 flagged states), states as dicts of arrays;
     a state's arrays are never changed in place once made."""
-    (objective_id, params, spec, start_index, budget, diagonal) = args
+    (objective_id, params, spec, start_index, budget) = args
     obj = OBJECTIVES[objective_id]
     score = obj.make_eval(params)
     rng = _rng_for(spec.seed, start_index)
@@ -436,7 +440,7 @@ def _run_start(args):
 
     layout = LAYOUTS[obj.kind]
     moved = layout[0] + layout[2]
-    st = _initial_state(layout, spec, rng, diagonal)
+    st = _initial_state(layout, spec, rng)
     sign = 1.0 if obj.direction == "max" else -1.0
     flagged_states = []
 
@@ -460,7 +464,7 @@ def _run_start(args):
                     for k in best_st}
         else:
             step = _step_at(i, budget)
-            cand = _perturb(best_st, layout, rng, step, spec.x_law, diagonal)
+            cand = _perturb(best_st, layout, rng, step, spec)
         try:
             v = evaluate(cand, i + 1)
         except ValidationError:
@@ -524,17 +528,21 @@ def open_pool(jobs, starts):
             raise
 
 
-def _search_objective(objective_id, starts):
+def _search_objective(objective_id, starts, spec):
     if objective_id not in OBJECTIVES:
         raise ValidationError("unknown objective %r (known: %s)"
                               % (objective_id, ", ".join(sorted(OBJECTIVES))))
     if starts < 1:
         raise ValidationError("needs at least one start")
+    if objective_id == "convexity-defect-min" and (spec.diagonal or spec.dim == 1):
+        # d and x commute, so every family is constant on the boundary
+        raise ValidationError("objective 'convexity-defect-min' has no non-degenerate"
+                              " family when d and x commute (diagonal or dim 1)")
     return OBJECTIVES[objective_id]
 
 
 def queue_starts(objective_id, exponents, spec, budget, starts=16, jobs=1,
-                 diagonal=False, pool=None):
+                 pool=None):
     """Iterator over the _run_start results of a search's starts, in start
     order, for maximize to merge.
 
@@ -543,8 +551,8 @@ def queue_starts(objective_id, exponents, spec, budget, starts=16, jobs=1,
     all its searches before it reads the first.  Without one, a lazy map
     that runs each start as it is read.
     """
-    _search_objective(objective_id, starts)
-    tasks = [(objective_id, dict(exponents), spec, idx, budget, diagonal)
+    _search_objective(objective_id, starts, spec)
+    tasks = [(objective_id, dict(exponents), spec, idx, budget)
              for idx in range(starts)]
     if pool is None:
         return map(_run_start, tasks)
@@ -552,7 +560,7 @@ def queue_starts(objective_id, exponents, spec, budget, starts=16, jobs=1,
 
 
 def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
-             diagonal=False, results=None):
+             results=None):
     """Multi-start hill climbing of a registered ratio objective.
 
     Returns a RatioReport; 'convexity-defect-min' minimizes instead.
@@ -562,11 +570,11 @@ def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
     Only the winning start's state and the reported flagged states are
     serialized.
     """
-    obj = _search_objective(objective_id, starts)
+    obj = _search_objective(objective_id, starts, spec)
     if results is None:
         with open_pool(jobs, starts) as pool:
             results = list(queue_starts(objective_id, exponents, spec, budget,
-                                        starts, jobs, diagonal, pool))
+                                        starts, jobs, pool))
     else:
         results = list(results)
 
@@ -592,8 +600,7 @@ def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
         flagged_witnesses=[_serialize_state(st) for st in flagged],
         starts=starts,
         budget=budget,
-        spec={"dim": spec.dim, "spectrum_law": spec.spectrum_law,
-              "x_law": spec.x_law, "diagonal": diagonal},
+        spec={f.name: getattr(spec, f.name) for f in fields(spec) if f.name != "seed"},
         direction=obj.direction,
         diagnostics=diagnostics,
     )
@@ -626,6 +633,7 @@ def review_flagged(report, trials=3):
     """
     obj = OBJECTIVES[report.objective_id]
     evaluate = obj.make_eval(report.exponents)
+    spec = InstanceSpec(seed=report.seed, **report.spec)
     scale = max(abs(report.best_ratio), 1.0)
     verdicts = []
     for widx, blob in enumerate(report.flagged_witnesses):
@@ -634,9 +642,7 @@ def review_flagged(report, trials=3):
             entropy=report.seed, spawn_key=(0xF1A6, widx)))
         ratios = []
         for _ in range(trials):
-            cand = _perturb(st, LAYOUTS[obj.kind], rng, REVIEW_JITTER,
-                            report.spec.get("x_law", "gaussian-complex"),
-                            report.spec.get("diagonal", False))
+            cand = _perturb(st, LAYOUTS[obj.kind], rng, REVIEW_JITTER, spec)
             try:
                 v = evaluate(cand)
             except ValidationError:

@@ -31,7 +31,10 @@ SETS_PER_GAMMA = 200
 DEFECT_FAMILIES = 200
 
 
-def _result(name, passed, value, tolerance, detail=""):
+def _result(name, value, tolerance, detail="", lower=False):
+    """A check's result: passed when value <= tolerance, or value >=
+    tolerance for a lower bound."""
+    passed = value >= tolerance if lower else value <= tolerance
     return {"name": name, "passed": bool(passed), "value": float(value),
             "tolerance": float(tolerance), "detail": detail}
 
@@ -70,7 +73,7 @@ def verify_matcore(seed=0, trials=25):
         s = herm_eig(HermitianMatrix(h))
         spread = s.eigenvalues[-1] - s.eigenvalues[0]
         worst = max(worst, np.abs(s.reconstruct() - h).max() / (1.0 + spread))
-    out.append(_result("matcore.eig_reconstruction", worst <= 1e-9, worst, 1e-9))
+    out.append(_result("matcore.eig_reconstruction", worst, 1e-9))
 
     worst = 0.0
     for _ in range(trials):
@@ -81,7 +84,7 @@ def verify_matcore(seed=0, trials=25):
         f = matrix_function(s, lambda t: t ** 0.7).mat
         g = matrix_function(s, math.log).mat
         worst = max(worst, np.abs(fg - f @ g).max())
-    out.append(_result("matcore.calculus_homomorphism", worst <= 1e-9, worst, 1e-9))
+    out.append(_result("matcore.calculus_homomorphism", worst, 1e-9))
 
     worst = 0.0
     for _ in range(trials):
@@ -93,7 +96,7 @@ def verify_matcore(seed=0, trials=25):
         base = schatten_norm(x, p)
         conj = schatten_norm(u @ x @ u.conj().T, p)
         worst = max(worst, abs(conj - base) / base)
-    out.append(_result("matcore.unitary_invariance", worst <= 1e-8, worst, 1e-8))
+    out.append(_result("matcore.unitary_invariance", worst, 1e-8))
 
     worst = 0.0
     for _ in range(trials):
@@ -103,7 +106,7 @@ def verify_matcore(seed=0, trials=25):
             a[:, 0] = 0.0  # exercise the rank-deficient branch
         u, p = polar_decompose(a)
         worst = max(worst, np.abs(u @ p - a).max() / (1.0 + np.abs(a).max()))
-    out.append(_result("matcore.polar_reconstruction", worst <= 1e-9, worst, 1e-9))
+    out.append(_result("matcore.polar_reconstruction", worst, 1e-9))
 
     return out
 
@@ -122,7 +125,7 @@ def verify_schatten(seed=0, trials=40):
         lhs = schatten_norm(a + b, q) ** q
         rhs = schatten_norm(a, q) ** q + schatten_norm(b, q) ** q
         worst = max(worst, lhs - rhs)
-    out.append(_result("schatten.q_triangle", worst <= 1e-9, worst, 1e-9))
+    out.append(_result("schatten.q_triangle", worst, 1e-9))
 
     worst = -math.inf
     for _ in range(trials):
@@ -131,7 +134,7 @@ def verify_schatten(seed=0, trials=40):
         a, b = _random_complex(rng, n), _random_complex(rng, n)
         worst = max(worst, schatten_norm(a + b, q)
                     - schatten_norm(a, q) - schatten_norm(b, q))
-    out.append(_result("schatten.triangle", worst <= 1e-9, worst, 1e-9))
+    out.append(_result("schatten.triangle", worst, 1e-9))
 
     worst = -math.inf
     for _ in range(trials):
@@ -143,7 +146,7 @@ def verify_schatten(seed=0, trials=40):
         lhs = schatten_norm(a @ b, p)
         rhs = schatten_norm(a, s) * schatten_norm(b, r)
         worst = max(worst, lhs / rhs - 1.0)
-    out.append(_result("schatten.hoelder", worst <= 1e-9, worst, 1e-9))
+    out.append(_result("schatten.hoelder", worst, 1e-9))
 
     worst = 0.0
     for _ in range(trials):
@@ -154,7 +157,7 @@ def verify_schatten(seed=0, trials=40):
         p = float(rng.uniform(0.2, 5.0))
         base = schatten_norm(a, p)
         worst = max(worst, abs(schatten_norm(u @ a @ v, p) - base) / base)
-    out.append(_result("schatten.unitary_invariance", worst <= 1e-9, worst, 1e-9))
+    out.append(_result("schatten.unitary_invariance", worst, 1e-9))
 
     worst = 0.0
     for _ in range(trials):
@@ -162,7 +165,7 @@ def verify_schatten(seed=0, trials=40):
         a = _random_complex(rng, n)
         fro = math.sqrt((np.abs(a) ** 2).sum())
         worst = max(worst, abs(schatten_norm(a, 2.0) - fro) / fro)
-    out.append(_result("schatten.frobenius_crosscheck", worst <= 1e-10, worst, 1e-10))
+    out.append(_result("schatten.frobenius_crosscheck", worst, 1e-10))
 
     return out
 
@@ -178,7 +181,7 @@ def verify_loewner_positivity(seed=0, spectra=500, max_dim=8):
         vals = np.exp(rng.uniform(-math.log(1e3), math.log(1e3), n))
         for g in gammas:
             worst = min(worst, loewner_min_eig(vals, g))
-    return [_result("kernels.loewner_positivity", worst >= -1e-10, worst, -1e-10,
+    return [_result("kernels.loewner_positivity", worst, -1e-10, lower=True,
                     detail="min eigenvalue over %d spectra x %d gammas"
                     % (spectra, len(gammas)))]
 
@@ -209,7 +212,7 @@ def verify_tmap_algebra(seed=0, trials=100):
         lhs = t_map(d_gamma, TMapParams((1.0 - v) / 2.0, v), inner.mat)
         rhs = t_map(d, TMapParams(beta + gamma * (1.0 - v) / 2.0, 0.5), delta)
         worst = max(worst, np.abs(lhs.mat - rhs.mat).max())
-    out.append(_result("kernels.composition_identity", worst <= 1e-9, worst, 1e-9))
+    out.append(_result("kernels.composition_identity", worst, 1e-9))
 
     worst_unital, worst_trace = 0.0, 0.0
     for _ in range(trials // 2):
@@ -221,9 +224,8 @@ def verify_tmap_algebra(seed=0, trials=100):
         y = _random_hermitian(rng, n)
         sy = unital_cp_map(d, gamma, y).mat
         worst_trace = max(worst_trace, abs(np.trace(sy).real - np.trace(y).real))
-    out.append(_result("kernels.unitality", worst_unital <= 1e-9, worst_unital, 1e-9))
-    out.append(_result("kernels.trace_preservation", worst_trace <= 1e-9,
-                       worst_trace, 1e-9))
+    out.append(_result("kernels.unitality", worst_unital, 1e-9))
+    out.append(_result("kernels.trace_preservation", worst_trace, 1e-9))
 
     worst = math.inf
     for _ in range(trials // 2):
@@ -240,7 +242,7 @@ def verify_tmap_algebra(seed=0, trials=100):
             diffm = sq - lhs
             lam, _ = _eigh(0.5 * (diffm + diffm.conj().T), want_vectors=False)
             worst = min(worst, lam[0])
-    out.append(_result("kernels.hansen_pedersen", worst >= -1e-8, worst, -1e-8))
+    out.append(_result("kernels.hansen_pedersen", worst, -1e-8, lower=True))
 
     worst = math.inf
     for _ in range(trials // 2):
@@ -253,7 +255,7 @@ def verify_tmap_algebra(seed=0, trials=100):
         res = t_map(d, TMapParams(beta, gamma), delta).mat
         lam, _ = _eigh(0.5 * (res + res.conj().T), want_vectors=False)
         worst = min(worst, lam[0])
-    out.append(_result("kernels.cp_proxy", worst >= -1e-8, worst, -1e-8,
+    out.append(_result("kernels.cp_proxy", worst, -1e-8, lower=True,
                        detail="min eig of t_map on positive inputs"))
 
     return out
@@ -270,8 +272,7 @@ def verify_rx_probe(seed=0, trials=500, alphas=(0.5, 1.0, 3.0), max_dim=8):
         for alpha in alphas:
             k = rx_kernel(vals, alpha)
             worst = max(worst, schatten_norm(k * x, math.inf) / nx)
-    return [_result("kernels.rx_schur_bound", worst <= 2.5 * (1 + 1e-8), worst,
-                    2.5 * (1 + 1e-8),
+    return [_result("kernels.rx_schur_bound", worst, 2.5 * (1 + 1e-8),
                     detail="max ||K o X||_inf / ||X||_inf over %d draws" % trials)]
 
 
@@ -292,7 +293,7 @@ def verify_mazur(seed=0, trials=30):
         worst = max(worst, abs(lhs - rhs) / rhs)
     # p/q can reach 10, which amplifies eigenvalue rounding on ill-conditioned
     # draws by roughly (p/q) * kappa
-    out.append(_result("mazur.norm_preservation", worst <= 1e-7, worst, 1e-7))
+    out.append(_result("mazur.norm_preservation", worst, 1e-7))
 
     worst = 0.0
     for _ in range(trials):
@@ -302,7 +303,7 @@ def verify_mazur(seed=0, trials=30):
         two_step = mazur_map(mazur_map(f, p, q).mat, q, r).mat
         one_step = mazur_map(f, p, r).mat
         worst = max(worst, np.abs(two_step - one_step).max())
-    out.append(_result("mazur.composition", worst <= 1e-8, worst, 1e-8))
+    out.append(_result("mazur.composition", worst, 1e-8))
 
     worst = 0.0
     for _ in range(trials):
@@ -315,7 +316,7 @@ def verify_mazur(seed=0, trials=30):
         lam = float(rng.uniform(0.2, 5.0))
         scaled = main_ratio(PositiveDefiniteMatrix(lam * d.mat), x, cfg)
         worst = max(worst, abs(scaled - base) / base)
-    out.append(_result("mazur.ratio_homogeneity", worst <= 1e-9, worst, 1e-9))
+    out.append(_result("mazur.ratio_homogeneity", worst, 1e-9))
 
     # (p/q) 2^(1/q - 1/p) bounds the ratio for commuting positive x, y.  With
     # r = p/q, eigenvalues a_i, b_i of x, y and m_i = max(a_i, b_i):
@@ -331,7 +332,7 @@ def verify_mazur(seed=0, trials=30):
         x = PositiveDefiniteMatrix(np.diag(np.exp(rng.uniform(-2, 2, n))).astype(complex))
         y = PositiveDefiniteMatrix(np.diag(np.exp(rng.uniform(-2, 2, n))).astype(complex))
         worst = max(worst, powers_diff_ratio(x, y, p, q) - p / q * 2.0 ** (1.0 / q - 1.0 / p))
-    out.append(_result("mazur.diagonal_ceiling", worst <= 1e-9, worst, 1e-9))
+    out.append(_result("mazur.diagonal_ceiling", worst, 1e-9))
 
     return out
 
@@ -350,10 +351,9 @@ def verify_decomposition(seed=0, pairs=100, ts=(0.1, 0.3, 0.45), max_dim=6):
             worst_res = max(worst_res, res / scale)
             worst_gap = max(worst_gap, gap / scale)
     return [
-        _result("mazur.decomposition_identity", worst_res <= 1e-9, worst_res, 1e-9,
+        _result("mazur.decomposition_identity", worst_res, 1e-9,
                 detail="relative to max(||x||,||y||)^(1+t)"),
-        _result("mazur.block_construction_agreement", worst_gap <= 1e-9,
-                worst_gap, 1e-9),
+        _result("mazur.block_construction_agreement", worst_gap, 1e-9),
     ]
 
 
@@ -367,9 +367,8 @@ def verify_poisson_mass(gammas=GAMMAS):
         mf = boundary_measure(g, BoundarySet.full())
         worst1 = max(worst1, abs(m1 - g))
         worst_full = max(worst_full, abs(mf - 1.0))
-    out.append(_result("strip.poisson_mass_boundary1", worst1 <= 1e-6, worst1, 1e-6))
-    out.append(_result("strip.poisson_mass_total", worst_full <= 1e-6,
-                       worst_full, 1e-6))
+    out.append(_result("strip.poisson_mass_boundary1", worst1, 1e-6))
+    out.append(_result("strip.poisson_mass_total", worst_full, 1e-6))
     return out
 
 
@@ -434,15 +433,14 @@ def verify_doubling(seed=0, sets_per_gamma=SETS_PER_GAMMA, gammas=GAMMAS):
         bound = doubling_bound(g)
         for a, a2 in _random_boundary_sets(rng, sets_per_gamma):
             worst_excess = max(worst_excess, _doubling_ratio(g, a, a2) - bound)
-    out.append(_result("strip.doubling_bound", worst_excess <= 0.0,
-                       worst_excess, 0.0,
+    out.append(_result("strip.doubling_bound", worst_excess, 0.0,
                        detail="max of ratio - 4/(1-|cos(g pi)|) over %d sets"
                        % (sets_per_gamma * len(gammas))))
 
     worst = -math.inf
     for b, b2 in _random_boundary_sets(rng, sets_per_gamma):
         worst = max(worst, cosh_measure(b2) - 2.0 * cosh_measure(b))
-    out.append(_result("strip.cosh_doubling", worst <= 1e-9, worst, 1e-9,
+    out.append(_result("strip.cosh_doubling", worst, 1e-9,
                        detail="max of cosh(2.A) - 2 cosh(A) over %d sets"
                        % sets_per_gamma))
     return out
@@ -466,7 +464,7 @@ def verify_boundary_constancy(seed=0, families=50, alphas=(0.5, 1.0, 2.0),
         n0, n1 = boundary_norm_profile(fam, q, t_grid)
         worst = max(worst, np.abs(n0 - base).max() / base,
                     np.abs(n1 - base).max() / base)
-    return [_result("strip.boundary_norm_constancy", worst <= 1e-8, worst, 1e-8)]
+    return [_result("strip.boundary_norm_constancy", worst, 1e-8)]
 
 
 def verify_convexity_defect(seed=0, families=DEFECT_FAMILIES, qs=DEFECT_QS,
@@ -493,15 +491,28 @@ def verify_convexity_defect(seed=0, families=DEFECT_FAMILIES, qs=DEFECT_QS,
             minima[q] = min(minima[q], v)
         done += 1
     overall = min(minima.values())
-    return [_result("strip.convexity_defect_positive",
-                    done == families and overall > 0.0, overall, 0.0,
-                    detail="ensemble minima per q: %s; %d of %d families"
-                    " excluded as degenerate"
-                    % ({q: round(v, 6) for q, v in minima.items()},
-                       attempts - done, attempts))]
+    # every family must count and the minimum be strictly positive
+    return [dict(_result("strip.convexity_defect_positive", overall, 0.0,
+                         detail="ensemble minima per q: %s; %d of %d families"
+                         " excluded as degenerate"
+                         % ({q: round(v, 6) for q, v in minima.items()},
+                            attempts - done, attempts)),
+                 passed=bool(done == families and overall > 0.0))]
 
 
 # --- suite dispatch ------------------------------------------------------
+
+def strip_suites(seed=0, gammas=GAMMAS, sets_per_gamma=SETS_PER_GAMMA,
+                 families=DEFECT_FAMILIES, qs=DEFECT_QS):
+    """The four strip checks in run order, as (name, run) pairs; run()
+    returns the check's results."""
+    return (
+        ("poisson_mass", lambda: verify_poisson_mass(gammas)),
+        ("doubling", lambda: verify_doubling(seed, sets_per_gamma, gammas)),
+        ("boundary_constancy", lambda: verify_boundary_constancy(seed)),
+        ("convexity_defect", lambda: verify_convexity_defect(seed, families, qs)),
+    )
+
 
 MODULE_SUITES = {
     "matcore": lambda seed: verify_matcore(seed),
@@ -510,10 +521,7 @@ MODULE_SUITES = {
                              + verify_tmap_algebra(seed)
                              + verify_rx_probe(seed)),
     "mazur": lambda seed: verify_mazur(seed) + verify_decomposition(seed),
-    "strip": lambda seed: (verify_poisson_mass()
-                           + verify_doubling(seed)
-                           + verify_boundary_constancy(seed)
-                           + verify_convexity_defect(seed)),
+    "strip": lambda seed: [r for _, run in strip_suites(seed) for r in run()],
 }
 
 

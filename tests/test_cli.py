@@ -487,6 +487,16 @@ def test_defect_min_under_diagonal_is_a_config_error(tmp_path, capsys):
         "config error: objective 'convexity-defect-min'")
 
 
+def test_defect_min_at_dim_1_is_a_config_error(tmp_path, capsys):
+    # a 1x1 d and x commute too
+    text = small_estimate("convexity-defect-min", {"alpha": "1", "q": "1"}, budget=3)
+    cfg = write_config(tmp_path, text.replace("dim = 2", "dim = 1"))
+    status = cli.main(["--config", cfg, "--out", str(tmp_path / "r.json")])
+    assert status == cli.EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(
+        "config error: objective 'convexity-defect-min'")
+
+
 FUZZ_VALUES = ("-1", "0", "0.5", "1", "2", "inf", "-inf", "nan")
 
 

@@ -107,18 +107,36 @@ class TestSearch:
     def test_diagonal_search_stays_diagonal(self):
         # every unitary stays the identity and every matrix diagonal, for
         # each kind of state
-        spec = InstanceSpec(dim=3, seed=4)
+        spec = InstanceSpec(dim=3, seed=4, diagonal=True)
         for oid, params in [("eq2", {"p": 1.0, "q": 2.0 / 3.0}),
                             ("mazur", {"p": 2.0, "q": 0.5}),
                             ("abs-power", {"p": 2.0, "q": 0.5}),
                             ("main", {"alpha": 1.0, "s": 2.0, "r": math.inf})]:
-            rep = maximize(oid, params, spec, budget=40, starts=2, diagonal=True)
+            rep = maximize(oid, params, spec, budget=40, starts=2)
             st = deserialize_state(rep.witness)
             _, unitaries, mats = LAYOUTS[OBJECTIVES[oid].kind]
             for key in unitaries:
                 assert np.array_equal(st[key], np.eye(3)), (oid, key)
             for key in mats:
                 assert np.array_equal(st[key], np.diag(np.diagonal(st[key]))), (oid, key)
+
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_spec_block_rebuilds_the_spec(self, diagonal):
+        spec = InstanceSpec(dim=3, spectrum_law="geometric",
+                            x_law="hermitian-gaussian", seed=11,
+                            diagonal=diagonal)
+        rep = maximize("mazur", {"p": 2.0, "q": 0.5}, spec, budget=5, starts=2)
+        assert InstanceSpec(seed=rep.seed, **rep.spec) == spec
+
+    @pytest.mark.parametrize("spec", [InstanceSpec(dim=1, seed=3),
+                                      InstanceSpec(dim=3, seed=3, diagonal=True)],
+                             ids=["dim1", "diagonal"])
+    @pytest.mark.parametrize("search", [maximize, queue_starts])
+    def test_defect_min_refuses_commuting_instances(self, spec, search):
+        # d and x commute, so every family is degenerate
+        with pytest.raises(ValidationError, match="convexity-defect-min"):
+            search("convexity-defect-min", {"alpha": 1.0, "q": 1.0}, spec,
+                   budget=3, starts=1)
 
     def test_plateau_improvement_of_flat_trace(self):
         spec = InstanceSpec(dim=3, seed=6)

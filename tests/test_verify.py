@@ -10,6 +10,19 @@ from schattenlab.mazur import powers_diff_ratio
 from schattenlab.schatten import _power_sum_norm, schatten_norm
 
 
+@pytest.mark.parametrize("value, tolerance, lower, passed", [
+    (1e-9, 1e-9, False, True), (1.1e-9, 1e-9, False, False),
+    (-math.inf, 0.0, False, True), (math.nan, 1e-9, False, False),
+    (-1e-8, -1e-8, True, True), (-1.1e-8, -1e-8, True, False),
+    (math.inf, -1e-8, True, True), (math.nan, -1e-8, True, False),
+])
+def test_result_passes_within_its_bound(value, tolerance, lower, passed):
+    # the value at the bound passes; a NaN never does
+    result = verify._result("check", value, tolerance, lower=lower)
+    assert result["passed"] is passed
+    assert result["tolerance"] == tolerance
+
+
 def test_boundary_constancy_seed_24():
     # singular values taken from the eigenvalues of A*A carried a noise floor
     # near 1e-8 sigma_max, which failed this check at seed 24 (1.65e-5)
