@@ -19,9 +19,9 @@ import sys
 import time
 
 from . import __version__, verify
-from .estimator import (InstanceSpec, OBJECTIVES, _search_objective, maximize,
-                        open_pool, queue_starts, replay_witness,
-                        review_flagged)
+from .estimator import (InstanceSpec, OBJECTIVES, _fork_context,
+                        _search_objective, maximize, open_pool, queue_starts,
+                        replay_witness, review_flagged)
 from .matcore import DomainError, NumericalError, ValidationError
 from .strip import BoundarySet, _check_defect_q, _check_gamma0, boundary_measure
 
@@ -57,6 +57,17 @@ def _parse_count(section, key, default, least):
     if val < least:
         raise ConfigError("key %r: must be at least %d, got %d" % (key, least, val))
     return val
+
+
+def _parse_bool(section, key, default):
+    """The boolean value of key (default when absent), in configparser's
+    words, any case: 1/yes/true/on or 0/no/false/off."""
+    text = str(section.get(key, default)).strip()
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ConfigError("key %r: %r is not a boolean (1, yes, true, on"
+                          " or 0, no, false, off)" % (key, text))
 
 
 def _parse_list(text, key):
@@ -129,8 +140,7 @@ def load_config(path):
             "dim": _parse_count(inst, "dim", 4, 1),
             "spectrum_law": inst.get("spectrum-law", "log-uniform"),
             "x_law": inst.get("x-law", "gaussian-complex"),
-            "diagonal": str(inst.get("diagonal", "false")).lower()
-            in ("1", "true", "yes"),
+            "diagonal": _parse_bool(inst, "diagonal", False),
             "budget": _parse_count(inst, "budget", 2000, 0),
             "starts": _parse_count(inst, "starts", 16, 1),
         }
@@ -220,16 +230,19 @@ def run_estimate(cfg, jobs):
     spec = _instance_spec(cfg)
     search = {"budget": inst["budget"], "starts": inst["starts"], "jobs": jobs}
     results = []
+    point_seconds = []   # first read of a point's starts to its flag review's end
     failed = False
     # one pool for the whole run, closed before this returns or raises.
-    # Every grid point's starts are queued before the first is read, so the
-    # workers go straight on while this process merges, replays and
-    # reviews; at one job each point's starts run inside its maximize
+    # Every grid point's starts are queued before the first is read, which
+    # forks the pool's children; they go straight on through every point
+    # while this process runs its own share of each, then merges, replays
+    # and reviews it.  At one job each point's starts run inside its maximize
     with open_pool(jobs, inst["starts"]) as pool:
         queued = [(objective_id, point,
                    queue_starts(objective_id, point, spec, pool=pool, **search))
                   for objective_id, grid in cfg["objectives"] for point in grid]
         for objective_id, point, started in queued:
+            start = time.monotonic()
             report = maximize(objective_id, point, spec, results=started, **search)
             entry = report.to_dict()
             entry["replay_ratio"] = replay_witness(report)
@@ -240,7 +253,8 @@ def run_estimate(cfg, jobs):
             if any(not v["benign"] for v in verdicts):
                 failed = True
             results.append(entry)
-    return results, failed
+            point_seconds.append(time.monotonic() - start)
+    return results, failed, point_seconds
 
 
 # --- report assembly -----------------------------------------------------
@@ -325,6 +339,11 @@ def main(argv=None):
             cfg["format"] = args.format
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
+        if args.jobs > 1:
+            try:
+                _fork_context()
+            except ValidationError as exc:
+                raise ConfigError("--jobs %d: %s" % (args.jobs, exc))
         out_path = args.out if args.out is not None else cfg["out"]
 
         start = time.monotonic()
@@ -337,8 +356,9 @@ def main(argv=None):
             report["tables"] = tables
             report["timing"]["check_seconds"] = check_seconds
         else:
-            results, failed = run_estimate(cfg, args.jobs)
+            results, failed, point_seconds = run_estimate(cfg, args.jobs)
             report = _base_report(cfg, results, time.monotonic() - start)
+            report["timing"]["point_seconds"] = point_seconds
         write_report(report, out_path, cfg["format"])
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

@@ -7,15 +7,18 @@ spectra and additive perturbations of the off-diagonal element, and the
 best witness is reported with a monotone improvement trace.  On
 commuting instances (diagonal, or dim 1) every convexity-defect-min
 family is degenerate, so that search is refused.  Identical inputs give
-byte-identical reports; parallel workers merge in start-index order so the
-worker count never changes the result.  A run of many searches opens one
-pool (open_pool) and queues every search's starts on it at once
-(queue_starts), in one chunk per worker, before maximize merges the first
-search's results, so the workers go on while the merge runs.  A start
-returns its states as arrays; maximize serializes only the witnesses it
-reports.  The pool's module is imported on first use, so importing the
-package loads no multiprocessing.  Each result carries a diagnostics
-block of deterministic search counters.
+byte-identical reports; results merge in start-index order, so the
+number of jobs never changes the result.  A run of many searches opens
+one fork-join pool (open_pool) and queues every search's starts on it
+(queue_starts) before maximize reads the first.  Each search's starts are
+cut into one contiguous share per worker: at the first read, one child
+per share but the first is forked, and each runs its share of every
+queued search in queue order, while this process runs share 0 of each
+search as it reads it and merges, replays and reviews in between.  A
+start returns its states as arrays; maximize serializes only the
+witnesses it reports.  multiprocessing is imported on first use, so
+importing the package loads none of it.  Each result carries a
+diagnostics block of deterministic search counters.
 
 A state is a dict of arrays whose blocks LAYOUTS lists per objective
 kind.  The ratios on one d and one x are unitarily invariant, so a dx
@@ -35,7 +38,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-import numpy.random  # noqa: F401  -- loaded lazily; forked pool workers inherit it
+import numpy.random  # noqa: F401  -- loaded lazily; forked children inherit it
 
 from .kernels import TMapParams, rx_kernel
 from .matcore import (MAX_DIM, DomainError, NumericalError, ValidationError,
@@ -503,29 +506,125 @@ def _merged_trace(events, sign):
     return trace
 
 
+def _fork_context():
+    """multiprocessing's fork context; ValidationError where this platform
+    has no fork, since the search's children must inherit the parent's
+    state (its registered objectives included)."""
+    # imported here: multiprocessing (with socket, selectors, ...) costs
+    # every import of the package otherwise
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise ValidationError("jobs > 1 needs the 'fork' start method,"
+                              " which this platform lacks")
+    return multiprocessing.get_context("fork")
+
+
+def _share(tasks, share, shares):
+    """Share `share` of tasks cut into `shares` contiguous shares."""
+    chunk = -(-len(tasks) // shares)
+    return tasks[share * chunk:(share + 1) * chunk]
+
+
+def _child(searches, share, shares, conn):
+    """A forked child's work: its share of every search, in queue order,
+    one message per search down conn: the list of its starts' results,
+    or the exception that stopped them."""
+    for tasks in searches:
+        try:
+            msg = [_run_start(task) for task in _share(tasks, share, shares)]
+        except Exception as exc:
+            msg = exc
+        conn.send(msg)
+
+
+class _ForkJoin:
+    """The pool open_pool yields: every queued search's starts, cut into
+    `shares` contiguous shares.  Share 0 of a search runs in this process
+    when the search is read; shares 1.. run in children forked at the
+    first read, one per share, each with its own pipe."""
+
+    def __init__(self, ctx, shares):
+        self.ctx = ctx
+        self.shares = shares
+        self.searches = []   # each queued search's tasks, in queue order
+        self.children = []   # (process, receiving end, messages received)
+
+    def queue(self, tasks):
+        if self.children:
+            raise RuntimeError("the pool's children were forked at its first"
+                               " read; queue every search before reading one")
+        self.searches.append(tasks)
+        return self._read(len(self.searches) - 1)
+
+    def _fork(self):
+        for share in range(1, self.shares):
+            mine, theirs = self.ctx.Pipe(duplex=False)
+            proc = self.ctx.Process(target=_child, daemon=True,
+                                    args=(self.searches, share, self.shares, theirs))
+            proc.start()
+            # the child's copy alone keeps the pipe open: EOF once it exits
+            theirs.close()
+            self.children.append((proc, mine, []))
+
+    def _read(self, index):
+        """The search's results in start order: share 0 run here, then each
+        child's share as received; the first failing start raises."""
+        if not self.children:
+            self._fork()
+        for task in _share(self.searches[index], 0, self.shares):
+            yield _run_start(task)
+        for share, (proc, conn, got) in enumerate(self.children, 1):
+            while len(got) <= index:
+                try:
+                    got.append(conn.recv())
+                except (EOFError, OSError):
+                    proc.join()
+                    raise RuntimeError("the child running share %d of %d exited"
+                                       " with code %s before sending its results"
+                                       % (share, self.shares, proc.exitcode))
+            msg, got[index] = got[index], None
+            if isinstance(msg, BaseException):
+                raise msg
+            yield from msg
+
+    def close(self, ok):
+        """Join every child; first terminate each one on an error, or
+        whose messages were not all received."""
+        for proc, _, got in self.children:
+            if not ok or len(got) < len(self.searches):
+                proc.terminate()
+        for proc, conn, _ in self.children:
+            proc.join()
+            conn.close()
+
+
 @contextlib.contextmanager
 def open_pool(jobs, starts):
-    """Process pool for searches of `starts` starts at `jobs` jobs.
+    """Fork-join pool for searches of `starts` starts at `jobs` jobs.
 
-    At jobs > 1, a ProcessPoolExecutor of min(jobs, starts) workers: it
-    forks all of them at once, and a worker beyond one per start would
-    idle.  At one job, None.  On an error inside the block the starts
-    still queued are cancelled, not run; either way every worker has
-    exited when the block is left.
+    At one job, or one start, None: each search runs in this process.
+    Otherwise a _ForkJoin of min(jobs, starts) workers, each search's
+    starts cut into shares of ceil(starts / workers): this process runs
+    share 0 of each search when maximize reads it, and one child per
+    further share, forked at the first read, runs that share of every
+    search queued by then.  Every child has been joined when the block is
+    left; on an error each is terminated first.  ValidationError at
+    jobs > 1 where the platform cannot fork.
     """
-    if jobs <= 1:
+    ctx = _fork_context() if jobs > 1 else None
+    workers = min(jobs, starts)
+    if workers <= 1:
         yield None
         return
-    # imported here: the pool machinery (multiprocessing, socket,
-    # logging, ...) costs every import of the package otherwise
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, starts)) as pool:
-        try:
-            yield pool
-        except BaseException:
-            # the executor's exit would run every queued start first
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
+    chunk = -(-starts // workers)
+    # ceil(starts / chunk) shares: none of them empty
+    pool = _ForkJoin(ctx, -(-starts // chunk))
+    ok = False
+    try:
+        yield pool
+        ok = True
+    finally:
+        pool.close(ok)
 
 
 def _search_objective(objective_id, starts, spec):
@@ -546,17 +645,21 @@ def queue_starts(objective_id, exponents, spec, budget, starts=16, jobs=1,
     """Iterator over the _run_start results of a search's starts, in start
     order, for maximize to merge.
 
-    With a pool (from open_pool, sized for the same jobs and starts) every
-    start is submitted now, in one chunk per worker, so a run can queue
-    all its searches before it reads the first.  Without one, a lazy map
-    that runs each start as it is read.
+    With a pool (from open_pool, sized for the same jobs and starts) the
+    search joins the pool's queue: a run queues all its searches before
+    it reads the first, and the pool's children, forked at that read,
+    run their shares of every queued search.  Without one, a lazy map
+    that runs each start as it is read.  ValidationError at jobs > 1
+    where the platform cannot fork.
     """
     _search_objective(objective_id, starts, spec)
+    if jobs > 1:
+        _fork_context()
     tasks = [(objective_id, dict(exponents), spec, idx, budget)
              for idx in range(starts)]
     if pool is None:
         return map(_run_start, tasks)
-    return pool.map(_run_start, tasks, chunksize=-(-starts // min(jobs, starts)))
+    return pool.queue(tasks)
 
 
 def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,

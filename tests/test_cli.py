@@ -1,10 +1,11 @@
-import concurrent.futures
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schattenlab import cli, estimator
-from schattenlab.matcore import NumericalError
+from schattenlab.matcore import NumericalError, ValidationError
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -109,6 +110,21 @@ class TestConfigParsing:
         assert len(grid) == 6
         assert {pt["alpha"] for pt in grid} == {0.5, 1.0, 2.0}
 
+    @pytest.mark.parametrize("text, value", [("on", True), ("Off", False),
+                                             ("YES", True), ("0", False)])
+    def test_diagonal_reads_configparser_booleans(self, tmp_path, text, value):
+        path = write_config(tmp_path, ESTIMATE_CFG.replace(
+            "dim = 3", "dim = 3\n    diagonal = %s" % text))
+        assert cli.load_config(path)["instances"]["diagonal"] is value
+
+    def test_diagonal_refuses_other_words(self, tmp_path, capsys):
+        path = write_config(tmp_path, ESTIMATE_CFG.replace(
+            "dim = 3", "dim = 3\n    diagonal = maybe"))
+        with pytest.raises(cli.ConfigError, match="'diagonal': 'maybe'"):
+            cli.load_config(path)
+        assert cli.main(["--config", path]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: key 'diagonal'")
+
     def test_inf_parsing(self, tmp_path):
         path = write_config(tmp_path, """\
             [experiment]
@@ -177,6 +193,17 @@ class TestRuns:
         b.pop("timing")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_point_seconds_time_each_result(self, tmp_path, jobs):
+        cfg = write_config(tmp_path, POOL_CFG)
+        out = str(tmp_path / "r.json")
+        assert cli.main(["--config", cfg, "--out", out, "--jobs", str(jobs)]) == 0
+        report = json.loads(Path(out).read_text())
+        seconds = report["timing"]["point_seconds"]
+        assert len(seconds) == len(report["results"]) == 4
+        assert all(s > 0.0 for s in seconds)
+        assert sum(seconds) <= report["timing"]["wall_clock_seconds"]
 
     def test_verify_run(self, tmp_path):
         cfg = write_config(tmp_path, """\
@@ -332,108 +359,176 @@ POOL_CFG = """\
 
 
 class TestWorkerPool:
-    # open_pool imports ProcessPoolExecutor from concurrent.futures when it
-    # opens a pool, so the tests replace it there
+    # the pool forks its children through multiprocessing's fork context,
+    # which calls os.fork once per child
 
-    def test_one_executor_per_run(self, tmp_path, monkeypatch):
-        made = []
+    @staticmethod
+    def count_forks(monkeypatch):
+        """The pids of the children forked from now on, in fork order."""
+        forks = []
+        fork = os.fork
 
-        class CountingExecutor(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(None)
-                super().__init__(*args, **kwargs)
+        def counting():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", counting)
+        return forks
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            CountingExecutor)
+    def test_one_set_of_children_per_run(self, tmp_path, monkeypatch):
+        # four grid points of four starts at jobs 2: two shares, one child
+        forks = self.count_forks(monkeypatch)
         cfg = write_config(tmp_path, POOL_CFG)
         out = str(tmp_path / "r.json")
         assert cli.main(["--config", cfg, "--out", out, "--jobs", "2"]) == 0
         assert len(json.loads(Path(out).read_text())["results"]) == 4
-        assert len(made) == 1
+        assert len(forks) == 1
         assert multiprocessing.active_children() == []
 
     def test_never_more_workers_than_starts(self, tmp_path, monkeypatch):
-        # records the requested size and maps in this process: nothing forks
-        sizes = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingExecutor)
+        forks = self.count_forks(monkeypatch)
         cfg = write_config(tmp_path, POOL_CFG)
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
                          "--jobs", "8"]) == 0
+        assert len(forks) == 3
         spec = estimator.InstanceSpec(dim=2, seed=5)
         estimator.maximize("mazur", {"p": 2.0, "q": 0.5}, spec, budget=3,
                            starts=3, jobs=8)
-        assert sizes == [4, 3]
-
-    @staticmethod
-    def recording_executor(monkeypatch):
-        """Replaces the executor by one that maps in this process and logs
-        each map, the first read of each map's results, each shutdown and
-        the exit of its with block; nothing forks."""
-        events = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                events.append("exit")
-                return False
-
-            def shutdown(self, wait=True, *, cancel_futures=False):
-                events.append(("shutdown", wait, cancel_futures))
-
-            def map(self, fn, iterable, chunksize=1):
-                index = sum(ev == "map" for ev in events)
-                events.append("map")
-
-                def read():
-                    events.append(("read", index))
-                    yield from map(fn, iterable)
-                return read()
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            RecordingExecutor)
-        return events
+        assert len(forks) == 3 + 2
+        assert multiprocessing.active_children() == []
 
     def test_every_grid_point_is_queued_before_the_first_read(
             self, tmp_path, monkeypatch):
-        events = self.recording_executor(monkeypatch)
+        events = []
+        pool = estimator._ForkJoin
+        queue, read, fork = pool.queue, pool._read, pool._fork
+
+        def logged_queue(self, tasks):
+            events.append("queue")
+            return queue(self, tasks)
+
+        def logged_read(self, index):
+            events.append(("read", index))
+            yield from read(self, index)
+
+        def logged_fork(self):
+            events.append("fork")
+            fork(self)
+        monkeypatch.setattr(pool, "queue", logged_queue)
+        monkeypatch.setattr(pool, "_read", logged_read)
+        monkeypatch.setattr(pool, "_fork", logged_fork)
         cfg = write_config(tmp_path, POOL_CFG)
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
                          "--jobs", "2"]) == 0
-        assert events == ["map"] * 4 + [("read", i) for i in range(4)] + ["exit"]
+        assert events == ["queue"] * 4 + [("read", 0), "fork"] \
+            + [("read", i) for i in range(1, 4)]
+
+    @staticmethod
+    def objective_by_process(in_parent, in_child):
+        """A 'dx' objective with the keys of 'main' that calls in_parent(n)
+        in this process and in_child(n) in a forked child, n the start's
+        evaluation count so far, and returns n."""
+        parent = os.getpid()
+
+        def make_eval(params):
+            calls = []
+
+            def evaluate(st):
+                calls.append(None)
+                act = in_parent if os.getpid() == parent else in_child
+                act(len(calls))
+                return float(len(calls))
+            return evaluate
+        return estimator._Objective("dx", "max", make_eval, ("alpha", "s", "r"))
+
+    @staticmethod
+    def fail_after(n):
+        def act(calls):
+            if calls > n:
+                raise NumericalError("solver gave up")
+        return act
+
+    @staticmethod
+    def recorded_children(monkeypatch):
+        """The pool's child processes as its close() finds them."""
+        seen = []
+        close = estimator._ForkJoin.close
+
+        def recording(self, ok):
+            seen.extend(proc for proc, _, _ in self.children)
+            close(self, ok)
+        monkeypatch.setattr(estimator._ForkJoin, "close", recording)
+        return seen
 
     def test_failure_cancels_the_queued_starts(self, tmp_path, monkeypatch,
-                                               capsys, failing_objective):
-        # the executor's own exit would first run every start still queued
-        events = self.recording_executor(monkeypatch)
-        monkeypatch.setitem(estimator.OBJECTIVES, "main",
-                            failing_objective(NumericalError, 2))
+                                               capsys):
+        # start 0 fails in this process while the child's start 2 would
+        # sleep for a minute: the child is terminated, not waited for
+        monkeypatch.setitem(estimator.OBJECTIVES, "main", self.objective_by_process(
+            self.fail_after(2), lambda calls: time.sleep(60)))
+        children = self.recorded_children(monkeypatch)
         cfg = write_config(tmp_path, FAILING_CFG)
+        t0 = time.monotonic()
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
                          "--jobs", "2"]) == cli.EXIT_NUMERICAL_FAILURE
+        assert time.monotonic() - t0 < 30
         assert "objective main, start 0, iteration 2, seed 11" \
             in capsys.readouterr().err
-        assert events == ["map", "map", ("read", 0), ("shutdown", True, True),
-                          "exit"]
+        assert [proc.exitcode for proc in children] == [-signal.SIGTERM]
+        assert multiprocessing.active_children() == []
+
+    def test_failure_in_a_childs_share_names_its_first_start(
+            self, tmp_path, monkeypatch, capsys):
+        # at jobs 3 each of the 3 starts is a share; starts 1 and 2 fail in
+        # two children, and the first failing start in start order wins
+        monkeypatch.setitem(estimator.OBJECTIVES, "main", self.objective_by_process(
+            lambda calls: None, self.fail_after(2)))
+        cfg = write_config(tmp_path, FAILING_CFG)
+        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
+                         "--jobs", "3"]) == cli.EXIT_NUMERICAL_FAILURE
+        err = capsys.readouterr().err
+        assert "objective main, start 1, iteration 2, seed 11" in err
+        assert "start 2" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_exits_without_sending_is_an_error(
+            self, tmp_path, monkeypatch):
+        # the child's pipe reads EOF: an error at once, never a hang (the
+        # alarm turns one into a failure)
+        monkeypatch.setitem(estimator.OBJECTIVES, "main", self.objective_by_process(
+            lambda calls: None, lambda calls: os._exit(7)))
+        cfg = write_config(tmp_path, FAILING_CFG)
+
+        def hung(signum, frame):
+            raise TimeoutError("the run hung on a dead child")
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError,
+                               match="share 1 of 2 exited with code 7 before"):
+                cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
+                          "--jobs", "2"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    def test_jobs_without_fork_is_a_config_error(self, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        cfg = write_config(tmp_path, POOL_CFG)
+        out = str(tmp_path / "r.json")
+        assert cli.main(["--config", cfg, "--out", out, "--jobs", "2"]) \
+            == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith("config error: --jobs 2: ")
+        assert cli.main(["--config", cfg, "--out", out, "--jobs", "1"]) == 0
+        spec = estimator.InstanceSpec(dim=2, seed=5)
+        for search in (estimator.maximize, estimator.queue_starts):
+            with pytest.raises(ValidationError, match="fork"):
+                search("mazur", {"p": 2.0, "q": 0.5}, spec, budget=3,
+                       starts=3, jobs=2)
 
 
 def small_estimate(objective_id, point, budget):
@@ -533,8 +628,8 @@ def test_config_fuzz_exit_code(tmp_path_factory, case):
 def test_cli_import_modules():
     # scipy's import dominated start-up time and memory while the strip
     # measures needed it; the closed forms need numpy only.  numpy.random
-    # must be loaded before the search forks its pool workers, or each
-    # worker imports it again
+    # must be loaded before the search forks its children, or each child
+    # imports it again
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(
@@ -545,8 +640,8 @@ def test_cli_import_modules():
 
 
 def test_cli_import_loads_no_process_pool():
-    # the pool's module and multiprocessing (with socket, logging,
-    # subprocess and selectors) are imported when a run first opens a pool
+    # multiprocessing (with socket, selectors and more) is imported when a
+    # run first opens a pool at jobs > 1, and concurrent.futures never
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(

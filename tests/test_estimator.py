@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -281,6 +282,39 @@ class TestFailureContext:
         with pytest.raises(NumericalError, match="start 0, iteration 0,"):
             maximize("main", {"alpha": 1.0, "s": 2.0, "r": math.inf}, spec,
                      budget=10, starts=1)
+
+
+class TestForkJoin:
+    ARGS = ("mazur", {"p": 2.0, "q": 0.5}, InstanceSpec(dim=2, seed=5))
+    SEARCH = dict(budget=3, starts=4, jobs=2)
+
+    def test_equals_the_serial_results_in_start_order(self):
+        serial = list(queue_starts(*self.ARGS, budget=3, starts=4))
+        with estimator.open_pool(2, 4) as pool:
+            queued = [queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
+                      for _ in range(2)]
+            for started in queued:
+                assert [res[0] for res in started] == [res[0] for res in serial]
+        assert multiprocessing.active_children() == []
+
+    def test_queue_after_the_first_read_is_refused(self):
+        with estimator.open_pool(2, 4) as pool:
+            started = queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
+            next(started)
+            with pytest.raises(RuntimeError, match="queue every search before"):
+                queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
+        assert multiprocessing.active_children() == []
+
+    def test_a_search_left_unread_ends_its_child(self):
+        # the child still owes the second search's message: it is
+        # terminated, not waited for
+        with estimator.open_pool(2, 4) as pool:
+            first = queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
+            queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
+            assert len(list(first)) == 4
+            (child, _, _), = pool.children
+        assert child.exitcode is not None
+        assert multiprocessing.active_children() == []
 
 
 # --- the trace merge against the per-iteration arrays it replaced --------

@@ -8,7 +8,7 @@ state layout.
 
 No linter is part of the toolchain, so this parses the sources with ast.
 An import whose lines carry a '# noqa' comment is exempt (estimator's
-'import numpy.random' is there for the forked pool workers to inherit).
+'import numpy.random' is there for the pool's forked children to inherit).
 """
 
 import ast
