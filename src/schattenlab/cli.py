@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 property failure or counterexample flag,
 import argparse
 import configparser
 import csv
+import hashlib
 import io
 import json
 import math
@@ -273,6 +274,14 @@ def _base_report(cfg, results, wall_clock):
 
 def _to_json(report):
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=True) + "\n"
+
+
+def report_digest(report):
+    """sha256 of the report outside its wall-clock "timing" entry, which a
+    rerun and any --jobs must leave unchanged.  It hashes the report file's
+    JSON text less its final newline, as bench/checks.py's sha256 does."""
+    body = {key: val for key, val in report.items() if key != "timing"}
+    return hashlib.sha256(_to_json(body)[:-1].encode()).hexdigest()
 
 
 def _flatten_exponents(exponents):

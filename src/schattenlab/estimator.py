@@ -532,7 +532,7 @@ def _child(searches, share, shares, conn):
     for tasks in searches:
         try:
             msg = [_run_start(task) for task in _share(tasks, share, shares)]
-        except Exception as exc:
+        except Exception as exc:   # any class: the parent re-raises it in start order
             msg = exc
         conn.send(msg)
 

@@ -1,8 +1,9 @@
 """Dense complex linear algebra and functional calculus on small matrices.
 
 Everything here operates on square complex matrices of dimension at most 64.
-Eigenvalues and singular values come from LAPACK via numpy (eigh and svd),
-so results are identical on one machine and BLAS, not across platforms.
+Eigenvalues and singular values come from numpy.linalg's own LAPACK gufuncs,
+which _lapack calls directly, so results are identical on one machine and
+BLAS, not across platforms.
 
 The validated classes (ComplexMatrix, HermitianMatrix, PositiveDefiniteMatrix,
 SpectralDecomposition) are for input to the public API.  The search computes
@@ -12,6 +13,7 @@ functions share, so each piece of arithmetic and each rule exists once.
 """
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 MAX_DIM = 64
 
@@ -184,37 +186,47 @@ def _power(lam, v, t):
     return 0.5 * (m + m.conj().T)
 
 
-def _lapack(routine, a, **kwargs):
-    """Run a numpy.linalg routine on finite input; failures raise NumericalError.
+def _nonconvergence(err, flag):
+    raise NumericalError("LAPACK did not converge (%s, flag %d)" % (err, flag))
 
-    LAPACK answers some non-finite inputs with NaN instead of an error, so
-    those are refused before the call.
-    """
+
+# each gufunc's float64 and complex128 loop, by the input's dtype character,
+# so that a real matrix is never computed as complex
+_LOOPS = {(g, t[0]): t for g in (_umath_linalg.svd, _umath_linalg.svd_s,
+                                  _umath_linalg.eigh_lo, _umath_linalg.eigvalsh_lo)
+          for t in g.types if t[0] in "dD"}
+
+
+# numpy.linalg's own error state around these gufuncs: a LAPACK failure sets
+# the invalid flag, which calls _nonconvergence
+@np.errstate(call=_nonconvergence, invalid="call", over="ignore",
+             divide="ignore", under="ignore")
+def _lapack(gufunc, a, error=NumericalError):
+    """One of numpy's LAPACK gufuncs on a matrix or a stack, called directly,
+    as numpy.linalg calls it; a non-finite entry raises error first, since
+    LAPACK answers some with NaN instead of failing."""
     if not np.isfinite(a).all():
-        raise NumericalError("%s: %s input has non-finite entries"
-                             % (routine.__name__, "x".join(map(str, a.shape))))
-    try:
-        return routine(a, **kwargs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("LAPACK %s failed on %s input: %s"
-                             % (routine.__name__, "x".join(map(str, a.shape)),
-                                exc)) from exc
+        raise error("%s: %s input has non-finite entries"
+                    % (gufunc.__name__, "x".join(map(str, a.shape))))
+    return gufunc(a, signature=_LOOPS[gufunc, a.dtype.char])
 
 
 def _eigh(h, want_vectors=True):
     """Eigenvalues of a Hermitian matrix, ascending, and a unitary of
     eigenvectors (None unless want_vectors)."""
     if want_vectors:
-        return _lapack(np.linalg.eigh, h)
-    return _lapack(np.linalg.eigvalsh, h), None
+        return _lapack(_umath_linalg.eigh_lo, h)
+    return _lapack(_umath_linalg.eigvalsh_lo, h), None
 
 
-def _svd_any_scale(a, compute_uv):
+def _svd_any_scale(a, compute_uv, error=NumericalError):
     """numpy's SVD of a matrix or a stack, from one LAPACK call; a matrix whose
     largest singular value lies outside SVD_SAFE_RANGE is decomposed again
     as 2^-e m, which is exact, and its singular values scaled back by 2^e,
-    so that every SVD in the package is homogeneous at any scale."""
-    out = _lapack(np.linalg.svd, a, compute_uv=compute_uv)
+    so that every SVD in the package is homogeneous at any scale.  A
+    non-finite entry raises error."""
+    gufunc = _umath_linalg.svd_s if compute_uv else _umath_linalg.svd
+    out = _lapack(gufunc, a, error)
     sig = out[1] if compute_uv else out
     if not sig.size:
         return out
@@ -231,8 +243,7 @@ def _svd_any_scale(a, compute_uv):
         redo = (top > hi) | (top < lo) & (top > 0.0)
         top = top[redo]
     e = np.clip(np.frexp(top)[1], -1000, 1000)   # 2^+-e stays finite
-    again = _lapack(np.linalg.svd, a[redo] * np.ldexp(1.0, -e)[..., None, None],
-                    compute_uv=compute_uv)
+    again = _lapack(gufunc, a[redo] * np.ldexp(1.0, -e)[..., None, None])
     if compute_uv:
         out[0][redo], out[2][redo] = again[0], again[2]
         again = again[1]
@@ -240,10 +251,12 @@ def _svd_any_scale(a, compute_uv):
     return out
 
 
-def _svdvals(a):
+def _svdvals(a, error=NumericalError):
     """Singular values, descending; for a stack of matrices, one row per
-    matrix from one call, bit for bit what one call per matrix gives."""
-    return _svd_any_scale(a, False)
+    matrix from one call, bit for bit what one call per matrix gives.  A
+    non-finite entry raises error, so a caller that forms a matrix for this
+    call alone names its class here instead of scanning it first."""
+    return _svd_any_scale(a, False, error)
 
 
 def _svd(a):

@@ -72,9 +72,9 @@ def mazur_map(f, p, q):
 # take formed matrices, so that x = d gives an exact zero.  Numerators go
 # through schatten_norm and the other norms through _svdvals; both reach
 # the one SVD, and the split only keeps one traced singular_values call
-# per evaluation for the benchmark.  X' is checked finite before use and
-# each formed denominator matrix where it is formed, raising the class the
-# public API always raised for that input.
+# per evaluation for the benchmark.  X' is checked finite before use, and
+# each formed denominator matrix by the SVD that reads it, raising the class
+# the public API always raised for that input.
 
 def _spectrum_norm(lam, s):
     """||d||_s from the eigenvalues lam > 0 of d, which must be ascending
@@ -94,9 +94,9 @@ def _eigen_args(d, x):
 def _main(lam, x, cfg):
     x = _finite(x, NumericalError)
     num = schatten_norm(x * lam ** (1.0 + cfg.alpha), cfg.q)
-    anti = _finite(x * np.add.outer(lam, lam))
+    sv = _svdvals(x * np.add.outer(lam, lam), ValidationError)
     return _safe_ratio(num, _spectrum_norm(lam, cfg.s) ** cfg.alpha
-                       * _power_sum_norm(_svdvals(anti), cfg.p))
+                       * _power_sum_norm(sv, cfg.p))
 
 
 def main_ratio(d, x, cfg):
@@ -108,7 +108,7 @@ def main_ratio(d, x, cfg):
 def _interp(lam, x, eps, s, r, p):
     x = _finite(x, NumericalError)
     num = schatten_norm(x * lam, p)
-    sv = _svdvals(np.stack((x, _finite(x * np.add.outer(lam, lam)))))
+    sv = _svdvals(np.array((x, x * np.add.outer(lam, lam))), ValidationError)
     return _safe_ratio(num, (_spectrum_norm(lam, s) * _power_sum_norm(sv[0], r)) ** eps
                        * _power_sum_norm(sv[1], p) ** (1.0 - eps))
 
@@ -129,20 +129,21 @@ def interp_corollary_ratio(d, x, eps, s, r):
 
 def _eq1_den(base, lam, p, q):
     """||base||_p ||d||_p^(p/q-1)."""
-    return _power_sum_norm(_svdvals(base), p) * _spectrum_norm(lam, p) ** (p / q - 1.0)
+    return (_power_sum_norm(_svdvals(base, ValidationError), p)
+            * _spectrum_norm(lam, p) ** (p / q - 1.0))
 
 
 def _eq1_plus(lam, x, p, q):
     x = _finite(x, NumericalError)
     a = lam ** (p / q)
     num = schatten_norm(x * np.add.outer(a, a), q)
-    return _safe_ratio(num, _eq1_den(_finite(x * np.add.outer(lam, lam)), lam, p, q))
+    return _safe_ratio(num, _eq1_den(x * np.add.outer(lam, lam), lam, p, q))
 
 
 def _eq1_minus(dm, d_pow, lam, x, p, q):
     x = _finite(x, NumericalError)
     num = schatten_norm(x @ d_pow - d_pow @ x, q)
-    return _safe_ratio(num, _eq1_den(_finite(x @ dm - dm @ x), lam, p, q))
+    return _safe_ratio(num, _eq1_den(x @ dm - dm @ x, lam, p, q))
 
 
 def eq1_ratio(d, x, p, q, sign):
@@ -179,7 +180,7 @@ def _powers_diff(xm, x_pow, ym, y_pow, p, q):
 
 def _lipschitz_den(x, y, p, q):
     """max(||x||_p, ||y||_p)^(p/q-1) ||x-y||_p."""
-    sv = _svdvals(np.stack((x, y, x - y)))
+    sv = _svdvals(np.array((x, y, x - y)))
     return max(_power_sum_norm(sv[0], p), _power_sum_norm(sv[1], p)) ** (p / q - 1.0) \
         * _power_sum_norm(sv[2], p)
 
@@ -197,7 +198,7 @@ def _mazur_lipschitz(x, y, p, q, variant):
         raise ValidationError("unknown variant %r" % (variant,))
     # one SVD call on the pair, bit for bit two calls, refuses a non-finite
     # x or y before the coincidence test
-    (wx, wy), (sx, sy), (vx, vy) = _svd(np.stack((x, y)))
+    (wx, wy), (sx, sy), (vx, vy) = _svd(np.array((x, y)))
     if np.abs(x - y).max() < COINCIDENT_TOL:
         return 0.0
     if variant == "abs-power":   # V S^(p/q) V* in place of W S^(p/q) V*

@@ -78,8 +78,9 @@ def _power_sum_norm(sig, p):
     entry and, for p < 1, sig[-1] as the smallest.
 
     The final power is taken on a Python float, which is libm's pow; numpy's
-    array ** can differ from it in the last bit.  A last power past the
-    float range, at a small p, raises NumericalError.
+    array ** can differ from it in the last bit.  A norm past the float
+    range, from the last power at a small p or from the scale-back by
+    sig[0], raises NumericalError.
     """
     smax = float(sig[0])
     if smax == 0.0:
@@ -90,9 +91,12 @@ def _power_sum_norm(sig, p):
     if p < 1.0 and not scaled[-1] > ZERO_CUT:
         scaled = scaled[scaled > ZERO_CUT]
     try:
-        return smax * float(np.add.reduce(scaled ** p)) ** (1.0 / p)
+        norm = smax * float(np.add.reduce(scaled ** p)) ** (1.0 / p)
     except OverflowError:
         raise _overflow(p) from None
+    if norm == math.inf:
+        raise _overflow(p)
+    return norm
 
 
 def _power_sum_norms(sig, p):
@@ -102,7 +106,8 @@ def _power_sum_norms(sig, p):
     The entries ZERO_CUT keeps are a prefix of each row, so rows with the
     same kept count are summed as one contiguous block.  The last step,
     smax * v ** (1/p), is a scalar power per row: numpy's array ** can
-    differ from the scalar one in the last bit.  A stack of one row costs
+    differ from the scalar one in the last bit.  A norm past the float
+    range raises NumericalError, as there.  A stack of one row costs
     more than _power_sum_norm, so single norms keep calling that.
     """
     rows = sig.reshape(-1, sig.shape[-1])
@@ -122,16 +127,20 @@ def _power_sum_norms(sig, p):
         sums[block] = np.ascontiguousarray(powered[block, :k]).sum(axis=1)
     inv = 1.0 / p
     try:
-        out[live] = [s * v ** inv for s, v in zip(smax[live].tolist(), sums.tolist())]
+        norms = [s * v ** inv for s, v in zip(smax[live].tolist(), sums.tolist())]
     except OverflowError:
         raise _overflow(p) from None
+    if math.inf in norms:
+        raise _overflow(p)
+    out[live] = norms
     return out.reshape(sig.shape[:-1])
 
 
 def _overflow(p):
-    # the last power, (sum of scaled powers)^(1/p), reaches n^(1/p) for n
-    # equal singular values: past the float range at a small p
-    return NumericalError("Schatten norm at p = %r: the power (sum)^(1/p)"
+    # the norm is sig[0] (sum of scaled powers)^(1/p), and the power reaches
+    # n^(1/p) for n equal singular values: past the float range at a small
+    # p, or at any p once sig[0] is near it
+    return NumericalError("Schatten norm at p = %r: sig[0] (sum)^(1/p)"
                           " overflows" % (p,))
 
 

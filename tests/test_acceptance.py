@@ -9,6 +9,7 @@ import json
 import math
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,8 +91,7 @@ DIAGONAL_CONFIG = """\
 """
 
 
-def _run_cli(tmp_path_factory, text, name, jobs):
-    root = tmp_path_factory.mktemp(name)
+def _run_cli(root, text, jobs):
     cfg = root / "exp.ini"
     cfg.write_text(textwrap.dedent(text))
     out = root / "report.json"
@@ -104,14 +104,19 @@ def _run_cli(tmp_path_factory, text, name, jobs):
 
 @pytest.fixture(scope="session")
 def search_parallel(tmp_path_factory):
-    return [_run_cli(tmp_path_factory, SEARCH_CONFIG, "search8", jobs=8),
-            _run_cli(tmp_path_factory, INTERP_CONFIG, "interp8", jobs=8)]
+    return [_run_cli(tmp_path_factory.mktemp("search8"), SEARCH_CONFIG, jobs=8),
+            _run_cli(tmp_path_factory.mktemp("interp8"), INTERP_CONFIG, jobs=8)]
 
 
 @pytest.fixture(scope="session")
 def search_serial(tmp_path_factory):
-    return [_run_cli(tmp_path_factory, SEARCH_CONFIG, "search1", jobs=1),
-            _run_cli(tmp_path_factory, INTERP_CONFIG, "interp1", jobs=1)]
+    return [_run_cli(tmp_path_factory.mktemp("search1"), SEARCH_CONFIG, jobs=1),
+            _run_cli(tmp_path_factory.mktemp("interp1"), INTERP_CONFIG, jobs=1)]
+
+
+@pytest.fixture(scope="session")
+def diagonal(tmp_path_factory):
+    return _run_cli(tmp_path_factory.mktemp("diag"), DIAGONAL_CONFIG, jobs=8)
 
 
 def _assert_all(results, budget):
@@ -193,14 +198,12 @@ def test_criterion_08_inequality_plateaus(search_parallel):
         assert not bad, "%s: flagged witness failed replay review" % oid
 
 
-def test_criterion_09_commutative_ceiling(tmp_path_factory):
-    t0 = time.monotonic()
-    status, report, _ = _run_cli(tmp_path_factory, DIAGONAL_CONFIG,
-                                 "diag", jobs=8)
+def test_criterion_09_commutative_ceiling(diagonal):
+    status, report, elapsed = diagonal
     assert status == 0
     best = report["results"][0]["best_ratio"]
     assert best <= 1.5 + 1e-9, "diagonal eq2 ratio %.12f above p/q" % best
-    assert time.monotonic() - t0 < 60.0
+    assert elapsed < 60.0
 
 
 def test_criterion_10_rx_probe():
@@ -212,9 +215,63 @@ def test_criterion_10_rx_probe():
 
 def test_criterion_11_determinism(search_parallel, search_serial):
     for (_, parallel, _), (_, serial, _) in zip(search_parallel, search_serial):
-        parallel = dict(parallel)
-        serial = dict(serial)
-        parallel.pop("timing")
-        serial.pop("timing")
-        assert json.dumps(parallel, sort_keys=True) \
-            == json.dumps(serial, sort_keys=True)
+        assert cli.report_digest(parallel) == cli.report_digest(serial)
+
+
+# --- golden reports -------------------------------------------------------
+# tests/golden/acceptance.json holds, for the three campaigns above, each
+# report's digest and each best_ratio's repr, with the environment they were
+# computed in.  Refresh it with `PYTHONPATH=src python tests/test_acceptance.py`
+# and list the refresh, with every moved best, in CHANGES.md.
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "acceptance.json"
+CAMPAIGNS = {"search": SEARCH_CONFIG, "interp": INTERP_CONFIG,
+             "diagonal": DIAGONAL_CONFIG}
+
+
+def environment():
+    """What a report's bits depend on besides the source: numpy, its BLAS
+    and LAPACK, and the SIMD extensions numpy's own loops dispatch to."""
+    cfg = np.show_config(mode="dicts")
+    deps = cfg["Build Dependencies"]
+    return {"numpy": np.__version__,
+            "blas": "%s %s" % (deps["blas"]["name"], deps["blas"]["version"]),
+            "lapack": "%s %s" % (deps["lapack"]["name"], deps["lapack"]["version"]),
+            "simd": cfg["SIMD Extensions"]["found"]}
+
+
+def golden_entry(report):
+    return {"digest": cli.report_digest(report),
+            "best_ratio": [[r["objective_id"], repr(r["best_ratio"])]
+                           for r in report["results"]]}
+
+
+def test_golden_reports(search_parallel, diagonal):
+    golden = json.loads(GOLDEN.read_text())
+    runs = dict(zip(CAMPAIGNS, search_parallel + [diagonal]))
+    exact = golden["environment"] == environment()
+    for name, (_, report, _) in runs.items():
+        got, want = golden_entry(report), golden["reports"][name]
+        if exact:
+            assert got == want, "%s: report moved from the golden one" % name
+            continue
+        # another numpy, BLAS or CPU rounds differently; the bests stay close
+        assert [oid for oid, _ in got["best_ratio"]] \
+            == [oid for oid, _ in want["best_ratio"]]
+        for (oid, new), (_, old) in zip(got["best_ratio"], want["best_ratio"]):
+            assert math.isclose(float(new), float(old), rel_tol=1e-12), \
+                "%s %s: best %s, golden %s" % (name, oid, new, old)
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = {}
+        for name, text in CAMPAIGNS.items():
+            root = Path(tmp) / name
+            root.mkdir()
+            entries[name] = golden_entry(_run_cli(root, text, jobs=2)[1])
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({"environment": environment(), "reports": entries},
+                                 indent=2) + "\n")
+    print("wrote", GOLDEN)

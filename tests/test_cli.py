@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -189,9 +190,7 @@ class TestRuns:
         b = json.loads(Path(out2).read_text())
         assert len(a["results"]) == 4
         assert all("diagnostics" in r for r in a["results"])
-        a.pop("timing")
-        b.pop("timing")
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert cli.report_digest(a) == cli.report_digest(b)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -298,9 +297,8 @@ class TestRuns:
                                               "convexity_defect"])
             assert all(s >= 0.0 for s in seconds.values())
             assert sum(seconds.values()) <= report["timing"]["wall_clock_seconds"]
-            report.pop("timing")
         # the body outside "timing" stays byte-identical
-        assert cli._to_json(reports[0]) == cli._to_json(reports[1])
+        assert cli.report_digest(reports[0]) == cli.report_digest(reports[1])
 
     def test_zero_starts_is_a_config_error(self, tmp_path):
         cfg = write_config(tmp_path, ESTIMATE_CFG.replace("starts = 2", "starts = 0"))
@@ -650,3 +648,13 @@ def test_cli_import_loads_no_process_pool():
          " assert 'concurrent.futures' not in sys.modules;"
          " assert 'multiprocessing' not in sys.modules"],
         env=env, check=True, timeout=60)
+
+
+def test_report_digest_reads_everything_but_timing():
+    report = {"results": [{"best_ratio": 0.5}], "timing": {"wall_clock_seconds": 1.0}}
+    digest = cli.report_digest(report)
+    assert cli.report_digest(dict(report, timing={"wall_clock_seconds": 2.0})) == digest
+    assert cli.report_digest({"results": [{"best_ratio": 0.5}]}) == digest
+    moved = dict(report, results=[{"best_ratio": math.nextafter(0.5, 1.0)}])
+    assert cli.report_digest(moved) != digest
+    assert "timing" in report

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -303,6 +304,23 @@ class TestForkJoin:
             next(started)
             with pytest.raises(RuntimeError, match="queue every search before"):
                 queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
+        assert multiprocessing.active_children() == []
+
+    def test_any_exception_in_a_child_reaches_the_parent(self, monkeypatch):
+        # starts 2 and 3 are the child's share; a TypeError, which no
+        # objective raises by design, still reaches the caller as itself
+        parent = os.getpid()
+
+        def make_eval(params):
+            def evaluate(st):
+                if os.getpid() != parent:
+                    raise TypeError("not a numerical failure")
+                return 1.0
+            return evaluate
+        monkeypatch.setitem(OBJECTIVES, "mazur", _Objective(
+            "pair-gen", "max", make_eval, ("p", "q")))
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            maximize(*self.ARGS, **self.SEARCH)
         assert multiprocessing.active_children() == []
 
     def test_a_search_left_unread_ends_its_child(self):

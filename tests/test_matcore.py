@@ -4,9 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from schattenlab import matcore
 from schattenlab.matcore import (ComplexMatrix, DomainError, HermitianMatrix,
                                  NumericalError, PositiveDefiniteMatrix,
                                  SpectralDecomposition, ValidationError,
+                                 _eigh, _lapack, _svd_any_scale, _svdvals,
                                  herm_eig, imaginary_power, matrix_function,
                                  polar_decompose, positive_power)
 
@@ -206,3 +208,78 @@ class TestPolarAndUnitaries:
         w = imaginary_power(d, 1.5).mat
         assert np.abs(u @ v - w).max() <= 1e-11
 
+
+
+# --- the direct LAPACK path -------------------------------------------------
+
+def lapack_input(n, dtype, stack, kind, hermitian=False):
+    """A graded (columns, or rows and columns, over 24 decades) or
+    rank-deficient (last column, or row and column, repeating the first)
+    n x n matrix, or a stack of them, real or complex."""
+    shape = stack + (n, n)
+    a = RNG.standard_normal(shape)
+    if dtype is complex:
+        a = a + 1j * RNG.standard_normal(shape)
+    if hermitian:
+        a = a + np.swapaxes(a.conj(), -1, -2)
+    if kind == "graded":
+        g = np.logspace(-12, 12, n)
+        return a * g * g[:, None] if hermitian else a * g
+    a[..., -1] = a[..., 0]
+    if hermitian:
+        a[..., -1, :] = a[..., 0, :]
+    return a
+
+
+def same(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+LAPACK_CASES = [(n, dtype, stack, kind) for n in (3, 16) for dtype in (float, complex)
+                for stack in ((), (4,)) for kind in ("graded", "rank-deficient")]
+
+
+class TestDirectLapack:
+    """_lapack calls numpy.linalg's own gufuncs, in the loop of the input's
+    dtype: bit for bit numpy.linalg, a real input computed as real."""
+
+    @pytest.mark.parametrize("n,dtype,stack,kind", LAPACK_CASES)
+    def test_svd_is_numpys(self, n, dtype, stack, kind):
+        a = lapack_input(n, dtype, stack, kind)
+        assert same(_svdvals(a), np.linalg.svd(a, compute_uv=False))
+        for got, want in zip(_svd_any_scale(a, True), np.linalg.svd(a)):
+            assert same(got, want)
+
+    @pytest.mark.parametrize("n,dtype,stack,kind", LAPACK_CASES)
+    def test_eigh_is_numpys(self, n, dtype, stack, kind):
+        h = lapack_input(n, dtype, stack, kind, hermitian=True)
+        for got, want in zip(_eigh(h), np.linalg.eigh(h)):
+            assert same(got, want)
+        lam, vectors = _eigh(h, want_vectors=False)
+        assert same(lam, np.linalg.eigvalsh(h)) and vectors is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_the_callers_class(self, bad):
+        a = lapack_input(3, complex, (2,), "graded")
+        a[1, 0, 2] = bad
+        with pytest.raises(NumericalError, match=r"svd: 2x3x3 input has non-finite"):
+            _svdvals(a)
+        with pytest.raises(ValidationError, match="non-finite"):
+            _svdvals(a, ValidationError)
+        with pytest.raises(NumericalError, match="svd_s: 2x3x3"):
+            _svd_any_scale(a, True)
+        with pytest.raises(NumericalError, match="eigh_lo: 3x3"):
+            _eigh(a[1])
+        with pytest.raises(NumericalError, match="eigvalsh_lo: 3x3"):
+            _eigh(a[1], want_vectors=False)
+
+    def test_nonconvergence_raises_numerical_error(self, monkeypatch):
+        # a LAPACK failure sets the invalid flag, as sqrt(-1) does
+        monkeypatch.setitem(matcore._LOOPS, (np.sqrt, "d"), "d->d")
+        with pytest.raises(NumericalError, match="did not converge"):
+            _lapack(np.sqrt, np.array([4.0, -1.0]))
+        assert _lapack(np.sqrt, np.array([4.0])).tolist() == [2.0]
+        # the error state is the call's alone
+        assert np.geterrcall() is None
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            np.sqrt(np.array(-1.0))

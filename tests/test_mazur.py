@@ -6,6 +6,7 @@ import pytest
 from schattenlab.matcore import (HermitianMatrix, PositiveDefiniteMatrix,
                                  ValidationError, imaginary_power,
                                  positive_power)
+from schattenlab import mazur
 from schattenlab.mazur import (COINCIDENT_TOL, decomposition_residual, eq1_ratio,
                                interp_corollary_ratio, main_ratio,
                                mazur_lipschitz_ratio, mazur_map,
@@ -176,6 +177,29 @@ PRECONDITION_CASES = {
 def test_public_functions_refuse_what_the_search_refuses(case):
     with pytest.raises(ValidationError):
         PRECONDITION_CASES[case](rand_pdm(3), rand_complex(3), rand_complex(4))
+
+
+# each finite x below has a finite numerator and a denominator matrix that
+# overflows where it is formed: the SVD that reads it raises ValidationError,
+# the class its own scan raised before
+LAM = np.array([0.95])
+HUGE_X = np.array([[1e308 + 0j]])
+OVERFLOWING_DENOMINATORS = {
+    "main": lambda: mazur._main(LAM, HUGE_X, ExponentConfig(alpha=1.0, s=2.0, r=math.inf)),
+    "interp": lambda: mazur._interp(LAM, HUGE_X, 0.3, 2.0, math.inf, 2.0),
+    "eq1-plus": lambda: mazur._eq1_plus(LAM, HUGE_X, 2.0, 0.5),
+    # the commutator of a 1 x 1 x is 0, so this one is 2 x 2
+    "eq1-minus": lambda: mazur._eq1_minus(np.array([[0.7, 0.6], [0.6, 0.7]]),
+                                          np.zeros((2, 2)), np.array([0.1, 1.3]),
+                                          np.full((2, 2), 1.5e308 + 0j), 2.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("oid", sorted(OVERFLOWING_DENOMINATORS))
+def test_an_overflowing_denominator_is_a_validation_error(oid):
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValidationError, match="non-finite"):
+        OVERFLOWING_DENOMINATORS[oid]()
 
 
 class TestDecomposition:

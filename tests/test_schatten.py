@@ -104,6 +104,19 @@ class TestNormValues:
         assert schatten_norm(np.eye(4), 0.002) == 4.0 ** (1.0 / 0.002)
         assert _power_sum_norms(np.ones((2, 4)), 0.002).tolist() == [4.0 ** (1.0 / 0.002)] * 2
 
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_norm_past_the_float_range_is_a_numerical_error(self, p):
+        # the power is finite (2^(1/p)), the scale-back by sig[0] is not
+        with pytest.raises(NumericalError, match="p = %r" % p):
+            schatten_norm(np.diag([1e308, 1e308]), p)
+        with pytest.raises(NumericalError, match="p = %r" % p):
+            _power_sum_norm(np.array([1e308, 1e308]), p)
+        with pytest.raises(NumericalError, match="p = %r" % p):
+            _power_sum_norms(np.array([[1.0, 0.5], [1e308, 1e308]]), p)
+        # just inside the range
+        assert schatten_norm(np.diag([1e307, 1e307]), 1.0) == 2e307
+        assert _power_sum_norms(np.array([[1e307, 1e307]]), 1.0).tolist() == [2e307]
+
     def test_invalid_exponent(self):
         for p in (0.0, -1.0, -math.inf, math.nan):
             with pytest.raises(ValidationError, match="Schatten exponent"):

@@ -293,8 +293,19 @@ class TestDoubling:
             assert cosh_measure(dilate(aset)) <= 2 * cosh_measure(aset) + 1e-9
 
     def test_null_set_raises(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="zero measure"):
             doubling_ratio(0.5, BoundarySet(((0.0, 0.0),), ()))
+        # wholly past TAIL_CUT, the measure is 0 too
+        with pytest.raises(ValidationError, match="zero measure"):
+            doubling_ratio(0.5, BoundarySet(((50.0, 60.0),), ()))
+
+    def test_tail_set_of_tiny_measure_is_measured(self):
+        # measure 6.9e-15, which the oracle test holds to 1e-13 relative:
+        # small, not degenerate
+        aset = BoundarySet(((10.0, 11.0),), ())
+        assert 0.0 < boundary_measure(0.5, aset) < 1e-14
+        ratio, bound = doubling_ratio(0.5, aset)
+        assert 0.0 < ratio <= bound
 
 
 # the boundary measures as plain loops: every call takes tan(theta/2) anew,
