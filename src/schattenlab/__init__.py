@@ -22,6 +22,6 @@ from .strip import (AnalyticFamily, BoundaryGridCache, BoundarySet,
                     cosh_measure, dilate, doubling_bound, doubling_ratio,
                     family_eval, poisson_density)
 from .estimator import (InstanceSpec, RatioReport, maximize, replay_witness,
-                        review_flagged)
+                        review_flagged, run_searches)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

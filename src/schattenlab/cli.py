@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 property failure or counterexample flag,
 
 import argparse
 import configparser
+import contextlib
 import csv
 import hashlib
 import io
@@ -21,8 +22,8 @@ import time
 
 from . import __version__, verify
 from .estimator import (InstanceSpec, OBJECTIVES, _fork_context,
-                        _search_objective, maximize, open_pool, queue_starts,
-                        replay_witness, review_flagged)
+                        _search_objective, replay_witness, review_flagged,
+                        run_searches)
 from .matcore import DomainError, NumericalError, ValidationError
 from .strip import BoundarySet, _check_defect_q, _check_gamma0, boundary_measure
 
@@ -155,7 +156,7 @@ def load_config(path):
                 continue
             objective_id = name[len("objective."):]
             try:
-                _search_objective(objective_id, cfg["instances"]["starts"], spec)
+                _search_objective(objective_id, spec)
             except ValidationError as exc:
                 raise ConfigError(str(exc))
             cfg["objectives"].append(
@@ -228,23 +229,17 @@ def _instance_spec(cfg):
 
 def run_estimate(cfg, jobs):
     inst = cfg["instances"]
-    spec = _instance_spec(cfg)
-    search = {"budget": inst["budget"], "starts": inst["starts"], "jobs": jobs}
+    searches = [(objective_id, point) for objective_id, grid in cfg["objectives"]
+                for point in grid]
     results = []
-    point_seconds = []   # first read of a point's starts to its flag review's end
+    point_seconds = []   # from the read of a point's report to its flag review's end
     failed = False
-    # one pool for the whole run, closed before this returns or raises.
-    # Every grid point's starts are queued before the first is read, which
-    # forks the pool's children; they go straight on through every point
-    # while this process runs its own share of each, then merges, replays
-    # and reviews it.  At one job each point's starts run inside its maximize
-    with open_pool(jobs, inst["starts"]) as pool:
-        queued = [(objective_id, point,
-                   queue_starts(objective_id, point, spec, pool=pool, **search))
-                  for objective_id, grid in cfg["objectives"] for point in grid]
-        for objective_id, point, started in queued:
-            start = time.monotonic()
-            report = maximize(objective_id, point, spec, results=started, **search)
+    # each report is replayed and reviewed as it arrives, while the
+    # children run on through the later points
+    with contextlib.closing(run_searches(searches, _instance_spec(cfg), inst["budget"],
+                                         inst["starts"], jobs)) as reports:
+        start = time.monotonic()
+        for report in reports:
             entry = report.to_dict()
             entry["replay_ratio"] = replay_witness(report)
             verdicts = review_flagged(report)
@@ -255,6 +250,7 @@ def run_estimate(cfg, jobs):
                 failed = True
             results.append(entry)
             point_seconds.append(time.monotonic() - start)
+            start = time.monotonic()
     return results, failed, point_seconds
 
 

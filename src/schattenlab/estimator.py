@@ -8,17 +8,12 @@ best witness is reported with a monotone improvement trace.  On
 commuting instances (diagonal, or dim 1) every convexity-defect-min
 family is degenerate, so that search is refused.  Identical inputs give
 byte-identical reports; results merge in start-index order, so the
-number of jobs never changes the result.  A run of many searches opens
-one fork-join pool (open_pool) and queues every search's starts on it
-(queue_starts) before maximize reads the first.  Each search's starts are
-cut into one contiguous share per worker: at the first read, one child
-per share but the first is forked, and each runs its share of every
-queued search in queue order, while this process runs share 0 of each
-search as it reads it and merges, replays and reviews in between.  A
-start returns its states as arrays; maximize serializes only the
-witnesses it reports.  multiprocessing is imported on first use, so
-importing the package loads none of it.  Each result carries a
-diagnostics block of deterministic search counters.
+number of jobs never changes the result.  run_searches runs a list of
+searches, forking its children once; maximize runs one.  A start returns
+its states as arrays; maximize serializes only the witnesses it reports.
+multiprocessing is imported at jobs > 1 only, so importing the package
+loads none of it.  Each result carries a diagnostics block of
+deterministic search counters.
 
 A state is a dict of arrays whose blocks LAYOUTS lists per objective
 kind.  The ratios on one d and one x are unitarily invariant, so a dx
@@ -33,7 +28,6 @@ arithmetic, so both give the same bits on the same state.  Finiteness and
 positivity are checked on every evaluation; unitarity once per unitary.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass, fields
 
@@ -526,9 +520,9 @@ def _share(tasks, share, shares):
 
 
 def _child(searches, share, shares, conn):
-    """A forked child's work: its share of every search, in queue order,
-    one message per search down conn: the list of its starts' results,
-    or the exception that stopped them."""
+    """A forked child's work: its share of every search, in order, one
+    message per search down conn: the list of its starts' results, or the
+    exception that stopped them."""
     for tasks in searches:
         try:
             msg = [_run_start(task) for task in _share(tasks, share, shares)]
@@ -538,25 +532,18 @@ def _child(searches, share, shares, conn):
 
 
 class _ForkJoin:
-    """The pool open_pool yields: every queued search's starts, cut into
-    `shares` contiguous shares.  Share 0 of a search runs in this process
-    when the search is read; shares 1.. run in children forked at the
-    first read, one per share, each with its own pipe."""
+    """Every search's starts, cut into `shares` contiguous shares.  Share 0
+    of a search runs in this process when the search is read; shares 1..
+    run in children forked by fork(), one per share, each with its own
+    pipe.  With one share there is nothing to fork."""
 
-    def __init__(self, ctx, shares):
+    def __init__(self, ctx, shares, searches):
         self.ctx = ctx
         self.shares = shares
-        self.searches = []   # each queued search's tasks, in queue order
-        self.children = []   # (process, receiving end, messages received)
+        self.searches = searches   # each search's tasks, in order
+        self.children = []         # (process, receiving end, messages received)
 
-    def queue(self, tasks):
-        if self.children:
-            raise RuntimeError("the pool's children were forked at its first"
-                               " read; queue every search before reading one")
-        self.searches.append(tasks)
-        return self._read(len(self.searches) - 1)
-
-    def _fork(self):
+    def fork(self):
         for share in range(1, self.shares):
             mine, theirs = self.ctx.Pipe(duplex=False)
             proc = self.ctx.Process(target=_child, daemon=True,
@@ -566,11 +553,9 @@ class _ForkJoin:
             theirs.close()
             self.children.append((proc, mine, []))
 
-    def _read(self, index):
+    def read(self, index):
         """The search's results in start order: share 0 run here, then each
         child's share as received; the first failing start raises."""
-        if not self.children:
-            self._fork()
         for task in _share(self.searches[index], 0, self.shares):
             yield _run_start(task)
         for share, (proc, conn, got) in enumerate(self.children, 1):
@@ -587,99 +572,82 @@ class _ForkJoin:
                 raise msg
             yield from msg
 
-    def close(self, ok):
-        """Join every child; first terminate each one on an error, or
-        whose messages were not all received."""
+    def close(self):
+        """Join every child, terminating first each one whose messages were
+        not all received."""
         for proc, _, got in self.children:
-            if not ok or len(got) < len(self.searches):
+            if len(got) < len(self.searches):
                 proc.terminate()
         for proc, conn, _ in self.children:
             proc.join()
             conn.close()
 
 
-@contextlib.contextmanager
-def open_pool(jobs, starts):
-    """Fork-join pool for searches of `starts` starts at `jobs` jobs.
-
-    At one job, or one start, None: each search runs in this process.
-    Otherwise a _ForkJoin of min(jobs, starts) workers, each search's
-    starts cut into shares of ceil(starts / workers): this process runs
-    share 0 of each search when maximize reads it, and one child per
-    further share, forked at the first read, runs that share of every
-    search queued by then.  Every child has been joined when the block is
-    left; on an error each is terminated first.  ValidationError at
-    jobs > 1 where the platform cannot fork.
-    """
-    ctx = _fork_context() if jobs > 1 else None
-    workers = min(jobs, starts)
-    if workers <= 1:
-        yield None
-        return
-    chunk = -(-starts // workers)
-    # ceil(starts / chunk) shares: none of them empty
-    pool = _ForkJoin(ctx, -(-starts // chunk))
-    ok = False
-    try:
-        yield pool
-        ok = True
-    finally:
-        pool.close(ok)
-
-
-def _search_objective(objective_id, starts, spec):
+def _search_objective(objective_id, spec):
     if objective_id not in OBJECTIVES:
         raise ValidationError("unknown objective %r (known: %s)"
                               % (objective_id, ", ".join(sorted(OBJECTIVES))))
-    if starts < 1:
-        raise ValidationError("needs at least one start")
     if objective_id == "convexity-defect-min" and (spec.diagonal or spec.dim == 1):
         # d and x commute, so every family is constant on the boundary
         raise ValidationError("objective 'convexity-defect-min' has no non-degenerate"
                               " family when d and x commute (diagonal or dim 1)")
-    return OBJECTIVES[objective_id]
 
 
-def queue_starts(objective_id, exponents, spec, budget, starts=16, jobs=1,
-                 pool=None):
-    """Iterator over the _run_start results of a search's starts, in start
-    order, for maximize to merge.
+def run_searches(searches, spec, budget, starts=16, jobs=1):
+    """One RatioReport per (objective_id, exponents) pair of searches, in
+    order, from a generator that owns the run's fork-join.
 
-    With a pool (from open_pool, sized for the same jobs and starts) the
-    search joins the pool's queue: a run queues all its searches before
-    it reads the first, and the pool's children, forked at that read,
-    run their shares of every queued search.  Without one, a lazy map
-    that runs each start as it is read.  ValidationError at jobs > 1
-    where the platform cannot fork.
+    Each search's starts are cut into at most min(jobs, starts) contiguous
+    shares.  At the first read one child per share but the first is
+    forked, which runs that share of every search; this process runs
+    share 0 of each search as it is read, inside its maximize.  Every
+    child has been joined once the generator finishes or is closed.  The
+    starts, the searches and, at jobs > 1, the platform's fork are checked
+    here, before any start: ValidationError for no start, an unknown or
+    refused objective, or no fork.
     """
-    _search_objective(objective_id, starts, spec)
-    if jobs > 1:
-        _fork_context()
-    tasks = [(objective_id, dict(exponents), spec, idx, budget)
-             for idx in range(starts)]
-    if pool is None:
-        return map(_run_start, tasks)
-    return pool.queue(tasks)
+    if starts < 1:
+        raise ValidationError("needs at least one start")
+    searches = [(objective_id, dict(exponents)) for objective_id, exponents in searches]
+    for objective_id, _ in searches:
+        _search_objective(objective_id, spec)
+    ctx = _fork_context() if jobs > 1 else None
+    chunk = -(-starts // min(jobs, starts))
+    # ceil(starts / chunk) shares: none of them empty
+    tasks = [[(objective_id, exponents, spec, idx, budget) for idx in range(starts)]
+             for objective_id, exponents in searches]
+    pool = _ForkJoin(ctx, -(-starts // chunk), tasks)
+    return _reports(pool, searches, spec, budget, starts, jobs)
+
+
+def _reports(pool, searches, spec, budget, starts, jobs):
+    try:
+        pool.fork()
+        for index, (objective_id, exponents) in enumerate(searches):
+            # through the module's name: a wrapper of maximize sees each search
+            yield maximize(objective_id, exponents, spec, budget, starts, jobs,
+                           _started=pool.read(index))
+    finally:
+        pool.close()
 
 
 def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,
-             results=None):
-    """Multi-start hill climbing of a registered ratio objective.
+             _started=None):
+    """Multi-start hill climbing of a registered ratio objective: the report
+    of run_searches over this one search.
 
     Returns a RatioReport; 'convexity-defect-min' minimizes instead.
     Identical arguments yield an identical report regardless of jobs.
-    `results` is queue_starts' iterator for the same arguments; without
-    it the starts run here, over a pool opened for this call at jobs > 1.
-    Only the winning start's state and the reported flagged states are
-    serialized.
+    run_searches passes _started, the search's start results in start
+    order, for this call to run and merge.  Only the winning start's state
+    and the reported flagged states are serialized.
     """
-    obj = _search_objective(objective_id, starts, spec)
-    if results is None:
-        with open_pool(jobs, starts) as pool:
-            results = list(queue_starts(objective_id, exponents, spec, budget,
-                                        starts, jobs, pool))
-    else:
-        results = list(results)
+    if _started is None:
+        (report,) = run_searches([(objective_id, exponents)], spec, budget,
+                                 starts, jobs)
+        return report
+    results = list(_started)
+    obj = OBJECTIVES[objective_id]
 
     sign = 1.0 if obj.direction == "max" else -1.0
     best_idx = 0

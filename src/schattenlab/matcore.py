@@ -224,7 +224,8 @@ def _svd_any_scale(a, compute_uv, error=NumericalError):
     largest singular value lies outside SVD_SAFE_RANGE is decomposed again
     as 2^-e m, which is exact, and its singular values scaled back by 2^e,
     so that every SVD in the package is homogeneous at any scale.  A
-    non-finite entry raises error."""
+    non-finite entry raises error; a largest singular value past the float
+    range, NumericalError."""
     gufunc = _umath_linalg.svd_s if compute_uv else _umath_linalg.svd
     out = _lapack(gufunc, a, error)
     sig = out[1] if compute_uv else out
@@ -242,6 +243,10 @@ def _svd_any_scale(a, compute_uv, error=NumericalError):
             return out
         redo = (top > hi) | (top < lo) & (top > 0.0)
         top = top[redo]
+    if np.isinf(top).any():
+        # frexp(inf) has exponent 0: the redo would decompose the same matrix
+        raise NumericalError("%s: the largest singular value of a %s input"
+                             " overflows" % (gufunc.__name__, "x".join(map(str, a.shape))))
     e = np.clip(np.frexp(top)[1], -1000, 1000)   # 2^+-e stays finite
     again = _lapack(gufunc, a[redo] * np.ldexp(1.0, -e)[..., None, None])
     if compute_uv:

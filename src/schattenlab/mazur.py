@@ -69,12 +69,12 @@ def mazur_map(f, p, q):
 # lam_j^a in column j, and dx + xd and x d^a + d^a x are the Schur products
 # of X' with lam_i + lam_j and lam_i^a + lam_j^a; d's own norms come from
 # lam.  The commutator of eq1 with sign -1 and the power difference of eq2
-# take formed matrices, so that x = d gives an exact zero.  Numerators go
-# through schatten_norm and the other norms through _svdvals; both reach
-# the one SVD, and the split only keeps one traced singular_values call
-# per evaluation for the benchmark.  X' is checked finite before use, and
-# each formed denominator matrix by the SVD that reads it, raising the class
-# the public API always raised for that input.
+# take formed matrices, so that x = d gives an exact zero.  Numerators but
+# tmap's go through schatten_norm and the other norms through _svdvals; both
+# reach the one SVD, and the split only keeps one traced singular_values call
+# per evaluation for the benchmark.  X' is checked finite before use (tmap's
+# by its SVD), and each formed matrix by the SVD that reads it, raising the
+# class the public API always raised for that input.
 
 def _spectrum_norm(lam, s):
     """||d||_s from the eigenvalues lam > 0 of d, which must be ascending
@@ -158,10 +158,13 @@ def eq1_ratio(d, x, p, q, sign):
 
 
 def _tmap_ratio(lam, x, params, p, q, s):
-    x = _finite(x, NumericalError)
-    out = _finite(divided_difference_kernel(lam, params) * x)
-    return _safe_ratio(schatten_norm(out, q), _power_sum_norm(_svdvals(x), p)
-                       * _spectrum_norm(lam, s) ** params.alpha)
+    # each SVD scans its own input: a non-finite x is a numerical failure,
+    # a non-finite T(x) of a finite x a rejected proposal
+    sig = _svdvals(x)
+    num = _power_sum_norm(_svdvals(divided_difference_kernel(lam, params) * x,
+                                   ValidationError), q)
+    den = _power_sum_norm(sig, p) * _spectrum_norm(lam, s) ** params.alpha
+    return _safe_ratio(num, den)
 
 
 def tmap_ratio(d, x, params, s, r):

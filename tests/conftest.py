@@ -19,3 +19,16 @@ def failing_objective():
             return evaluate
         return estimator._Objective("dx", "max", make_eval, ("alpha", "s", "r"))
     return make_objective
+
+
+@pytest.fixture
+def pool_children(monkeypatch):
+    """The child processes of every fork-join, as its close() finds them."""
+    seen = []
+    close = estimator._ForkJoin.close
+
+    def recording(self):
+        seen.extend(proc for proc, _, _ in self.children)
+        close(self)
+    monkeypatch.setattr(estimator._ForkJoin, "close", recording)
+    return seen

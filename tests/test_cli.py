@@ -391,20 +391,17 @@ class TestWorkerPool:
                          "--jobs", "8"]) == 0
         assert len(forks) == 3
         spec = estimator.InstanceSpec(dim=2, seed=5)
-        estimator.maximize("mazur", {"p": 2.0, "q": 0.5}, spec, budget=3,
-                           starts=3, jobs=8)
+        reports = estimator.run_searches([("mazur", {"p": 2.0, "q": 0.5})] * 2,
+                                         spec, budget=3, starts=3, jobs=8)
+        assert len(list(reports)) == 2
         assert len(forks) == 3 + 2
         assert multiprocessing.active_children() == []
 
-    def test_every_grid_point_is_queued_before_the_first_read(
-            self, tmp_path, monkeypatch):
+    def test_the_children_fork_once_at_the_first_read(self, tmp_path,
+                                                      monkeypatch):
         events = []
         pool = estimator._ForkJoin
-        queue, read, fork = pool.queue, pool._read, pool._fork
-
-        def logged_queue(self, tasks):
-            events.append("queue")
-            return queue(self, tasks)
+        read, fork = pool.read, pool.fork
 
         def logged_read(self, index):
             events.append(("read", index))
@@ -413,14 +410,16 @@ class TestWorkerPool:
         def logged_fork(self):
             events.append("fork")
             fork(self)
-        monkeypatch.setattr(pool, "queue", logged_queue)
-        monkeypatch.setattr(pool, "_read", logged_read)
-        monkeypatch.setattr(pool, "_fork", logged_fork)
-        cfg = write_config(tmp_path, POOL_CFG)
-        assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
-                         "--jobs", "2"]) == 0
-        assert events == ["queue"] * 4 + [("read", 0), "fork"] \
-            + [("read", i) for i in range(1, 4)]
+        monkeypatch.setattr(pool, "read", logged_read)
+        monkeypatch.setattr(pool, "fork", logged_fork)
+        cfg = cli.load_config(write_config(tmp_path, POOL_CFG))
+        reports = estimator.run_searches(
+            [(oid, point) for oid, grid in cfg["objectives"] for point in grid],
+            cli._instance_spec(cfg), budget=3, starts=4, jobs=2)
+        assert events == []
+        assert len(list(reports)) == 4
+        assert events == ["fork"] + [("read", i) for i in range(4)]
+        assert multiprocessing.active_children() == []
 
     @staticmethod
     def objective_by_process(in_parent, in_child):
@@ -447,25 +446,12 @@ class TestWorkerPool:
                 raise NumericalError("solver gave up")
         return act
 
-    @staticmethod
-    def recorded_children(monkeypatch):
-        """The pool's child processes as its close() finds them."""
-        seen = []
-        close = estimator._ForkJoin.close
-
-        def recording(self, ok):
-            seen.extend(proc for proc, _, _ in self.children)
-            close(self, ok)
-        monkeypatch.setattr(estimator._ForkJoin, "close", recording)
-        return seen
-
     def test_failure_cancels_the_queued_starts(self, tmp_path, monkeypatch,
-                                               capsys):
+                                               capsys, pool_children):
         # start 0 fails in this process while the child's start 2 would
         # sleep for a minute: the child is terminated, not waited for
         monkeypatch.setitem(estimator.OBJECTIVES, "main", self.objective_by_process(
             self.fail_after(2), lambda calls: time.sleep(60)))
-        children = self.recorded_children(monkeypatch)
         cfg = write_config(tmp_path, FAILING_CFG)
         t0 = time.monotonic()
         assert cli.main(["--config", cfg, "--out", str(tmp_path / "r.json"),
@@ -473,7 +459,7 @@ class TestWorkerPool:
         assert time.monotonic() - t0 < 30
         assert "objective main, start 0, iteration 2, seed 11" \
             in capsys.readouterr().err
-        assert [proc.exitcode for proc in children] == [-signal.SIGTERM]
+        assert [proc.exitcode for proc in pool_children] == [-signal.SIGTERM]
         assert multiprocessing.active_children() == []
 
     def test_failure_in_a_childs_share_names_its_first_start(
@@ -512,6 +498,35 @@ class TestWorkerPool:
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
 
+    def test_a_consumer_that_raises_ends_every_child(self, tmp_path, monkeypatch,
+                                                     pool_children):
+        # the second point's child share would sleep for a minute when the
+        # first report's replay raises: the traceback pytest.raises keeps
+        # holds run_estimate's frame, yet the closed generator has ended
+        # the child
+        parent = os.getpid()
+
+        def make_eval(params):
+            def evaluate(st):
+                if os.getpid() != parent and params["alpha"] == 2.0:
+                    time.sleep(60)
+                return 1.0
+            return evaluate
+        monkeypatch.setitem(estimator.OBJECTIVES, "main", estimator._Objective(
+            "dx", "max", make_eval, ("alpha", "s", "r")))
+
+        def replay(report):
+            raise LookupError("consumer failed on alpha %r" % report.exponents["alpha"])
+        monkeypatch.setattr(cli, "replay_witness", replay)
+        cfg = cli.load_config(write_config(tmp_path, FAILING_CFG))
+        t0 = time.monotonic()
+        with pytest.raises(LookupError, match="alpha 1.0") as raised:
+            cli.run_estimate(cfg, 2)
+        assert time.monotonic() - t0 < 30
+        assert multiprocessing.active_children() == []
+        assert [proc.exitcode for proc in pool_children] == [-signal.SIGTERM]
+        assert raised.tb is not None
+
     def test_jobs_without_fork_is_a_config_error(self, tmp_path, monkeypatch,
                                                  capsys):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods",
@@ -523,10 +538,12 @@ class TestWorkerPool:
         assert capsys.readouterr().err.startswith("config error: --jobs 2: ")
         assert cli.main(["--config", cfg, "--out", out, "--jobs", "1"]) == 0
         spec = estimator.InstanceSpec(dim=2, seed=5)
-        for search in (estimator.maximize, estimator.queue_starts):
-            with pytest.raises(ValidationError, match="fork"):
-                search("mazur", {"p": 2.0, "q": 0.5}, spec, budget=3,
-                       starts=3, jobs=2)
+        with pytest.raises(ValidationError, match="fork"):
+            estimator.maximize("mazur", {"p": 2.0, "q": 0.5}, spec, budget=3,
+                               starts=3, jobs=2)
+        with pytest.raises(ValidationError, match="fork"):
+            estimator.run_searches([("mazur", {"p": 2.0, "q": 0.5})], spec,
+                                   budget=3, starts=3, jobs=2)
 
 
 def small_estimate(objective_id, point, budget):
@@ -639,7 +656,7 @@ def test_cli_import_modules():
 
 def test_cli_import_loads_no_process_pool():
     # multiprocessing (with socket, selectors and more) is imported when a
-    # run first opens a pool at jobs > 1, and concurrent.futures never
+    # search first runs at jobs > 1, and concurrent.futures never
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(

@@ -9,15 +9,27 @@ import pytest
 from schattenlab import estimator
 from schattenlab.estimator import (DIAGNOSTICS, LAYOUTS, InstanceSpec,
                                    OBJECTIVES, _Objective, _initial_state,
-                                   _merged_trace, _rng_for, _serialize_state,
-                                   deserialize_state, maximize, queue_starts,
-                                   replay_witness, review_flagged)
+                                   _merged_trace, _rng_for, _run_start,
+                                   _serialize_state, deserialize_state,
+                                   maximize, replay_witness, review_flagged,
+                                   run_searches)
 from schattenlab.matcore import DomainError, NumericalError, ValidationError
 
 
 def start_state(spec):
     """The state the first start of a dx search draws."""
     return _initial_state(LAYOUTS["dx"], spec, _rng_for(spec.seed, 0))
+
+
+def start_results(objective_id, exponents, spec, budget, starts):
+    """Each start's _run_start result, in start order, run in this process."""
+    return [_run_start((objective_id, exponents, spec, idx, budget))
+            for idx in range(starts)]
+
+
+def one_search(objective_id, exponents, spec, **search):
+    """run_searches over one search, as called: its checks run here."""
+    return run_searches([(objective_id, exponents)], spec, **search)
 
 
 class TestInstanceSpec:
@@ -133,7 +145,8 @@ class TestSearch:
     @pytest.mark.parametrize("spec", [InstanceSpec(dim=1, seed=3),
                                       InstanceSpec(dim=3, seed=3, diagonal=True)],
                              ids=["dim1", "diagonal"])
-    @pytest.mark.parametrize("search", [maximize, queue_starts])
+    @pytest.mark.parametrize("search", [maximize, one_search],
+                             ids=["maximize", "run_searches"])
     def test_defect_min_refuses_commuting_instances(self, spec, search):
         # d and x commute, so every family is degenerate
         with pytest.raises(ValidationError, match="convexity-defect-min"):
@@ -203,7 +216,7 @@ class TestSerializedWitnesses:
                                                      params, jobs):
         spec = InstanceSpec(dim=3, seed=17)
         search = dict(budget=30, starts=3)
-        starts = list(queue_starts(objective_id, params, spec, **search))
+        starts = start_results(objective_id, params, spec, **search)
         for best, state, *_ in starts:
             assert all(isinstance(v, np.ndarray) for v in state.values())
         # the first start of the highest value wins, as in the merge
@@ -225,7 +238,7 @@ class TestSerializedWitnesses:
         monkeypatch.setattr(estimator, "_serialize_state", counting)
         args = ("main", {"alpha": 1.0, "s": 2.0, "r": math.inf},
                 InstanceSpec(dim=3, seed=5))
-        starts = list(queue_starts(*args, budget=10, starts=3))
+        starts = start_results(*args, budget=10, starts=3)
         assert serialized == []
         kept = [st for res in starts for st in res[4]]
         assert len(kept) == 9
@@ -286,24 +299,15 @@ class TestFailureContext:
 
 
 class TestForkJoin:
-    ARGS = ("mazur", {"p": 2.0, "q": 0.5}, InstanceSpec(dim=2, seed=5))
+    SPEC = InstanceSpec(dim=2, seed=5)
+    SEARCHES = [("mazur", {"p": 2.0, "q": 0.5}), ("mazur", {"p": 3.0, "q": 0.5})]
     SEARCH = dict(budget=3, starts=4, jobs=2)
 
     def test_equals_the_serial_results_in_start_order(self):
-        serial = list(queue_starts(*self.ARGS, budget=3, starts=4))
-        with estimator.open_pool(2, 4) as pool:
-            queued = [queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
-                      for _ in range(2)]
-            for started in queued:
-                assert [res[0] for res in started] == [res[0] for res in serial]
-        assert multiprocessing.active_children() == []
-
-    def test_queue_after_the_first_read_is_refused(self):
-        with estimator.open_pool(2, 4) as pool:
-            started = queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
-            next(started)
-            with pytest.raises(RuntimeError, match="queue every search before"):
-                queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
+        serial = [maximize(oid, point, self.SPEC, budget=3, starts=4).to_dict()
+                  for oid, point in self.SEARCHES]
+        reports = run_searches(self.SEARCHES, self.SPEC, **self.SEARCH)
+        assert [rep.to_dict() for rep in reports] == serial
         assert multiprocessing.active_children() == []
 
     def test_any_exception_in_a_child_reaches_the_parent(self, monkeypatch):
@@ -320,18 +324,26 @@ class TestForkJoin:
         monkeypatch.setitem(OBJECTIVES, "mazur", _Objective(
             "pair-gen", "max", make_eval, ("p", "q")))
         with pytest.raises(TypeError, match="not a numerical failure"):
-            maximize(*self.ARGS, **self.SEARCH)
+            maximize(*self.SEARCHES[0], self.SPEC, **self.SEARCH)
         assert multiprocessing.active_children() == []
 
-    def test_a_search_left_unread_ends_its_child(self):
-        # the child still owes the second search's message: it is
-        # terminated, not waited for
-        with estimator.open_pool(2, 4) as pool:
-            first = queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
-            queue_starts(*self.ARGS, pool=pool, **self.SEARCH)
-            assert len(list(first)) == 4
-            (child, _, _), = pool.children
+    def test_a_search_left_unread_ends_its_child(self, pool_children):
+        # the child still owes the second search's message: closing the
+        # generator terminates it, not waits for it
+        reports = run_searches(self.SEARCHES, self.SPEC, **self.SEARCH)
+        assert next(reports).exponents == self.SEARCHES[0][1]
+        reports.close()
+        (child,) = pool_children
         assert child.exitcode is not None
+        assert multiprocessing.active_children() == []
+
+    def test_checks_every_search_before_any_start(self):
+        # the call refuses the third search, before any generator is read
+        bad = self.SEARCHES + [("no-such-objective", {})]
+        with pytest.raises(ValidationError, match="no-such-objective"):
+            run_searches(bad, self.SPEC, **self.SEARCH)
+        with pytest.raises(ValidationError, match="at least one start"):
+            run_searches([], self.SPEC, budget=3, starts=0)
         assert multiprocessing.active_children() == []
 
 

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.matcore import (HermitianMatrix, PositiveDefiniteMatrix,
-                                 ValidationError, imaginary_power,
-                                 positive_power)
+from schattenlab.matcore import (HermitianMatrix, NumericalError,
+                                 PositiveDefiniteMatrix, ValidationError,
+                                 imaginary_power, positive_power)
 from schattenlab import mazur
 from schattenlab.mazur import (COINCIDENT_TOL, decomposition_residual, eq1_ratio,
                                interp_corollary_ratio, main_ratio,
                                mazur_lipschitz_ratio, mazur_map,
                                powers_diff_ratio, tmap_ratio)
 from schattenlab.kernels import TMapParams, rx_kernel
-from schattenlab.schatten import ExponentConfig, schatten_norm
+from schattenlab.schatten import ExponentConfig, _exponents, schatten_norm
 from schattenlab.strip import AnalyticFamily
 
 RNG = np.random.default_rng(40318)
@@ -200,6 +200,26 @@ def test_an_overflowing_denominator_is_a_validation_error(oid):
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValidationError, match="non-finite"):
         OVERFLOWING_DENOMINATORS[oid]()
+
+
+def tmap_state_ratio(lam, x):
+    """The tmap search's ratio at s = 1, r = inf on an eigenbasis state."""
+    params = TMapParams(0.3, 0.7)
+    p, q = _exponents(1.0, math.inf, params.alpha)
+    return mazur._tmap_ratio(np.array(lam), np.array(x, dtype=complex), params, p, q, 1.0)
+
+
+# the two SVDs of the tmap ratio scan their own inputs, each with its class
+def test_tmap_non_finite_x_is_a_numerical_error():
+    with pytest.raises(NumericalError, match="non-finite"):
+        tmap_state_ratio([0.95], [[np.nan]])
+
+
+def test_tmap_overflowing_numerator_is_a_validation_error():
+    # T(x) = gamma lam^alpha x at a 1 x 1 d, 5.5 x past the float range
+    with np.errstate(over="ignore"), \
+            pytest.raises(ValidationError, match="non-finite"):
+        tmap_state_ratio([1e3], [[1e308]])
 
 
 class TestDecomposition:

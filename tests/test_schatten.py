@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from schattenlab.matcore import NumericalError, ValidationError
+from schattenlab.matcore import NumericalError, ValidationError, _svdvals
 from schattenlab.schatten import (ZERO_CUT, ExponentConfig, _exponents,
                                   _power_sum_norm, _power_sum_norms,
                                   schatten_norm, singular_values)
@@ -116,6 +116,17 @@ class TestNormValues:
         # just inside the range
         assert schatten_norm(np.diag([1e307, 1e307]), 1.0) == 2e307
         assert _power_sum_norms(np.array([[1e307, 1e307]]), 1.0).tolist() == [2e307]
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, math.inf])
+    def test_singular_value_past_the_float_range_is_a_numerical_error(self, p):
+        # finite entries whose largest singular value, 2e308, LAPACK gives
+        # as inf: no rescaled decomposition can bring that back
+        with pytest.raises(NumericalError, match="largest singular value of a 2x2"):
+            schatten_norm(np.full((2, 2), 1e308), p)
+        with pytest.raises(NumericalError, match="of a 2x2x2 input overflows"):
+            _svdvals(np.array([np.eye(2), np.full((2, 2), 1e308)]))
+        # just inside the range
+        assert schatten_norm(np.full((2, 2), 6e307), p) == 1.2e308
 
     def test_invalid_exponent(self):
         for p in (0.0, -1.0, -math.inf, math.nan):
