@@ -114,7 +114,9 @@ class RatioReport:
             else:
                 break
         final = self.trace[-1][1]
-        if at_cut == 0.0:
+        # a sentinel (every initial state flagged or degenerate) or zero at
+        # the cut has no relative change: any move from it is infinite
+        if at_cut == 0.0 or math.isinf(at_cut):
             return math.inf if final != at_cut else 0.0
         return abs(final - at_cut) / abs(at_cut)
 
@@ -416,11 +418,10 @@ def _step_at(i, budget):
     return hi * (lo / hi) ** (i / (budget - 1))
 
 
-def _run_start(args):
+def _run_start(objective_id, params, spec, start_index, budget):
     """One start's hill climb: (best value, best state, improvement events,
     DIAGNOSTICS counts, up to 3 flagged states), states as dicts of arrays;
     a state's arrays are never changed in place once made."""
-    (objective_id, params, spec, start_index, budget) = args
     obj = OBJECTIVES[objective_id]
     score = obj.make_eval(params)
     rng = _rng_for(spec.seed, start_index)
@@ -513,74 +514,17 @@ def _fork_context():
     return multiprocessing.get_context("fork")
 
 
-def _share(tasks, share, shares):
-    """Share `share` of tasks cut into `shares` contiguous shares."""
-    chunk = -(-len(tasks) // shares)
-    return tasks[share * chunk:(share + 1) * chunk]
-
-
-def _child(searches, share, shares, conn):
-    """A forked child's work: its share of every search, in order, one
-    message per search down conn: the list of its starts' results, or the
-    exception that stopped them."""
-    for tasks in searches:
+def _child(searches, spec, budget, indices, conn):
+    """A forked child's work: its range of start indices of every search,
+    in order, one message per search down conn: the list of those starts'
+    results, or the exception that stopped them."""
+    for objective_id, exponents in searches:
         try:
-            msg = [_run_start(task) for task in _share(tasks, share, shares)]
+            msg = [_run_start(objective_id, exponents, spec, idx, budget)
+                   for idx in indices]
         except Exception as exc:   # any class: the parent re-raises it in start order
             msg = exc
         conn.send(msg)
-
-
-class _ForkJoin:
-    """Every search's starts, cut into `shares` contiguous shares.  Share 0
-    of a search runs in this process when the search is read; shares 1..
-    run in children forked by fork(), one per share, each with its own
-    pipe.  With one share there is nothing to fork."""
-
-    def __init__(self, ctx, shares, searches):
-        self.ctx = ctx
-        self.shares = shares
-        self.searches = searches   # each search's tasks, in order
-        self.children = []         # (process, receiving end, messages received)
-
-    def fork(self):
-        for share in range(1, self.shares):
-            mine, theirs = self.ctx.Pipe(duplex=False)
-            proc = self.ctx.Process(target=_child, daemon=True,
-                                    args=(self.searches, share, self.shares, theirs))
-            proc.start()
-            # the child's copy alone keeps the pipe open: EOF once it exits
-            theirs.close()
-            self.children.append((proc, mine, []))
-
-    def read(self, index):
-        """The search's results in start order: share 0 run here, then each
-        child's share as received; the first failing start raises."""
-        for task in _share(self.searches[index], 0, self.shares):
-            yield _run_start(task)
-        for share, (proc, conn, got) in enumerate(self.children, 1):
-            while len(got) <= index:
-                try:
-                    got.append(conn.recv())
-                except (EOFError, OSError):
-                    proc.join()
-                    raise RuntimeError("the child running share %d of %d exited"
-                                       " with code %s before sending its results"
-                                       % (share, self.shares, proc.exitcode))
-            msg, got[index] = got[index], None
-            if isinstance(msg, BaseException):
-                raise msg
-            yield from msg
-
-    def close(self):
-        """Join every child, terminating first each one whose messages were
-        not all received."""
-        for proc, _, got in self.children:
-            if len(got) < len(self.searches):
-                proc.terminate()
-        for proc, conn, _ in self.children:
-            proc.join()
-            conn.close()
 
 
 def _search_objective(objective_id, spec):
@@ -604,31 +548,69 @@ def run_searches(searches, spec, budget, starts=16, jobs=1):
     child has been joined once the generator finishes or is closed.  The
     starts, the searches and, at jobs > 1, the platform's fork are checked
     here, before any start: ValidationError for no start, an unknown or
-    refused objective, or no fork.
+    refused objective, an exponent point it cannot evaluate, or no fork.
     """
     if starts < 1:
         raise ValidationError("needs at least one start")
     searches = [(objective_id, dict(exponents)) for objective_id, exponents in searches]
-    for objective_id, _ in searches:
+    for objective_id, exponents in searches:
         _search_objective(objective_id, spec)
+        obj = OBJECTIVES[objective_id]
+        for key in obj.keys:
+            if key not in exponents and key not in obj.optional:
+                raise ValidationError("objective %r: missing key %r"
+                                      % (objective_id, key))
+        obj.make_eval(exponents)   # its ValidationError refuses the point
     ctx = _fork_context() if jobs > 1 else None
     chunk = -(-starts // min(jobs, starts))
     # ceil(starts / chunk) shares: none of them empty
-    tasks = [[(objective_id, exponents, spec, idx, budget) for idx in range(starts)]
-             for objective_id, exponents in searches]
-    pool = _ForkJoin(ctx, -(-starts // chunk), tasks)
-    return _reports(pool, searches, spec, budget, starts, jobs)
+    shares = [range(lo, min(lo + chunk, starts)) for lo in range(0, starts, chunk)]
+    return _reports(ctx, shares, searches, spec, budget, starts, jobs)
 
 
-def _reports(pool, searches, spec, budget, starts, jobs):
+def _reports(ctx, shares, searches, spec, budget, starts, jobs):
+    children = []          # (process, receiving end), one per share but the first
+    unread = len(searches)
+
+    def started(objective_id, exponents):
+        """The search's results in start order: share 0 run here, then each
+        child's next message; the first failing start raises."""
+        for idx in shares[0]:
+            yield _run_start(objective_id, exponents, spec, idx, budget)
+        for share, (proc, conn) in enumerate(children, 1):
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError):
+                proc.join()
+                raise RuntimeError("the child running share %d of %d exited"
+                                   " with code %s before sending its results"
+                                   % (share, len(shares), proc.exitcode))
+            if isinstance(msg, BaseException):
+                raise msg
+            yield from msg
+
     try:
-        pool.fork()
-        for index, (objective_id, exponents) in enumerate(searches):
+        for indices in shares[1:]:
+            mine, theirs = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_child, daemon=True,
+                               args=(searches, spec, budget, indices, theirs))
+            proc.start()
+            # the child's copy alone keeps the pipe open: EOF once it exits
+            theirs.close()
+            children.append((proc, mine))
+        for objective_id, exponents in searches:
             # through the module's name: a wrapper of maximize sees each search
-            yield maximize(objective_id, exponents, spec, budget, starts, jobs,
-                           _started=pool.read(index))
+            report = maximize(objective_id, exponents, spec, budget, starts, jobs,
+                              _started=started(objective_id, exponents))
+            unread -= 1
+            yield report
     finally:
-        pool.close()
+        # a child still owing messages is terminated, not waited for
+        for proc, conn in children:
+            if unread:
+                proc.terminate()
+            proc.join()
+            conn.close()
 
 
 def maximize(objective_id, exponents, spec, budget, starts=16, jobs=1,

@@ -1,3 +1,5 @@
+from multiprocessing.context import ForkProcess
+
 import pytest
 
 from schattenlab import estimator
@@ -23,12 +25,12 @@ def failing_objective():
 
 @pytest.fixture
 def pool_children(monkeypatch):
-    """The child processes of every fork-join, as its close() finds them."""
+    """The child processes every fork-join starts, in start order."""
     seen = []
-    close = estimator._ForkJoin.close
+    start = ForkProcess.start
 
     def recording(self):
-        seen.extend(proc for proc, _, _ in self.children)
-        close(self)
-    monkeypatch.setattr(estimator._ForkJoin, "close", recording)
+        start(self)
+        seen.append(self)
+    monkeypatch.setattr(ForkProcess, "start", recording)
     return seen

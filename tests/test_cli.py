@@ -395,30 +395,24 @@ class TestWorkerPool:
                                          spec, budget=3, starts=3, jobs=8)
         assert len(list(reports)) == 2
         assert len(forks) == 3 + 2
+        # one start is one share: nothing to fork
+        assert len(list(estimator.run_searches([("mazur", {"p": 2.0, "q": 0.5})], spec,
+                                               budget=3, starts=1, jobs=8))) == 1
+        assert len(forks) == 3 + 2
         assert multiprocessing.active_children() == []
 
     def test_the_children_fork_once_at_the_first_read(self, tmp_path,
                                                       monkeypatch):
-        events = []
-        pool = estimator._ForkJoin
-        read, fork = pool.read, pool.fork
-
-        def logged_read(self, index):
-            events.append(("read", index))
-            yield from read(self, index)
-
-        def logged_fork(self):
-            events.append("fork")
-            fork(self)
-        monkeypatch.setattr(pool, "read", logged_read)
-        monkeypatch.setattr(pool, "fork", logged_fork)
+        forks = self.count_forks(monkeypatch)
         cfg = cli.load_config(write_config(tmp_path, POOL_CFG))
         reports = estimator.run_searches(
             [(oid, point) for oid, grid in cfg["objectives"] for point in grid],
             cli._instance_spec(cfg), budget=3, starts=4, jobs=2)
-        assert events == []
-        assert len(list(reports)) == 4
-        assert events == ["fork"] + [("read", i) for i in range(4)]
+        assert forks == []
+        next(reports)
+        assert len(forks) == 1
+        assert len(list(reports)) == 3
+        assert len(forks) == 1
         assert multiprocessing.active_children() == []
 
     @staticmethod
@@ -656,12 +650,18 @@ def test_cli_import_modules():
 
 def test_cli_import_loads_no_process_pool():
     # multiprocessing (with socket, selectors and more) is imported when a
-    # search first runs at jobs > 1, and concurrent.futures never
+    # search first runs at jobs > 1, and concurrent.futures never: neither
+    # the import nor a run at jobs 1 loads them
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run(
         [sys.executable, "-c",
          "import schattenlab.cli, sys;"
+         " from schattenlab.estimator import InstanceSpec, run_searches;"
+         " assert 'concurrent.futures' not in sys.modules;"
+         " assert 'multiprocessing' not in sys.modules;"
+         " list(run_searches([('mazur', {'p': 2.0, 'q': 0.5})], InstanceSpec(dim=2),"
+         " budget=2, starts=3));"
          " assert 'concurrent.futures' not in sys.modules;"
          " assert 'multiprocessing' not in sys.modules"],
         env=env, check=True, timeout=60)

@@ -8,11 +8,11 @@ import pytest
 
 from schattenlab import estimator
 from schattenlab.estimator import (DIAGNOSTICS, LAYOUTS, InstanceSpec,
-                                   OBJECTIVES, _Objective, _initial_state,
-                                   _merged_trace, _rng_for, _run_start,
-                                   _serialize_state, deserialize_state,
-                                   maximize, replay_witness, review_flagged,
-                                   run_searches)
+                                   OBJECTIVES, RatioReport, _Objective,
+                                   _initial_state, _merged_trace, _rng_for,
+                                   _run_start, _serialize_state,
+                                   deserialize_state, maximize, replay_witness,
+                                   review_flagged, run_searches)
 from schattenlab.matcore import DomainError, NumericalError, ValidationError
 
 
@@ -23,7 +23,7 @@ def start_state(spec):
 
 def start_results(objective_id, exponents, spec, budget, starts):
     """Each start's _run_start result, in start order, run in this process."""
-    return [_run_start((objective_id, exponents, spec, idx, budget))
+    return [_run_start(objective_id, exponents, spec, idx, budget)
             for idx in range(starts)]
 
 
@@ -152,6 +152,20 @@ class TestSearch:
         with pytest.raises(ValidationError, match="convexity-defect-min"):
             search("convexity-defect-min", {"alpha": 1.0, "q": 1.0}, spec,
                    budget=3, starts=1)
+
+    @pytest.mark.parametrize("trace, direction, want", [
+        ([[0, -math.inf], [7, 1.0]], "max", math.inf),
+        ([[0, -math.inf]], "max", 0.0),
+        ([[0, math.inf], [7, 0.5]], "min", math.inf),
+    ], ids=["max-moved", "max-flat", "min-moved"])
+    def test_plateau_improvement_from_a_sentinel(self, trace, direction, want):
+        # every start's initial state flagged (max) or degenerate (min):
+        # the sentinel is the value at the 75% cut, and no nan comes of it
+        rep = RatioReport(
+            objective_id="main", exponents={}, best_ratio=trace[-1][1], witness={},
+            trace=trace, seed=0, flagged_instances=0, flagged_witnesses=[],
+            starts=1, budget=8, spec={}, direction=direction, diagnostics={})
+        assert rep.plateau_improvement() == want
 
     def test_plateau_improvement_of_flat_trace(self):
         spec = InstanceSpec(dim=3, seed=6)
@@ -337,13 +351,24 @@ class TestForkJoin:
         assert child.exitcode is not None
         assert multiprocessing.active_children() == []
 
-    def test_checks_every_search_before_any_start(self):
+    def test_a_finished_run_terminates_no_child(self, pool_children):
+        # every child sent all its messages: it is joined, not terminated
+        assert len(list(run_searches(self.SEARCHES, self.SPEC, **self.SEARCH))) == 2
+        assert [child.exitcode for child in pool_children] == [0]
+
+    def test_checks_every_search_before_any_start(self, pool_children):
         # the call refuses the third search, before any generator is read
         bad = self.SEARCHES + [("no-such-objective", {})]
         with pytest.raises(ValidationError, match="no-such-objective"):
             run_searches(bad, self.SPEC, **self.SEARCH)
         with pytest.raises(ValidationError, match="at least one start"):
             run_searches([], self.SPEC, budget=3, starts=0)
+        # a point without a required key, and one its evaluator refuses
+        with pytest.raises(ValidationError, match="objective 'main': missing key 'alpha'"):
+            maximize("main", {}, self.SPEC, 3)
+        with pytest.raises(ValidationError, match="need 0 < q < p"):
+            run_searches([("mazur", {"p": 0.5, "q": 2.0})], self.SPEC, **self.SEARCH)
+        assert pool_children == []
         assert multiprocessing.active_children() == []
 
 
