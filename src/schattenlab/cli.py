@@ -13,6 +13,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -21,9 +22,8 @@ import sys
 import time
 
 from . import __version__, verify
-from .estimator import (InstanceSpec, OBJECTIVES, _fork_context,
-                        _search_objective, replay_witness, review_flagged,
-                        run_searches)
+from .estimator import (InstanceSpec, _check_point, _search_objective,
+                        replay_witness, review_flagged, run_searches)
 from .matcore import DomainError, NumericalError, ValidationError
 from .strip import BoundarySet, _check_defect_q, _check_gamma0, boundary_measure
 
@@ -33,6 +33,15 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
+
+# the keys each section may hold; an [objective.NAME] section holds its
+# objective's exponent keys, and no other section is read
+_SECTION_KEYS = {
+    "experiment": ("kind", "seed", "format", "out"),
+    "instances": ("dim", "spectrum-law", "x-law", "diagonal", "budget", "starts"),
+    "verify": ("modules",),
+    "strip-check": ("gamma0", "sets-per-gamma", "families", "q"),
+}
 
 
 class ConfigError(Exception):
@@ -79,34 +88,20 @@ def _parse_list(text, key):
     return vals
 
 
-def _expand_grid(objective_id, section):
-    """Cartesian product of the per-key value lists, one dict per point.
-
-    A point is valid when its objective's evaluator can be built for it.
-    The objective is registered: load_config checked it first.
-    """
-    obj = OBJECTIVES[objective_id]
+def _expand_grid(objective_id, obj, section):
+    """Cartesian product of the section's value lists in obj.keys order, one
+    dict per point; the search's own _check_point refuses a point with
+    ValidationError."""
     for key in section:
         if key not in obj.keys:
             raise ConfigError("objective %r: unexpected key %r" % (objective_id, key))
-    lists = []
-    used_keys = []
-    for key in obj.keys:
-        if key not in section:
-            if key in obj.optional:
-                continue
-            raise ConfigError("objective %r: missing key %r" % (objective_id, key))
-        lists.append(_parse_list(section[key], key))
-        used_keys.append(key)
     points = [{}]
-    for key, vals in zip(used_keys, lists):
-        points = [dict(pt, **{key: v}) for pt in points for v in vals]
+    for key in obj.keys:
+        if key in section:
+            vals = _parse_list(section[key], key)
+            points = [dict(pt, **{key: v}) for pt in points for v in vals]
     for pt in points:
-        try:
-            obj.make_eval(pt)
-        except ValidationError as exc:
-            raise ConfigError("objective %r grid point %r rejected: %s"
-                              % (objective_id, pt, exc))
+        _check_point(objective_id, obj, pt)
     return points
 
 
@@ -121,6 +116,16 @@ def load_config(path):
         raise ConfigError("config parse error: %s" % exc)
     if "experiment" not in parser:
         raise ConfigError("missing [experiment] section")
+    if parser.defaults():   # its keys would join every section
+        raise ConfigError("unknown section [%s]" % parser.default_section)
+    for name in parser.sections():
+        if name not in _SECTION_KEYS:
+            if name.startswith("objective."):
+                continue   # _expand_grid checks its keys
+            raise ConfigError("unknown section [%s]" % name)
+        for key in parser[name]:
+            if key not in _SECTION_KEYS[name]:
+                raise ConfigError("section [%s]: unexpected key %r" % (name, key))
     exp = parser["experiment"]
     kind = exp.get("kind", "").strip()
     if kind not in ("verify", "estimate", "strip-check"):
@@ -156,20 +161,24 @@ def load_config(path):
                 continue
             objective_id = name[len("objective."):]
             try:
-                _search_objective(objective_id, spec)
+                obj = _search_objective(objective_id, spec)
+                grid = _expand_grid(objective_id, obj, parser[name])
             except ValidationError as exc:
                 raise ConfigError(str(exc))
-            cfg["objectives"].append(
-                (objective_id, _expand_grid(objective_id, parser[name])))
+            cfg["objectives"].append((objective_id, grid))
         if not cfg["objectives"]:
             raise ConfigError("estimate experiment needs at least one"
                               " [objective.NAME] section")
     elif kind == "verify":
         sec = parser["verify"] if "verify" in parser else {}
         modules = sec["modules"].split() if "modules" in sec else list(verify.MODULE_SUITES)
+        if not modules:
+            raise ConfigError("key 'modules': empty module list")
         for mod in modules:
             if mod not in verify.MODULE_SUITES:
                 raise ConfigError("key 'modules': unknown module %r" % mod)
+            if modules.count(mod) > 1:
+                raise ConfigError("key 'modules': module %r listed twice" % mod)
         cfg["modules"] = modules
     else:  # strip-check
         sec = parser["strip-check"] if "strip-check" in parser else {}
@@ -193,15 +202,25 @@ def load_config(path):
 
 # --- experiment execution ------------------------------------------------
 
+def _run_checks(suites):
+    """Run each (name, run) pair in order: the results, whether any failed,
+    and the wall seconds per suite, which go under the report's "timing"."""
+    results = []
+    check_seconds = {}
+    for name, run in suites:
+        start = time.monotonic()
+        results.extend(run())
+        check_seconds[name] = time.monotonic() - start
+    return results, any(not r["passed"] for r in results), check_seconds
+
+
 def run_verify(cfg):
-    results = verify.run_suites(cfg["modules"], seed=cfg["seed"])
-    failed = any(not r["passed"] for r in results)
-    return results, failed
+    return _run_checks((name, functools.partial(verify.MODULE_SUITES[name], cfg["seed"]))
+                       for name in cfg["modules"])
 
 
 def run_strip_check(cfg):
     sc = cfg["strip"]
-    results = []
     tables = {"poisson_mass": []}
     for g in sc["gamma0"]:
         m1 = boundary_measure(g, BoundarySet((), ((-40.0, 40.0),)))
@@ -210,14 +229,7 @@ def run_strip_check(cfg):
             {"gamma0": g, "boundary1": m1, "full": mf})
     suites = verify.strip_suites(cfg["seed"], sc["gamma0"], sc["sets_per_gamma"],
                                  sc["families"], sc["q"])
-    # wall seconds per suite, which go under the report's "timing"
-    check_seconds = {}
-    for name, run in suites:
-        start = time.monotonic()
-        results.extend(run())
-        check_seconds[name] = time.monotonic() - start
-    failed = any(not r["passed"] for r in results)
-    return results, tables, failed, check_seconds
+    return _run_checks(suites) + (tables,)
 
 
 def _instance_spec(cfg):
@@ -234,10 +246,15 @@ def run_estimate(cfg, jobs):
     results = []
     point_seconds = []   # from the read of a point's report to its flag review's end
     failed = False
+    try:
+        reports = run_searches(searches, _instance_spec(cfg), inst["budget"],
+                               inst["starts"], jobs)
+    except ValidationError as exc:
+        # load_config checked every search: only the platform's fork is left
+        raise ConfigError("--jobs %d: %s" % (jobs, exc))
     # each report is replayed and reviewed as it arrives, while the
     # children run on through the later points
-    with contextlib.closing(run_searches(searches, _instance_spec(cfg), inst["budget"],
-                                         inst["starts"], jobs)) as reports:
+    with contextlib.closing(reports):
         start = time.monotonic()
         for report in reports:
             entry = report.to_dict()
@@ -344,19 +361,15 @@ def main(argv=None):
             cfg["format"] = args.format
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
-        if args.jobs > 1:
-            try:
-                _fork_context()
-            except ValidationError as exc:
-                raise ConfigError("--jobs %d: %s" % (args.jobs, exc))
         out_path = args.out if args.out is not None else cfg["out"]
 
         start = time.monotonic()
         if cfg["kind"] == "verify":
-            results, failed = run_verify(cfg)
+            results, failed, check_seconds = run_verify(cfg)
             report = _base_report(cfg, results, time.monotonic() - start)
+            report["timing"]["check_seconds"] = check_seconds
         elif cfg["kind"] == "strip-check":
-            results, tables, failed, check_seconds = run_strip_check(cfg)
+            results, failed, check_seconds, tables = run_strip_check(cfg)
             report = _base_report(cfg, results, time.monotonic() - start)
             report["tables"] = tables
             report["timing"]["check_seconds"] = check_seconds

@@ -211,7 +211,7 @@ class _Objective:
     """One registered ratio objective: state layout, exponent keys, evaluation.
 
     make_eval raises ValidationError for an exponent point it cannot
-    evaluate; the config parser relies on that to validate grid points.
+    evaluate; _check_point relies on that to refuse a point before any start.
     """
 
     def __init__(self, kind, direction, make_eval, keys, optional=()):
@@ -528,6 +528,7 @@ def _child(searches, spec, budget, indices, conn):
 
 
 def _search_objective(objective_id, spec):
+    """The registered objective; ValidationError unless spec can search it."""
     if objective_id not in OBJECTIVES:
         raise ValidationError("unknown objective %r (known: %s)"
                               % (objective_id, ", ".join(sorted(OBJECTIVES))))
@@ -535,6 +536,19 @@ def _search_objective(objective_id, spec):
         # d and x commute, so every family is constant on the boundary
         raise ValidationError("objective 'convexity-defect-min' has no non-degenerate"
                               " family when d and x commute (diagonal or dim 1)")
+    return OBJECTIVES[objective_id]
+
+
+def _check_point(objective_id, obj, exponents):
+    """ValidationError, naming the point, unless obj can evaluate it."""
+    for key in obj.keys:
+        if key not in exponents and key not in obj.optional:
+            raise ValidationError("objective %r: missing key %r" % (objective_id, key))
+    try:
+        obj.make_eval(exponents)
+    except ValidationError as exc:
+        raise ValidationError("objective %r grid point %r rejected: %s"
+                              % (objective_id, exponents, exc))
 
 
 def run_searches(searches, spec, budget, starts=16, jobs=1):
@@ -554,13 +568,7 @@ def run_searches(searches, spec, budget, starts=16, jobs=1):
         raise ValidationError("needs at least one start")
     searches = [(objective_id, dict(exponents)) for objective_id, exponents in searches]
     for objective_id, exponents in searches:
-        _search_objective(objective_id, spec)
-        obj = OBJECTIVES[objective_id]
-        for key in obj.keys:
-            if key not in exponents and key not in obj.optional:
-                raise ValidationError("objective %r: missing key %r"
-                                      % (objective_id, key))
-        obj.make_eval(exponents)   # its ValidationError refuses the point
+        _check_point(objective_id, _search_objective(objective_id, spec), exponents)
     ctx = _fork_context() if jobs > 1 else None
     chunk = -(-starts // min(jobs, starts))
     # ceil(starts / chunk) shares: none of them empty

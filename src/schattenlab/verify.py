@@ -523,13 +523,3 @@ MODULE_SUITES = {
     "mazur": lambda seed: verify_mazur(seed) + verify_decomposition(seed),
     "strip": lambda seed: [r for _, run in strip_suites(seed) for r in run()],
 }
-
-
-def run_suites(modules, seed=0):
-    results = []
-    for name in modules:
-        if name not in MODULE_SUITES:
-            raise ValueError("unknown module %r (known: %s)"
-                             % (name, ", ".join(sorted(MODULE_SUITES))))
-        results.extend(MODULE_SUITES[name](seed))
-    return results

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schattenlab import cli, estimator
+from schattenlab import cli, estimator, verify
 from schattenlab.matcore import NumericalError, ValidationError
 
 
@@ -46,6 +46,13 @@ STRIP_CFG = """\
     sets-per-gamma = 10
     families = 5
     q = 1
+"""
+
+VERIFY_CFG = """\
+    [experiment]
+    kind = verify
+    [verify]
+    modules = matcore schatten
 """
 
 
@@ -125,6 +132,25 @@ class TestConfigParsing:
             cli.load_config(path)
         assert cli.main(["--config", path]) == cli.EXIT_CONFIG_ERROR
         assert capsys.readouterr().err.startswith("config error: key 'diagonal'")
+
+    @pytest.mark.parametrize("section, old, new", [
+        ("experiment", "seed = 7", "sead = 7"),
+        ("instances", "starts = 2", "start = 2"),
+    ])
+    def test_unexpected_key_names_its_section(self, tmp_path, section, old, new):
+        # a misspelt key would otherwise leave its default in force
+        path = write_config(tmp_path, ESTIMATE_CFG.replace(old, new))
+        key = new.split()[0]
+        with pytest.raises(cli.ConfigError) as info:
+            cli.load_config(path)
+        assert str(info.value) == "section [%s]: unexpected key %r" % (section, key)
+
+    def test_default_section_is_refused(self, tmp_path):
+        # configparser would copy its keys into every section
+        path = write_config(tmp_path, ESTIMATE_CFG.replace(
+            "[instances]", "[DEFAULT]\n    budget = 3\n    [instances]"))
+        with pytest.raises(cli.ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            cli.load_config(path)
 
     def test_inf_parsing(self, tmp_path):
         path = write_config(tmp_path, """\
@@ -216,6 +242,28 @@ class TestRuns:
         assert status == 0
         report = json.loads(Path(out).read_text())
         assert all(r["passed"] for r in report["results"])
+
+    def test_verify_times_each_module(self, tmp_path):
+        cfg = write_config(tmp_path, VERIFY_CFG)
+        out = str(tmp_path / "v.json")
+        assert cli.main(["--config", cfg, "--out", out, "--seed", "3"]) == 0
+        report = json.loads(Path(out).read_text())
+        seconds = report["timing"]["check_seconds"]
+        assert list(seconds) == ["matcore", "schatten"]
+        assert all(s >= 0.0 for s in seconds.values())
+        assert sum(seconds.values()) <= report["timing"]["wall_clock_seconds"]
+        # the body outside "timing" is each module's results in config order
+        expected = verify.MODULE_SUITES["matcore"](3) + verify.MODULE_SUITES["schatten"](3)
+        assert cli.report_digest(dict(report, results=expected)) \
+            == cli.report_digest(report)
+
+    def test_verify_ignores_jobs_without_fork(self, tmp_path, monkeypatch):
+        # --jobs matters only to an estimate run's search
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn", "forkserver"])
+        cfg = write_config(tmp_path, VERIFY_CFG)
+        out = str(tmp_path / "v.json")
+        assert cli.main(["--config", cfg, "--out", out, "--jobs", "2"]) == 0
 
     def test_csv_format(self, tmp_path):
         cfg = write_config(tmp_path, ESTIMATE_CFG)
@@ -314,6 +362,14 @@ BAD_VALUES = {
     "sets-per-gamma-abc": (STRIP_CFG, "sets-per-gamma = 10", "sets-per-gamma = abc"),
     "families-negative": (STRIP_CFG, "families = 5", "families = -3"),
     "strip-q-5": (STRIP_CFG, "q = 1", "q = 5"),
+    "experiment-key-sead": (ESTIMATE_CFG, "seed = 7", "sead = 7"),
+    "instances-key-start": (ESTIMATE_CFG, "starts = 2", "start = 2"),
+    "strip-key-family": (STRIP_CFG, "families = 5", "family = 5"),
+    "verify-key-module": (VERIFY_CFG, "modules =", "module ="),
+    "unknown-section": (ESTIMATE_CFG, "[instances]", "[instance]"),
+    "modules-empty": (VERIFY_CFG, "modules = matcore schatten", "modules ="),
+    "modules-repeated": (VERIFY_CFG, "modules = matcore schatten",
+                         "modules = schatten matcore schatten"),
 }
 
 
@@ -579,6 +635,31 @@ def test_unevaluable_grid_point_is_a_config_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error: objective %r grid point" % objective_id)
     assert "Traceback" not in err
+
+
+# searches that run_searches refuses, as (objective_id, point, diagonal):
+# a config that asks for one stops in load_config with the same message
+SEARCH_REFUSALS = {
+    "unknown-objective": ("sharpest", {"p": "1", "q": "0.5"}, False),
+    "defect-min-diagonal": ("convexity-defect-min", {"alpha": "1", "q": "1"}, True),
+    "missing-key": ("main", {"alpha": "1", "s": "2"}, False),
+    "refused-point": ("mazur", {"p": "0.5", "q": "2"}, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_REFUSALS))
+def test_a_refused_search_reads_the_same_in_the_config(tmp_path, case):
+    objective_id, point, diagonal = SEARCH_REFUSALS[case]
+    exponents = {key: float(val) for key, val in point.items()}
+    spec = estimator.InstanceSpec(dim=2, diagonal=diagonal)
+    with pytest.raises(ValidationError) as searched:
+        estimator.run_searches([(objective_id, exponents)], spec, budget=3, starts=1)
+    text = small_estimate(objective_id, point, budget=3)
+    cfg = write_config(tmp_path, text.replace("dim = 2", "dim = 2\ndiagonal = %s"
+                                              % str(diagonal).lower()))
+    with pytest.raises(cli.ConfigError) as configured:
+        cli.load_config(cfg)
+    assert str(configured.value) == str(searched.value)
 
 
 def test_defect_min_under_diagonal_is_a_config_error(tmp_path, capsys):
