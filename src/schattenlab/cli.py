@@ -25,7 +25,7 @@ from . import __version__, verify
 from .estimator import (InstanceSpec, _check_point, _search_objective,
                         replay_witness, review_flagged, run_searches)
 from .matcore import DomainError, NumericalError, ValidationError
-from .strip import BoundarySet, _check_defect_q, _check_gamma0, boundary_measure
+from .strip import _check_defect_q, _check_gamma0
 
 SCHEMA_VERSION = 1
 
@@ -34,13 +34,14 @@ EXIT_PROPERTY_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
 
-# the keys each section may hold; an [objective.NAME] section holds its
-# objective's exponent keys, and no other section is read
-_SECTION_KEYS = {
-    "experiment": ("kind", "seed", "format", "out"),
-    "instances": ("dim", "spectrum-law", "x-law", "diagonal", "budget", "starts"),
-    "verify": ("modules",),
-    "strip-check": ("gamma0", "sets-per-gamma", "families", "q"),
+# the [experiment] keys; each kind reads one more section, its own keys
+# listed here, and an estimate also reads its [objective.NAME] sections
+_EXPERIMENT_KEYS = ("kind", "seed", "format", "out")
+_KIND_SECTIONS = {
+    "verify": ("verify", ("modules",)),
+    "estimate": ("instances", ("dim", "spectrum-law", "x-law", "diagonal",
+                               "budget", "starts")),
+    "strip-check": ("strip-check", ("gamma0", "sets-per-gamma", "families", "q")),
 }
 
 
@@ -89,17 +90,14 @@ def _parse_list(text, key):
 
 
 def _expand_grid(objective_id, obj, section):
-    """Cartesian product of the section's value lists in obj.keys order, one
-    dict per point; the search's own _check_point refuses a point with
-    ValidationError."""
-    for key in section:
-        if key not in obj.keys:
-            raise ConfigError("objective %r: unexpected key %r" % (objective_id, key))
+    """Cartesian product of the section's value lists, obj.keys first in
+    their order, one dict per point; the search's own _check_point refuses
+    a point, and so any key obj does not read, with ValidationError."""
+    keys = [key for key in obj.keys if key in section]
     points = [{}]
-    for key in obj.keys:
-        if key in section:
-            vals = _parse_list(section[key], key)
-            points = [dict(pt, **{key: v}) for pt in points for v in vals]
+    for key in keys + [key for key in section if key not in keys]:
+        vals = _parse_list(section[key], key)
+        points = [dict(pt, **{key: v}) for pt in points for v in vals]
     for pt in points:
         _check_point(objective_id, obj, pt)
     return points
@@ -118,19 +116,22 @@ def load_config(path):
         raise ConfigError("missing [experiment] section")
     if parser.defaults():   # its keys would join every section
         raise ConfigError("unknown section [%s]" % parser.default_section)
-    for name in parser.sections():
-        if name not in _SECTION_KEYS:
-            if name.startswith("objective."):
-                continue   # _expand_grid checks its keys
-            raise ConfigError("unknown section [%s]" % name)
-        for key in parser[name]:
-            if key not in _SECTION_KEYS[name]:
-                raise ConfigError("section [%s]: unexpected key %r" % (name, key))
     exp = parser["experiment"]
     kind = exp.get("kind", "").strip()
-    if kind not in ("verify", "estimate", "strip-check"):
+    if kind not in _KIND_SECTIONS:
         raise ConfigError("key 'kind': must be verify, estimate, or strip-check"
                           " (got %r)" % kind)
+    own, own_keys = _KIND_SECTIONS[kind]
+    sec = parser[own] if own in parser else {}
+    for name in parser.sections():
+        keys = {"experiment": _EXPERIMENT_KEYS, own: own_keys}.get(name)
+        if keys is None:
+            if kind == "estimate" and name.startswith("objective."):
+                continue   # _check_point checks its keys
+            raise ConfigError("section [%s] is not read by kind = %s" % (name, kind))
+        for key in parser[name]:
+            if key not in keys:
+                raise ConfigError("section [%s]: unexpected key %r" % (name, key))
     cfg = {
         "kind": kind,
         "seed": _parse_count(exp, "seed", 0, 0),
@@ -142,14 +143,13 @@ def load_config(path):
         raise ConfigError("key 'format': must be json or csv")
 
     if kind == "estimate":
-        inst = parser["instances"] if "instances" in parser else {}
         cfg["instances"] = {
-            "dim": _parse_count(inst, "dim", 4, 1),
-            "spectrum_law": inst.get("spectrum-law", "log-uniform"),
-            "x_law": inst.get("x-law", "gaussian-complex"),
-            "diagonal": _parse_bool(inst, "diagonal", False),
-            "budget": _parse_count(inst, "budget", 2000, 0),
-            "starts": _parse_count(inst, "starts", 16, 1),
+            "dim": _parse_count(sec, "dim", 4, 1),
+            "spectrum_law": sec.get("spectrum-law", "log-uniform"),
+            "x_law": sec.get("x-law", "gaussian-complex"),
+            "diagonal": _parse_bool(sec, "diagonal", False),
+            "budget": _parse_count(sec, "budget", 2000, 0),
+            "starts": _parse_count(sec, "starts", 16, 1),
         }
         try:
             spec = _instance_spec(cfg)
@@ -170,7 +170,6 @@ def load_config(path):
             raise ConfigError("estimate experiment needs at least one"
                               " [objective.NAME] section")
     elif kind == "verify":
-        sec = parser["verify"] if "verify" in parser else {}
         modules = sec["modules"].split() if "modules" in sec else list(verify.MODULE_SUITES)
         if not modules:
             raise ConfigError("key 'modules': empty module list")
@@ -181,7 +180,6 @@ def load_config(path):
                 raise ConfigError("key 'modules': module %r listed twice" % mod)
         cfg["modules"] = modules
     else:  # strip-check
-        sec = parser["strip-check"] if "strip-check" in parser else {}
         sc = cfg["strip"] = {
             "gamma0": tuple(_parse_list(sec["gamma0"], "gamma0"))
             if "gamma0" in sec else verify.GAMMAS,
@@ -202,16 +200,19 @@ def load_config(path):
 
 # --- experiment execution ------------------------------------------------
 
+# each runner returns (results, failed, extra, timing): the report's
+# results, whether any failed, its other entries and its "timing" entries
+
 def _run_checks(suites):
-    """Run each (name, run) pair in order: the results, whether any failed,
-    and the wall seconds per suite, which go under the report's "timing"."""
+    """Run each (name, run) pair in order, timing each suite."""
     results = []
     check_seconds = {}
     for name, run in suites:
         start = time.monotonic()
         results.extend(run())
         check_seconds[name] = time.monotonic() - start
-    return results, any(not r["passed"] for r in results), check_seconds
+    return (results, any(not r["passed"] for r in results), {},
+            {"check_seconds": check_seconds})
 
 
 def run_verify(cfg):
@@ -221,15 +222,12 @@ def run_verify(cfg):
 
 def run_strip_check(cfg):
     sc = cfg["strip"]
-    tables = {"poisson_mass": []}
-    for g in sc["gamma0"]:
-        m1 = boundary_measure(g, BoundarySet((), ((-40.0, 40.0),)))
-        mf = boundary_measure(g, BoundarySet.full())
-        tables["poisson_mass"].append(
-            {"gamma0": g, "boundary1": m1, "full": mf})
+    masses = [{"gamma0": g, "boundary1": m1, "full": mf}
+              for g, m1, mf in verify.poisson_masses(sc["gamma0"])]
     suites = verify.strip_suites(cfg["seed"], sc["gamma0"], sc["sets_per_gamma"],
                                  sc["families"], sc["q"])
-    return _run_checks(suites) + (tables,)
+    results, failed, _, timing = _run_checks(suites)
+    return results, failed, {"tables": {"poisson_mass": masses}}, timing
 
 
 def _instance_spec(cfg):
@@ -268,21 +266,22 @@ def run_estimate(cfg, jobs):
             results.append(entry)
             point_seconds.append(time.monotonic() - start)
             start = time.monotonic()
-    return results, failed, point_seconds
+    return results, failed, {}, {"point_seconds": point_seconds}
 
 
 # --- report assembly -----------------------------------------------------
 
-def _base_report(cfg, results, wall_clock):
-    return {
+def _report(cfg, results, extra, timing, wall_clock):
+    """The report of a run whose runner returned results, extra and timing."""
+    return dict({
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
         "experiment": cfg["kind"],
         "seed": cfg["seed"],
         "config": cfg["sections"],
         "results": results,
-        "timing": {"wall_clock_seconds": wall_clock},
-    }
+        "timing": dict(timing, wall_clock_seconds=wall_clock),
+    }, **extra)
 
 
 def _to_json(report):
@@ -363,20 +362,11 @@ def main(argv=None):
             raise ConfigError("--jobs must be at least 1")
         out_path = args.out if args.out is not None else cfg["out"]
 
+        run = {"verify": run_verify, "strip-check": run_strip_check,
+               "estimate": functools.partial(run_estimate, jobs=args.jobs)}[cfg["kind"]]
         start = time.monotonic()
-        if cfg["kind"] == "verify":
-            results, failed, check_seconds = run_verify(cfg)
-            report = _base_report(cfg, results, time.monotonic() - start)
-            report["timing"]["check_seconds"] = check_seconds
-        elif cfg["kind"] == "strip-check":
-            results, failed, check_seconds, tables = run_strip_check(cfg)
-            report = _base_report(cfg, results, time.monotonic() - start)
-            report["tables"] = tables
-            report["timing"]["check_seconds"] = check_seconds
-        else:
-            results, failed, point_seconds = run_estimate(cfg, args.jobs)
-            report = _base_report(cfg, results, time.monotonic() - start)
-            report["timing"]["point_seconds"] = point_seconds
+        results, failed, extra, timing = run(cfg)
+        report = _report(cfg, results, extra, timing, time.monotonic() - start)
         write_report(report, out_path, cfg["format"])
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

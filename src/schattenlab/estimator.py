@@ -540,7 +540,10 @@ def _search_objective(objective_id, spec):
 
 
 def _check_point(objective_id, obj, exponents):
-    """ValidationError, naming the point, unless obj can evaluate it."""
+    """ValidationError, naming the point, unless obj reads and can evaluate it."""
+    for key in exponents:
+        if key not in obj.keys:
+            raise ValidationError("objective %r: unexpected key %r" % (objective_id, key))
     for key in obj.keys:
         if key not in exponents and key not in obj.optional:
             raise ValidationError("objective %r: missing key %r" % (objective_id, key))

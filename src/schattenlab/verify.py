@@ -62,8 +62,9 @@ def _random_pdm(rng, n, lo=-3.0, hi=3.0):
 
 # --- matcore -------------------------------------------------------------
 
-def verify_matcore(seed=0, trials=25):
+def verify_matcore(seed=0):
     rng = _rng(seed, "matcore")
+    trials = 25
     out = []
 
     worst = 0.0
@@ -113,8 +114,9 @@ def verify_matcore(seed=0, trials=25):
 
 # --- schatten ------------------------------------------------------------
 
-def verify_schatten(seed=0, trials=40):
+def verify_schatten(seed=0):
     rng = _rng(seed, "schatten")
+    trials = 40
     out = []
 
     worst = -math.inf
@@ -172,12 +174,13 @@ def verify_schatten(seed=0, trials=40):
 
 # --- kernels -------------------------------------------------------------
 
-def verify_loewner_positivity(seed=0, spectra=500, max_dim=8):
+def verify_loewner_positivity(seed=0):
     rng = _rng(seed, "loewner")
+    spectra = 500
     worst = math.inf
     gammas = [round(0.1 * k, 1) for k in range(1, 11)]
     for _ in range(spectra):
-        n = int(rng.integers(2, max_dim + 1))
+        n = int(rng.integers(2, 9))
         vals = np.exp(rng.uniform(-math.log(1e3), math.log(1e3), n))
         for g in gammas:
             worst = min(worst, loewner_min_eig(vals, g))
@@ -186,8 +189,9 @@ def verify_loewner_positivity(seed=0, spectra=500, max_dim=8):
                     % (spectra, len(gammas)))]
 
 
-def verify_tmap_algebra(seed=0, trials=100):
+def verify_tmap_algebra(seed=0):
     rng = _rng(seed, "tmap")
+    trials = 100
     out = []
 
     worst = 0.0
@@ -261,15 +265,16 @@ def verify_tmap_algebra(seed=0, trials=100):
     return out
 
 
-def verify_rx_probe(seed=0, trials=500, alphas=(0.5, 1.0, 3.0), max_dim=8):
+def verify_rx_probe(seed=0):
     rng = _rng(seed, "rx")
+    trials = 500
     worst = 0.0
     for _ in range(trials):
-        n = int(rng.integers(2, max_dim + 1))
+        n = int(rng.integers(2, 9))
         vals = np.exp(rng.uniform(-math.log(1e3), math.log(1e3), n))
         x = _random_complex(rng, n)
         nx = schatten_norm(x, math.inf)
-        for alpha in alphas:
+        for alpha in (0.5, 1.0, 3.0):
             k = rx_kernel(vals, alpha)
             worst = max(worst, schatten_norm(k * x, math.inf) / nx)
     return [_result("kernels.rx_schur_bound", worst, 2.5 * (1 + 1e-8),
@@ -278,8 +283,9 @@ def verify_rx_probe(seed=0, trials=500, alphas=(0.5, 1.0, 3.0), max_dim=8):
 
 # --- mazur ---------------------------------------------------------------
 
-def verify_mazur(seed=0, trials=30):
+def verify_mazur(seed=0):
     rng = _rng(seed, "mazur")
+    trials = 30
     out = []
 
     worst = 0.0
@@ -337,14 +343,14 @@ def verify_mazur(seed=0, trials=30):
     return out
 
 
-def verify_decomposition(seed=0, pairs=100, ts=(0.1, 0.3, 0.45), max_dim=6):
+def verify_decomposition(seed=0):
     rng = _rng(seed, "decomp")
     worst_res, worst_gap = 0.0, 0.0
-    for _ in range(pairs):
-        n = int(rng.integers(2, max_dim + 1))
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
         x = _random_pdm(rng, n, -2, 2)
         y = _random_pdm(rng, n, -2, 2)
-        for t in ts:
+        for t in (0.1, 0.3, 0.45):
             res, gap = decomposition_residual(x, y, t)
             scale = max(schatten_norm(x.mat, math.inf),
                         schatten_norm(y.mat, math.inf)) ** (1.0 + t)
@@ -359,17 +365,20 @@ def verify_decomposition(seed=0, pairs=100, ts=(0.1, 0.3, 0.45), max_dim=6):
 
 # --- strip ---------------------------------------------------------------
 
+def poisson_masses(gammas):
+    """(gamma0, measure of line 1 cut to [-40, 40], measure of both lines)
+    for each gamma0; the two measures should be gamma0 and 1."""
+    return [(g, boundary_measure(g, BoundarySet((), ((-40.0, 40.0),))),
+             boundary_measure(g, BoundarySet.full())) for g in gammas]
+
+
 def verify_poisson_mass(gammas=GAMMAS):
-    out = []
     worst1, worst_full = 0.0, 0.0
-    for g in gammas:
-        m1 = boundary_measure(g, BoundarySet((), ((-40.0, 40.0),)))
-        mf = boundary_measure(g, BoundarySet.full())
+    for g, m1, mf in poisson_masses(gammas):
         worst1 = max(worst1, abs(m1 - g))
         worst_full = max(worst_full, abs(mf - 1.0))
-    out.append(_result("strip.poisson_mass_boundary1", worst1, 1e-6))
-    out.append(_result("strip.poisson_mass_total", worst_full, 1e-6))
-    return out
+    return [_result("strip.poisson_mass_boundary1", worst1, 1e-6),
+            _result("strip.poisson_mass_total", worst_full, 1e-6)]
 
 
 # random boundary sets built per chunk from the merged batch
@@ -446,18 +455,15 @@ def verify_doubling(seed=0, sets_per_gamma=SETS_PER_GAMMA, gammas=GAMMAS):
     return out
 
 
-def verify_boundary_constancy(seed=0, families=50, alphas=(0.5, 1.0, 2.0),
-                              grid_points=20, max_dim=5):
+def verify_boundary_constancy(seed=0, families=50, grid_points=20):
     rng = _rng(seed, "constancy")
     t_grid = np.linspace(-3.0, 3.0, grid_points)
     worst = 0.0
-    count = 0
-    for _ in range(families):
-        n = int(rng.integers(2, max_dim + 1))
+    for k in range(families):
+        n = int(rng.integers(2, 6))
         d = _random_pdm(rng, n, -1.5, 1.5)
         x = _random_hermitian(rng, n)
-        alpha = alphas[count % len(alphas)]
-        count += 1
+        alpha = (0.5, 1.0, 2.0)[k % 3]
         q = float(rng.uniform(0.3, 2.0))
         fam = AnalyticFamily(d, x, alpha)
         base = schatten_norm(x @ positive_power(d, 1.0 + alpha), q)
@@ -467,8 +473,7 @@ def verify_boundary_constancy(seed=0, families=50, alphas=(0.5, 1.0, 2.0),
     return [_result("strip.boundary_norm_constancy", worst, 1e-8)]
 
 
-def verify_convexity_defect(seed=0, families=DEFECT_FAMILIES, qs=DEFECT_QS,
-                            max_dim=4):
+def verify_convexity_defect(seed=0, families=DEFECT_FAMILIES, qs=DEFECT_QS):
     rng = _rng(seed, "defect")
     minima = {q: math.inf for q in qs}
     done = attempts = 0
@@ -476,7 +481,7 @@ def verify_convexity_defect(seed=0, families=DEFECT_FAMILIES, qs=DEFECT_QS,
     # yields degenerate families from looping forever, and fails the check
     while done < families and attempts < 10 * families:
         attempts += 1
-        n = int(rng.integers(2, max_dim + 1))
+        n = int(rng.integers(2, 5))
         d = _random_pdm(rng, n, -1.2, 1.2)
         x = _random_complex(rng, n)
         alpha = float(rng.uniform(0.3, 2.0))
@@ -515,8 +520,8 @@ def strip_suites(seed=0, gammas=GAMMAS, sets_per_gamma=SETS_PER_GAMMA,
 
 
 MODULE_SUITES = {
-    "matcore": lambda seed: verify_matcore(seed),
-    "schatten": lambda seed: verify_schatten(seed),
+    "matcore": verify_matcore,
+    "schatten": verify_schatten,
     "kernels": lambda seed: (verify_loewner_positivity(seed)
                              + verify_tmap_algebra(seed)
                              + verify_rx_probe(seed)),

@@ -141,28 +141,25 @@ def test_criterion_02_doubling():
 
 def test_criterion_03_loewner_positivity():
     t0 = time.monotonic()
-    results = verify.verify_loewner_positivity(seed=0, spectra=500, max_dim=8)
+    results = verify.verify_loewner_positivity(seed=0)
     _assert_all(results, (time.monotonic() - t0, 30.0))
 
 
 def test_criterion_04_tmap_algebra():
     t0 = time.monotonic()
-    results = verify.verify_tmap_algebra(seed=0, trials=100)
+    results = verify.verify_tmap_algebra(seed=0)
     _assert_all(results, (time.monotonic() - t0, 60.0))
 
 
 def test_criterion_05_decomposition_identity():
     t0 = time.monotonic()
-    results = verify.verify_decomposition(seed=0, pairs=100,
-                                          ts=(0.1, 0.3, 0.45), max_dim=6)
+    results = verify.verify_decomposition(seed=0)
     _assert_all(results, (time.monotonic() - t0, 60.0))
 
 
 def test_criterion_06_boundary_norm_constancy():
     t0 = time.monotonic()
-    results = verify.verify_boundary_constancy(seed=0, families=50,
-                                               alphas=(0.5, 1.0, 2.0),
-                                               grid_points=20)
+    results = verify.verify_boundary_constancy(seed=0)
     _assert_all(results, (time.monotonic() - t0, 60.0))
 
 
@@ -208,8 +205,7 @@ def test_criterion_09_commutative_ceiling(diagonal):
 
 def test_criterion_10_rx_probe():
     t0 = time.monotonic()
-    results = verify.verify_rx_probe(seed=0, trials=500,
-                                     alphas=(0.5, 1.0, 3.0), max_dim=8)
+    results = verify.verify_rx_probe(seed=0)
     _assert_all(results, (time.monotonic() - t0, 60.0))
 
 

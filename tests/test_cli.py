@@ -298,6 +298,22 @@ class TestRuns:
         assert abs(entry["boundary1"] - 0.5) <= 1e-6
         assert abs(entry["full"] - 1.0) <= 1e-6
 
+    def test_strip_check_poisson_table_is_verify_poisson_masses(self, tmp_path):
+        cfg = write_config(tmp_path, STRIP_CFG.replace("gamma0 = 0.5",
+                                                       "gamma0 = 0.1 0.5 0.9"))
+        out = tmp_path / "s.json"
+        assert cli.main(["--config", cfg, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        rows = verify.poisson_masses((0.1, 0.5, 0.9))
+        assert report["tables"]["poisson_mass"] == [
+            {"gamma0": g, "boundary1": m1, "full": mf} for g, m1, mf in rows]
+        # the check reports the rows' worst deviations from gamma0 and from 1
+        values = {r["name"]: r["value"] for r in report["results"]}
+        assert values["strip.poisson_mass_boundary1"] == max(abs(m1 - g)
+                                                             for g, m1, _ in rows)
+        assert values["strip.poisson_mass_total"] == max(abs(mf - 1.0)
+                                                         for _, _, mf in rows)
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_numerical_failure_exit_code_names_the_start(
             self, tmp_path, monkeypatch, capsys, failing_objective, jobs):
@@ -357,8 +373,8 @@ class TestRuns:
 # must stop at the config parser with exit 2, not escape as a traceback
 BAD_VALUES = {
     "dim-100": (ESTIMATE_CFG, "dim = 3", "dim = 100"),
-    "unknown-spectrum-law": (ESTIMATE_CFG, "dim = 3", "dim = 3\nspectrum-law = flat"),
-    "unknown-x-law": (ESTIMATE_CFG, "dim = 3", "dim = 3\nx-law = sparse"),
+    "unknown-spectrum-law": (ESTIMATE_CFG, "dim = 3", "dim = 3\n    spectrum-law = flat"),
+    "unknown-x-law": (ESTIMATE_CFG, "dim = 3", "dim = 3\n    x-law = sparse"),
     "sets-per-gamma-abc": (STRIP_CFG, "sets-per-gamma = 10", "sets-per-gamma = abc"),
     "families-negative": (STRIP_CFG, "families = 5", "families = -3"),
     "strip-q-5": (STRIP_CFG, "q = 1", "q = 5"),
@@ -370,6 +386,23 @@ BAD_VALUES = {
     "modules-empty": (VERIFY_CFG, "modules = matcore schatten", "modules ="),
     "modules-repeated": (VERIFY_CFG, "modules = matcore schatten",
                          "modules = schatten matcore schatten"),
+    "verify-reads-no-instances": (VERIFY_CFG, "[verify]",
+                                  "[instances]\n    dim = 100\n    [verify]"),
+    "verify-reads-no-objective": (VERIFY_CFG, "[verify]",
+                                  "[objective.main]\n    alpha = -1\n    [verify]"),
+    "estimate-reads-no-strip-check": (ESTIMATE_CFG, "[instances]",
+                                      "[strip-check]\n    q = 1\n    [instances]"),
+    "strip-check-reads-no-verify": (STRIP_CFG, "[strip-check]",
+                                    "[verify]\n    modules = matcore\n    [strip-check]"),
+}
+
+# the BAD_VALUES cases with a section their kind does not read, as
+# (section, kind)
+UNREAD_SECTIONS = {
+    "verify-reads-no-instances": ("instances", "verify"),
+    "verify-reads-no-objective": ("objective.main", "verify"),
+    "estimate-reads-no-strip-check": ("strip-check", "estimate"),
+    "strip-check-reads-no-verify": ("verify", "strip-check"),
 }
 
 
@@ -382,6 +415,9 @@ def test_unusable_config_value_is_a_config_error(tmp_path, capsys, case):
     assert status == cli.EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+    if case in UNREAD_SECTIONS:
+        assert err == ("config error: section [%s] is not read by kind = %s\n"
+                       % UNREAD_SECTIONS[case])
 
 
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
@@ -644,6 +680,8 @@ SEARCH_REFUSALS = {
     "defect-min-diagonal": ("convexity-defect-min", {"alpha": "1", "q": "1"}, True),
     "missing-key": ("main", {"alpha": "1", "s": "2"}, False),
     "refused-point": ("mazur", {"p": "0.5", "q": "2"}, False),
+    "unexpected-key": ("convexity-defect-min",
+                       {"alpha": "1", "q": "1", "gamma_0": "0.9"}, False),
 }
 
 

@@ -368,6 +368,11 @@ class TestForkJoin:
             maximize("main", {}, self.SPEC, 3)
         with pytest.raises(ValidationError, match="need 0 < q < p"):
             run_searches([("mazur", {"p": 0.5, "q": 2.0})], self.SPEC, **self.SEARCH)
+        # a misspelt key would otherwise leave its default in force
+        with pytest.raises(ValidationError, match="^objective 'convexity-defect-min':"
+                           " unexpected key 'gamma_0'$"):
+            maximize("convexity-defect-min", {"alpha": 1.0, "q": 1.0, "gamma_0": 0.9},
+                     self.SPEC, 2, starts=1)
         assert pool_children == []
         assert multiprocessing.active_children() == []
 
