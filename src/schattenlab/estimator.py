@@ -36,14 +36,15 @@ import numpy.random  # noqa: F401  -- loaded lazily; forked children inherit it
 
 from .kernels import TMapParams, rx_kernel
 from .matcore import (MAX_DIM, DomainError, NumericalError, ValidationError,
-                      _as_array, _check_unitary, _power, _positive_order)
+                      _as_array, _check_unitary, _power, _positive_order,
+                      _svdvals)
 # bench/tests/test_bench.py reads estimator.PositiveDefiniteMatrix
 from .matcore import PositiveDefiniteMatrix  # noqa: F401
 from .mazur import (_check_pq, _eq1_minus, _eq1_plus, _interp,
                     _interp_exponent, _main, _mazur_lipschitz, _powers_diff,
                     _safe_ratio, _tmap_ratio)
 from .schatten import (ExponentConfig, _check_alpha, _check_exponent,
-                       _exponents, _power_sum_norm, schatten_norm)
+                       _exponents, _power_sum_norm)
 from .strip import (AnalyticFamily, BoundaryGridCache, _check_defect_q,
                     _check_gamma0, convexity_defect)
 
@@ -198,13 +199,17 @@ def _eigen_state(st, s):
 
 
 def _triangular_ratio(lam, x, p):
-    return _safe_ratio(schatten_norm(x * lam, p),
-                       schatten_norm(x * np.add.outer(lam, lam), p))
+    sv = _svdvals(np.array((x * lam, x * np.add.outer(lam, lam))))
+    return _safe_ratio(_power_sum_norm(sv[0], p), _power_sum_norm(sv[1], p))
 
 
 def _rx_ratio(logspec, x, alpha):
-    k = rx_kernel(_spectrum(logspec), alpha)
-    return _safe_ratio(schatten_norm(k * x, math.inf), schatten_norm(x, math.inf))
+    x = _as_array(x)   # a real x takes the complex SVD, as every state's x
+    lam = _spectrum(logspec)
+    _positive_order(lam)   # a check only: the kernel reads lam in state order
+    sv = _svdvals(np.array((rx_kernel(lam, alpha) * x, x)))
+    return _safe_ratio(_power_sum_norm(sv[0], math.inf),
+                       _power_sum_norm(sv[1], math.inf))
 
 
 class _Objective:

@@ -8,9 +8,12 @@ BLAS, not across platforms.
 The validated classes (ComplexMatrix, HermitianMatrix, PositiveDefiniteMatrix,
 SpectralDecomposition) are for input to the public API.  The search computes
 on plain arrays through the private helpers below (_positive_order, _power,
-_finite, _check_unitary, _svdvals, ...), which the classes and the public
-functions share, so each piece of arithmetic and each rule exists once.
+_all_finite, _finite, _check_unitary, _svdvals, ...), which the classes and
+the public functions share, so each piece of arithmetic and each rule exists
+once.
 """
+
+import math
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -136,9 +139,17 @@ def _as_array(a):
     return a.mat if isinstance(a, ComplexMatrix) else np.asarray(a, dtype=complex)
 
 
+def _all_finite(a):
+    """np.isfinite(a).all() of a float or complex array, exactly, at the cost
+    of one BLAS dot product: the real part of vdot(a, a), the sum of |a_i|^2,
+    is finite only when every entry is, and when it overflows on finite
+    entries (near 1e154 and beyond) the full scan decides."""
+    return np.vdot(a, a).real < math.inf or bool(np.isfinite(a).all())
+
+
 def _finite(a, error=ValidationError):
     """a itself when all its entries are finite; otherwise raise error."""
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise error("matrix has non-finite entries")
     return a
 
@@ -205,7 +216,7 @@ def _lapack(gufunc, a, error=NumericalError):
     """One of numpy's LAPACK gufuncs on a matrix or a stack, called directly,
     as numpy.linalg calls it; a non-finite entry raises error first, since
     LAPACK answers some with NaN instead of failing."""
-    if not np.isfinite(a).all():
+    if not _all_finite(a):
         raise error("%s: %s input has non-finite entries"
                     % (gufunc.__name__, "x".join(map(str, a.shape))))
     return gufunc(a, signature=_LOOPS[gufunc, a.dtype.char])

@@ -20,9 +20,9 @@ import numpy as np
 from .kernels import (TMapParams, divided_difference_kernel, mixed_kernel_map,
                       t_map, _divided_difference)
 from .matcore import (ComplexMatrix, NumericalError, PositiveDefiniteMatrix,
-                      ValidationError, _as_array, _finite, _positive_spectrum,
-                      _power, _same_shape, _svd, _svdvals, herm_eig,
-                      positive_power)
+                      ValidationError, _all_finite, _as_array, _finite,
+                      _positive_spectrum, _power, _same_shape, _svd, _svdvals,
+                      herm_eig, positive_power)
 from .schatten import _exponents, _power_sum_norm, schatten_norm
 
 # denominators below this fraction of the numerator scale are flagged as
@@ -51,7 +51,7 @@ def _sv_power(left, sig, vh, p, q):
     """left diag(sig^(p/q)) vh, as an array; NumericalError when it leaves
     the double range."""
     m = (left * sig ** (p / q)) @ vh
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         raise NumericalError("|f|^(p/q) overflows at p/q = %r" % (p / q,))
     return m
 
@@ -69,12 +69,29 @@ def mazur_map(f, p, q):
 # lam_j^a in column j, and dx + xd and x d^a + d^a x are the Schur products
 # of X' with lam_i + lam_j and lam_i^a + lam_j^a; d's own norms come from
 # lam.  The commutator of eq1 with sign -1 and the power difference of eq2
-# take formed matrices, so that x = d gives an exact zero.  Numerators but
-# tmap's go through schatten_norm and the other norms through _svdvals; both
-# reach the one SVD, and the split only keeps one traced singular_values call
-# per evaluation for the benchmark.  X' is checked finite before use (tmap's
-# by its SVD), and each formed matrix by the SVD that reads it, raising the
-# class the public API always raised for that input.
+# take formed matrices, so that x = d gives an exact zero.  Each array
+# function takes all its singular values from one stacked _svdvals call,
+# whose rows are bit for bit one call per matrix.  main alone keeps its
+# numerator on schatten_norm, a second SVD call: the benchmark's
+# test_traced_estimate_makes_exactly_the_implied_evaluations
+# (bench/tests/test_bench.py) needs a traced singular_values call in its
+# main + eq1-plus run.  A non-finite or overflowing matrix raises the class
+# the public API always raised for it, in the same order: X' is scanned by
+# _finite or, as tmap's first matrix, by _stacked_svdvals.
+
+def _stacked_svdvals(mats, p=math.inf):
+    """One _svdvals call on the stack of mats, where one call per matrix
+    read mats[0] first, as a NumericalError matrix, and the rest as
+    ValidationError matrices.  A non-finite entry raises ValidationError,
+    but only after mats[0] alone has raised NumericalError if it is
+    non-finite, if its SVD overflows or if its p-norm does (at the default
+    p = inf, its largest singular value, which cannot)."""
+    try:
+        return _svdvals(np.array(mats), ValidationError)
+    except ValidationError:
+        _power_sum_norm(_svdvals(mats[0]), p)
+        raise
+
 
 def _spectrum_norm(lam, s):
     """||d||_s from the eigenvalues lam > 0 of d, which must be ascending
@@ -107,10 +124,10 @@ def main_ratio(d, x, cfg):
 
 def _interp(lam, x, eps, s, r, p):
     x = _finite(x, NumericalError)
-    num = schatten_norm(x * lam, p)
-    sv = _svdvals(np.array((x, x * np.add.outer(lam, lam))), ValidationError)
-    return _safe_ratio(num, (_spectrum_norm(lam, s) * _power_sum_norm(sv[0], r)) ** eps
-                       * _power_sum_norm(sv[1], p) ** (1.0 - eps))
+    sv = _stacked_svdvals((x * lam, x, x * np.add.outer(lam, lam)), p)
+    return _safe_ratio(_power_sum_norm(sv[0], p),
+                       (_spectrum_norm(lam, s) * _power_sum_norm(sv[1], r)) ** eps
+                       * _power_sum_norm(sv[2], p) ** (1.0 - eps))
 
 
 def _interp_exponent(eps, s, r):
@@ -127,23 +144,22 @@ def interp_corollary_ratio(d, x, eps, s, r):
     return _interp(lam, xe, eps, s, r, p)
 
 
-def _eq1_den(base, lam, p, q):
-    """||base||_p ||d||_p^(p/q-1)."""
-    return (_power_sum_norm(_svdvals(base, ValidationError), p)
-            * _spectrum_norm(lam, p) ** (p / q - 1.0))
+def _eq1(lam, num, base, p, q):
+    """||num||_q / (||base||_p ||d||_p^(p/q-1)), from one SVD call."""
+    sv = _stacked_svdvals((num, base), q)
+    return _safe_ratio(_power_sum_norm(sv[0], q), _power_sum_norm(sv[1], p)
+                       * _spectrum_norm(lam, p) ** (p / q - 1.0))
 
 
 def _eq1_plus(lam, x, p, q):
     x = _finite(x, NumericalError)
     a = lam ** (p / q)
-    num = schatten_norm(x * np.add.outer(a, a), q)
-    return _safe_ratio(num, _eq1_den(x * np.add.outer(lam, lam), lam, p, q))
+    return _eq1(lam, x * np.add.outer(a, a), x * np.add.outer(lam, lam), p, q)
 
 
 def _eq1_minus(dm, d_pow, lam, x, p, q):
     x = _finite(x, NumericalError)
-    num = schatten_norm(x @ d_pow - d_pow @ x, q)
-    return _safe_ratio(num, _eq1_den(x @ dm - dm @ x, lam, p, q))
+    return _eq1(lam, x @ d_pow - d_pow @ x, x @ dm - dm @ x, p, q)
 
 
 def eq1_ratio(d, x, p, q, sign):
@@ -158,12 +174,11 @@ def eq1_ratio(d, x, p, q, sign):
 
 
 def _tmap_ratio(lam, x, params, p, q, s):
-    # each SVD scans its own input: a non-finite x is a numerical failure,
-    # a non-finite T(x) of a finite x a rejected proposal
-    sig = _svdvals(x)
-    num = _power_sum_norm(_svdvals(divided_difference_kernel(lam, params) * x,
-                                   ValidationError), q)
-    den = _power_sum_norm(sig, p) * _spectrum_norm(lam, s) ** params.alpha
+    # a non-finite x is a numerical failure, a non-finite T(x) of a finite x
+    # a rejected proposal
+    sv = _stacked_svdvals((x, divided_difference_kernel(lam, params) * x))
+    num = _power_sum_norm(sv[1], q)
+    den = _power_sum_norm(sv[0], p) * _spectrum_norm(lam, s) ** params.alpha
     return _safe_ratio(num, den)
 
 
@@ -178,14 +193,16 @@ def tmap_ratio(d, x, params, s, r):
 def _powers_diff(xm, x_pow, ym, y_pow, p, q):
     if np.abs(xm - ym).max() < COINCIDENT_TOL:
         return 0.0
-    return _safe_ratio(schatten_norm(x_pow - y_pow, q), _lipschitz_den(xm, ym, p, q))
+    return _lipschitz_ratio(xm, ym, x_pow - y_pow, p, q)
 
 
-def _lipschitz_den(x, y, p, q):
-    """max(||x||_p, ||y||_p)^(p/q-1) ||x-y||_p."""
-    sv = _svdvals(np.array((x, y, x - y)))
-    return max(_power_sum_norm(sv[0], p), _power_sum_norm(sv[1], p)) ** (p / q - 1.0) \
-        * _power_sum_norm(sv[2], p)
+def _lipschitz_ratio(x, y, num, p, q):
+    """||num||_q / (max(||x||_p, ||y||_p)^(p/q-1) ||x-y||_p), from one SVD
+    call on (x, y, x - y, num)."""
+    sv = _svdvals(np.array((x, y, x - y, num)))
+    return _safe_ratio(_power_sum_norm(sv[3], q),
+                       max(_power_sum_norm(sv[0], p), _power_sum_norm(sv[1], p))
+                       ** (p / q - 1.0) * _power_sum_norm(sv[2], p))
 
 
 def powers_diff_ratio(x, y, p, q):
@@ -207,7 +224,7 @@ def _mazur_lipschitz(x, y, p, q, variant):
     if variant == "abs-power":   # V S^(p/q) V* in place of W S^(p/q) V*
         wx, wy = vx.conj().T, vy.conj().T
     diff = _sv_power(wx, sx, vx, p, q) - _sv_power(wy, sy, vy, p, q)
-    return _safe_ratio(schatten_norm(diff, q), _lipschitz_den(x, y, p, q))
+    return _lipschitz_ratio(x, y, diff, p, q)
 
 
 def mazur_lipschitz_ratio(x, y, p, q, variant="mazur"):

@@ -22,15 +22,20 @@ from schattenlab.estimator import (LAYOUTS, LOG_SPEC_CLIP, OBJECTIVES,
                                    SPECTRUM_LAWS, X_LAWS, InstanceSpec,
                                    _draw_log_spectrum, _draw_x, _haar_unitary,
                                    _initial_state, _normalized_spectrum,
-                                   _rng_for, _serialize_state,
-                                   _triangular_ratio, deserialize_state,
-                                   maximize, replay_witness, review_flagged)
-from schattenlab.kernels import TMapParams, _t_map
-from schattenlab.matcore import (HermitianMatrix, NumericalError,
-                                 PositiveDefiniteMatrix, ValidationError,
-                                 _power, _svd, _svdvals)
-from schattenlab.mazur import (_eigen_args, _eq1_plus, _interp, _main,
-                               _safe_ratio, _tmap_ratio, eq1_ratio,
+                                   _rng_for, _rx_ratio, _serialize_state,
+                                   _spectrum, _triangular_ratio,
+                                   deserialize_state, maximize, replay_witness,
+                                   review_flagged)
+from schattenlab.kernels import (TMapParams, _t_map, divided_difference_kernel,
+                                 rx_kernel)
+from schattenlab.matcore import (SVD_SAFE_RANGE, HermitianMatrix,
+                                 NumericalError, PositiveDefiniteMatrix,
+                                 ValidationError, _finite, _power, _svd,
+                                 _svdvals)
+from schattenlab.mazur import (COINCIDENT_TOL, _eigen_args, _eq1_minus,
+                               _eq1_plus, _interp, _main, _mazur_lipschitz,
+                               _powers_diff, _safe_ratio, _spectrum_norm,
+                               _sv_power, _tmap_ratio, eq1_ratio,
                                interp_corollary_ratio, main_ratio,
                                mazur_lipschitz_ratio, powers_diff_ratio,
                                tmap_ratio)
@@ -48,6 +53,7 @@ PARAMS = {
     "abs-power": {"p": 2.0, "q": 0.5},
     "tmap": {"beta": 0.3, "gamma": 0.7, "s": 1.0, "r": math.inf},
     "triangular-probe": {"p": 1.5},
+    "rx-probe": {"alpha": 1.0},
     "convexity-defect-min": {"alpha": 2.0, "q": 1.0, "gamma0": 0.6},
 }
 DX = ("main", "interp", "eq1-plus", "eq1-minus", "tmap", "triangular-probe")
@@ -88,7 +94,7 @@ def evaluate(oid, st):
 
 
 class TestChecksStayOnTheSearchPath:
-    @pytest.mark.parametrize("oid,key", [(oid, "logspec") for oid in DX]
+    @pytest.mark.parametrize("oid,key", [(oid, "logspec") for oid in DX + ("rx-probe",)]
                              + [("eq2", "logspec"), ("eq2", "logspec2")])
     def test_nan_log_spectrum(self, oid, key):
         st = state(oid)
@@ -115,7 +121,8 @@ class TestChecksStayOnTheSearchPath:
         ("main", NumericalError), ("interp", NumericalError),
         ("eq1-plus", NumericalError), ("eq1-minus", NumericalError),
         ("mazur", NumericalError), ("abs-power", NumericalError),
-        ("triangular-probe", NumericalError), ("tmap", NumericalError)])
+        ("triangular-probe", NumericalError), ("tmap", NumericalError),
+        ("rx-probe", NumericalError)])
     def test_infinite_x(self, oid, exc):
         st = state(oid)
         st["x"] = np.full_like(st["x"], np.inf)
@@ -191,6 +198,260 @@ def test_stacked_svd_equals_single_calls(n, kind):
     assert [f.shape for f in _svd(empty)] == [(0, n, n), (0, n), (0, n, n)]
 
 
+# --- one SVD call per evaluation against one call per matrix ---------------
+#
+# Each array function as it was computed with one SVD call per matrix or
+# pair: numerators through schatten_norm (tmap's through its own _svdvals
+# call), denominators through their own _svdvals calls, each matrix scanned
+# by the call that read it.  Stacking the matrices into one call must keep
+# every bit and every exception class.
+
+def split_interp(lam, x, eps, s, r, p):
+    x = _finite(x, NumericalError)
+    num = schatten_norm(x * lam, p)
+    sv = _svdvals(np.array((x, x * np.add.outer(lam, lam))), ValidationError)
+    return _safe_ratio(num, (_spectrum_norm(lam, s) * _power_sum_norm(sv[0], r)) ** eps
+                       * _power_sum_norm(sv[1], p) ** (1.0 - eps))
+
+
+def split_eq1_plus(lam, x, p, q):
+    x = _finite(x, NumericalError)
+    a = lam ** (p / q)
+    num = schatten_norm(x * np.add.outer(a, a), q)
+    den = _power_sum_norm(_svdvals(x * np.add.outer(lam, lam), ValidationError), p)
+    return _safe_ratio(num, den * _spectrum_norm(lam, p) ** (p / q - 1.0))
+
+
+def split_eq1_minus(dm, d_pow, lam, x, p, q):
+    x = _finite(x, NumericalError)
+    num = schatten_norm(x @ d_pow - d_pow @ x, q)
+    den = _power_sum_norm(_svdvals(x @ dm - dm @ x, ValidationError), p)
+    return _safe_ratio(num, den * _spectrum_norm(lam, p) ** (p / q - 1.0))
+
+
+def split_tmap(lam, x, params, p, q, s):
+    sig = _svdvals(x)
+    num = _power_sum_norm(_svdvals(divided_difference_kernel(lam, params) * x,
+                                   ValidationError), q)
+    return _safe_ratio(num, _power_sum_norm(sig, p) * _spectrum_norm(lam, s) ** params.alpha)
+
+
+def split_lipschitz_den(x, y, p, q):
+    sv = _svdvals(np.array((x, y, x - y)))
+    return max(_power_sum_norm(sv[0], p), _power_sum_norm(sv[1], p)) ** (p / q - 1.0) \
+        * _power_sum_norm(sv[2], p)
+
+
+def split_powers_diff(xm, x_pow, ym, y_pow, p, q):
+    if np.abs(xm - ym).max() < COINCIDENT_TOL:
+        return 0.0
+    return _safe_ratio(schatten_norm(x_pow - y_pow, q), split_lipschitz_den(xm, ym, p, q))
+
+
+def split_mazur(x, y, p, q, variant):
+    (wx, wy), (sx, sy), (vx, vy) = _svd(np.array((x, y)))
+    if np.abs(x - y).max() < COINCIDENT_TOL:
+        return 0.0
+    if variant == "abs-power":
+        wx, wy = vx.conj().T, vy.conj().T
+    diff = _sv_power(wx, sx, vx, p, q) - _sv_power(wy, sy, vy, p, q)
+    return _safe_ratio(schatten_norm(diff, q), split_lipschitz_den(x, y, p, q))
+
+
+def split_triangular(lam, x, p):
+    return _safe_ratio(schatten_norm(x * lam, p),
+                       schatten_norm(x * np.add.outer(lam, lam), p))
+
+
+def split_rx(logspec, x, alpha):
+    k = rx_kernel(_spectrum(logspec), alpha)
+    return _safe_ratio(schatten_norm(k * x, math.inf), schatten_norm(x, math.inf))
+
+
+def outcome(f, *args):
+    """f(*args) as the hex string of its value, or the class it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(f(*args)).hex()
+    except (NumericalError, ValidationError) as exc:
+        return type(exc)
+
+
+# 2^+-500 puts the largest singular value of an O(1) matrix outside
+# SVD_SAFE_RANGE, so that the SVD decomposes it again as 2^-e m
+SCALES = (1.0, 2.0 ** 500, 2.0 ** -500)
+
+
+def matrices(rng, n):
+    """(kind, matrix): a random, a graded and a rank-deficient complex n x n
+    matrix, each at every scale of SCALES."""
+    u, v = graded(rng, n)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    deficient = z.copy()
+    deficient[:, -1] = 0.0
+    deficient[-1] = deficient[0]
+    for kind, m in (("random", z), ("graded", (u * np.logspace(0, -12, n)) @ v.conj().T),
+                    ("rank-deficient", deficient)):
+        for c in SCALES:
+            top = _svdvals(c * m)[0]   # 0 for dim 1's rank-deficient matrix
+            assert c == 1.0 or top == 0.0 or not SVD_SAFE_RANGE[0] <= top <= SVD_SAFE_RANGE[1]
+            yield kind, c * m
+
+
+def merged_and_split(oid, rng, n):
+    """(merged array function, its one-call-per-matrix copy, arguments) for
+    states of oid at dim n, from every matrix of matrices(rng, n)."""
+    lam = np.sort(np.exp(rng.uniform(-5.0, 5.0, n)))
+    u, _ = graded(rng, n)
+    prm = PARAMS[oid]
+    for kind, x in matrices(rng, n):
+        y = x + 1e-3 * np.abs(x).max() * (rng.standard_normal((n, n))
+                                          + 1j * rng.standard_normal((n, n)))
+        if oid == "interp":
+            p = _exponents(prm["s"], prm["r"])[0]
+            yield _interp, split_interp, (lam, x, prm["eps"], prm["s"], prm["r"], p)
+        elif oid == "eq1-plus":
+            yield _eq1_plus, split_eq1_plus, (lam, x, prm["p"], prm["q"])
+        elif oid == "eq1-minus":
+            p, q = prm["p"], prm["q"]
+            # d diagonal, as the search forms it, and in a general basis
+            yield _eq1_minus, split_eq1_minus, (np.diag(lam), np.diag(lam ** (p / q)),
+                                                lam, x, p, q)
+            yield _eq1_minus, split_eq1_minus, (_power(lam, u, 1.0), _power(lam, u, p / q),
+                                                lam, x, p, q)
+        elif oid == "tmap":
+            tp = TMapParams(prm["beta"], prm["gamma"])
+            pq = _exponents(prm["s"], prm["r"], tp.alpha)
+            yield _tmap_ratio, split_tmap, (lam, x, tp, *pq, prm["s"])
+        elif oid == "triangular-probe":
+            yield _triangular_ratio, split_triangular, (lam, x, prm["p"])
+        elif oid == "rx-probe":
+            logspec = rng.uniform(-LOG_SPEC_CLIP, LOG_SPEC_CLIP, n)
+            yield _rx_ratio, split_rx, (logspec, x, prm["alpha"])
+            # a real x, as deserialize_state gives a witness written as a list
+            yield _rx_ratio, split_rx, (logspec, x.real.copy(), prm["alpha"])
+        elif oid == "eq2":
+            # the arithmetic reads any four matrices: x's and y's powers are
+            # scaled with them, and the coincident pair gives 0
+            p, q = prm["p"], prm["q"]
+            c = np.abs(x).max()
+            mats = (c * np.diag(lam), c * np.diag(lam ** (p / q)),
+                    c * _power(lam[::-1], u, 1.0), c * _power(lam[::-1], u, p / q))
+            yield _powers_diff, split_powers_diff, (*mats, p, q)
+            yield _powers_diff, split_powers_diff, (*mats[:2], *mats[:2], p, q)
+        else:
+            # p/q = 4, where |x|^(p/q) at 2^500 overflows, and p/q = 1.5
+            for p, q in ((prm["p"], prm["q"]), (1.5, 1.0)):
+                for xy in ((x, y), (x, x)):
+                    yield _mazur_lipschitz, split_mazur, (*xy, p, q, oid)
+
+
+MERGED = ("interp", "eq1-plus", "eq1-minus", "tmap", "triangular-probe", "rx-probe", "eq2",
+          "mazur", "abs-power")
+
+
+@pytest.mark.parametrize("oid", MERGED)
+def test_one_svd_call_equals_one_call_per_matrix(oid):
+    rng = np.random.default_rng(len(oid))
+    values = 0
+    for n in (1, 3, 8):
+        for merged, split, args in merged_and_split(oid, rng, n):
+            got = outcome(merged, *args)
+            assert got == outcome(split, *args), (oid, n)
+            values += isinstance(got, str)
+    # a value, not an exception, for at least as many states as there are
+    # (n, kind, scale) triples
+    assert values >= 3 * 3 * len(SCALES)
+
+
+def bad_interp(lam, x):
+    prm = PARAMS["interp"]
+    return (lam, x, prm["eps"], prm["s"], prm["r"], _exponents(prm["s"], prm["r"])[0])
+
+
+def bad_eq1_plus(lam, x):
+    return (lam, x, PARAMS["eq1-plus"]["p"], PARAMS["eq1-plus"]["q"])
+
+
+def bad_eq1_minus(dm, d_pow, x):
+    return (dm, d_pow, np.ones(3), x, PARAMS["eq1-minus"]["p"], PARAMS["eq1-minus"]["q"])
+
+
+def bad_tmap(lam, x):
+    tm = PARAMS["tmap"]
+    tp = TMapParams(tm["beta"], tm["gamma"])
+    return (lam, x, tp, *_exponents(tm["s"], tm["r"], tp.alpha), tm["s"])
+
+
+def entries(value, *at):
+    """A 3 x 3 complex matrix with value at each (i, j) of at, 0 elsewhere."""
+    m = np.zeros((3, 3), complex)
+    for i, j in at:
+        m[i, j] = value
+    return m
+
+
+HUGE = 1.5e308   # two of these in one row give a singular value past the float range
+ROW = ((2, 1), (2, 2))
+DIAG = ((0, 0), (1, 1), (2, 2))
+SIGMA = 4e307    # three of these: a finite 1-norm, an infinite 0.5-norm
+
+
+def cycle_commutator():
+    """(x, d_pow) whose commutator x d_pow - d_pow x is SIGMA times a 3-cycle,
+    with three singular values SIGMA."""
+    d_pow = entries(SIGMA / 2, (0, 1)) + entries(-SIGMA, (1, 2), (2, 0))
+    return np.diag([1.0, -1.0, 0.0]).astype(complex), d_pow
+
+# (merged, split, arguments, the class both raise).  interp's numerator
+# is x lam; eq1-plus's is x o (lam_i^2 + lam_j^2) at p/q = 2; eq1-minus's
+# is x d^(p/q) - d^(p/q) x; tmap's x raises NumericalError and T(x)
+# ValidationError.  A finite matrix whose SVD overflows, or whose norm does
+# at its own exponent (interp's p = 0.5, eq1's q = 0.5), raises before the
+# non-finite matrices read after it.
+BAD_STATES = {
+    "interp-numerator": (_interp, split_interp, bad_interp(
+        np.array([2.0, 2.0, 2.0]), entries(1e308, (0, 0))), NumericalError),
+    "interp-denominator": (_interp, split_interp, bad_interp(
+        np.array([0.5, 0.5, 0.9]), entries(1e308, (2, 2))), ValidationError),
+    "interp-numerator-overflows-first": (_interp, split_interp, bad_interp(
+        np.array([0.5, 0.9, 0.9]), entries(HUGE, *ROW)), NumericalError),
+    "interp-numerator-norm-overflows-first": (_interp, split_interp, bad_interp(
+        np.ones(3), entries(1e308, *DIAG)), NumericalError),
+    "eq1-plus-numerator": (_eq1_plus, split_eq1_plus, bad_eq1_plus(
+        np.array([1.0, 1.0, 1e200]), entries(1e200, (2, 2))), NumericalError),
+    "eq1-plus-denominator": (_eq1_plus, split_eq1_plus, bad_eq1_plus(
+        np.full(3, 0.9), entries(1.05e308, (0, 0))), ValidationError),
+    "eq1-plus-numerator-overflows-first": (_eq1_plus, split_eq1_plus, bad_eq1_plus(
+        np.full(3, 0.9), entries(1.05e308, *ROW)), NumericalError),
+    "eq1-minus-numerator": (_eq1_minus, split_eq1_minus, bad_eq1_minus(
+        np.eye(3), np.diag([1.0, 2.0, np.inf]), entries(1.0, (0, 2), (2, 0))),
+        NumericalError),
+    "eq1-minus-denominator": (_eq1_minus, split_eq1_minus, bad_eq1_minus(
+        np.full((3, 3), 1e300), 0.5 * np.eye(3), entries(1e10, (0, 1), (1, 0))),
+        ValidationError),
+    "eq1-minus-numerator-overflows-first": (_eq1_minus, split_eq1_minus, bad_eq1_minus(
+        np.full((3, 3), 1e308), np.diag([0.0, 1.0, 1.0]), entries(HUGE, (0, 1), (0, 2))),
+        NumericalError),
+    "eq1-minus-numerator-norm-overflows-first": (_eq1_minus, split_eq1_minus, bad_eq1_minus(
+        np.full((3, 3), 1.5e308), cycle_commutator()[1], cycle_commutator()[0]),
+        NumericalError),
+    "tmap-x": (_tmap_ratio, split_tmap, bad_tmap(
+        np.array([1.0, 2.0, 3.0]), entries(np.inf, (1, 1))), NumericalError),
+    "tmap-t-of-x": (_tmap_ratio, split_tmap, bad_tmap(
+        np.array([1.0, 1e2, 1e4]), entries(1e308, (2, 2))), ValidationError),
+    "tmap-x-overflows-first": (_tmap_ratio, split_tmap, bad_tmap(
+        np.array([1.0, 1e2, 1e4]), entries(HUGE, *ROW)), NumericalError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STATES))
+def test_one_svd_call_raises_the_class_of_one_call_per_matrix(case):
+    merged, split, args, exc = BAD_STATES[case]
+    assert outcome(split, *args) is exc
+    assert outcome(merged, *args) is exc
+
+
 def pdm(st, s, suffix=""):
     """eq2's first matrix diag(exp(clip(logspec))), or with suffix "2" its
     second U2 diag(exp(clip(logspec2))) U2*, scaled to ||.||_s = 1, as a
@@ -241,7 +502,8 @@ def public_ratio(oid, st):
     return _triangular_ratio(lam, xe, prm["p"])
 
 
-@pytest.mark.parametrize("oid", sorted(PARAMS))
+# rx-probe has no public function
+@pytest.mark.parametrize("oid", sorted(set(PARAMS) - {"rx-probe"}))
 @pytest.mark.parametrize("dim,laws", [
     (3, {}), (8, {"spectrum_law": "clustered-pairs", "x_law": "rank-one"}),
     (16, {"spectrum_law": "geometric", "x_law": "hermitian-gaussian"})])

@@ -369,55 +369,60 @@ class TestRuns:
         assert cli.main(["--config", cfg, "--jobs", "2"]) == cli.EXIT_CONFIG_ERROR
 
 
-# config values the run cannot use, each with the text it replaces; all
-# must stop at the config parser with exit 2, not escape as a traceback
+# config values the run cannot use, each with the text it replaces and the
+# one line of stderr that names it; all must stop at the config parser with
+# exit 2, not escape as a traceback
 BAD_VALUES = {
-    "dim-100": (ESTIMATE_CFG, "dim = 3", "dim = 100"),
-    "unknown-spectrum-law": (ESTIMATE_CFG, "dim = 3", "dim = 3\n    spectrum-law = flat"),
-    "unknown-x-law": (ESTIMATE_CFG, "dim = 3", "dim = 3\n    x-law = sparse"),
-    "sets-per-gamma-abc": (STRIP_CFG, "sets-per-gamma = 10", "sets-per-gamma = abc"),
-    "families-negative": (STRIP_CFG, "families = 5", "families = -3"),
-    "strip-q-5": (STRIP_CFG, "q = 1", "q = 5"),
-    "experiment-key-sead": (ESTIMATE_CFG, "seed = 7", "sead = 7"),
-    "instances-key-start": (ESTIMATE_CFG, "starts = 2", "start = 2"),
-    "strip-key-family": (STRIP_CFG, "families = 5", "family = 5"),
-    "verify-key-module": (VERIFY_CFG, "modules =", "module ="),
-    "unknown-section": (ESTIMATE_CFG, "[instances]", "[instance]"),
-    "modules-empty": (VERIFY_CFG, "modules = matcore schatten", "modules ="),
+    "dim-100": (ESTIMATE_CFG, "dim = 3", "dim = 100",
+                "section [instances]: dim must be in [1, 64], got 100"),
+    "unknown-spectrum-law": (ESTIMATE_CFG, "dim = 3", "dim = 3\n    spectrum-law = flat",
+                             "section [instances]: unknown spectrum law 'flat'"),
+    "unknown-x-law": (ESTIMATE_CFG, "dim = 3", "dim = 3\n    x-law = sparse",
+                      "section [instances]: unknown x law 'sparse'"),
+    "sets-per-gamma-abc": (STRIP_CFG, "sets-per-gamma = 10", "sets-per-gamma = abc",
+                           "key 'sets-per-gamma': 'abc' is not an integer"),
+    "families-negative": (STRIP_CFG, "families = 5", "families = -3",
+                          "key 'families': must be at least 1, got -3"),
+    "strip-q-5": (STRIP_CFG, "q = 1", "q = 5",
+                  "section [strip-check]: q must be in (0, 2], got 5.0"),
+    "experiment-key-sead": (ESTIMATE_CFG, "seed = 7", "sead = 7",
+                            "section [experiment]: unexpected key 'sead'"),
+    "instances-key-start": (ESTIMATE_CFG, "starts = 2", "start = 2",
+                            "section [instances]: unexpected key 'start'"),
+    "strip-key-family": (STRIP_CFG, "families = 5", "family = 5",
+                         "section [strip-check]: unexpected key 'family'"),
+    "verify-key-module": (VERIFY_CFG, "modules =", "module =",
+                          "section [verify]: unexpected key 'module'"),
+    "unknown-section": (ESTIMATE_CFG, "[instances]", "[instance]",
+                        "section [instance] is not read by kind = estimate"),
+    "modules-empty": (VERIFY_CFG, "modules = matcore schatten", "modules =",
+                      "key 'modules': empty module list"),
     "modules-repeated": (VERIFY_CFG, "modules = matcore schatten",
-                         "modules = schatten matcore schatten"),
+                         "modules = schatten matcore schatten",
+                         "key 'modules': module 'schatten' listed twice"),
     "verify-reads-no-instances": (VERIFY_CFG, "[verify]",
-                                  "[instances]\n    dim = 100\n    [verify]"),
+                                  "[instances]\n    dim = 100\n    [verify]",
+                                  "section [instances] is not read by kind = verify"),
     "verify-reads-no-objective": (VERIFY_CFG, "[verify]",
-                                  "[objective.main]\n    alpha = -1\n    [verify]"),
+                                  "[objective.main]\n    alpha = -1\n    [verify]",
+                                  "section [objective.main] is not read by kind = verify"),
     "estimate-reads-no-strip-check": (ESTIMATE_CFG, "[instances]",
-                                      "[strip-check]\n    q = 1\n    [instances]"),
+                                      "[strip-check]\n    q = 1\n    [instances]",
+                                      "section [strip-check] is not read by kind = estimate"),
     "strip-check-reads-no-verify": (STRIP_CFG, "[strip-check]",
-                                    "[verify]\n    modules = matcore\n    [strip-check]"),
-}
-
-# the BAD_VALUES cases with a section their kind does not read, as
-# (section, kind)
-UNREAD_SECTIONS = {
-    "verify-reads-no-instances": ("instances", "verify"),
-    "verify-reads-no-objective": ("objective.main", "verify"),
-    "estimate-reads-no-strip-check": ("strip-check", "estimate"),
-    "strip-check-reads-no-verify": ("verify", "strip-check"),
+                                    "[verify]\n    modules = matcore\n    [strip-check]",
+                                    "section [verify] is not read by kind = strip-check"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_unusable_config_value_is_a_config_error(tmp_path, capsys, case):
-    text, old, new = BAD_VALUES[case]
+    text, old, new, message = BAD_VALUES[case]
     assert old in text
     cfg = write_config(tmp_path, text.replace(old, new))
     status = cli.main(["--config", cfg, "--out", str(tmp_path / "r.json")])
     assert status == cli.EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "Traceback" not in err
-    if case in UNREAD_SECTIONS:
-        assert err == ("config error: section [%s] is not read by kind = %s\n"
-                       % UNREAD_SECTIONS[case])
+    assert capsys.readouterr().err == "config error: %s\n" % message
 
 
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):

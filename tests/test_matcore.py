@@ -8,7 +8,8 @@ from schattenlab import matcore
 from schattenlab.matcore import (ComplexMatrix, DomainError, HermitianMatrix,
                                  NumericalError, PositiveDefiniteMatrix,
                                  SpectralDecomposition, ValidationError,
-                                 _eigh, _lapack, _svd_any_scale, _svdvals,
+                                 _all_finite, _eigh, _finite, _lapack,
+                                 _svd_any_scale, _svdvals,
                                  herm_eig, imaginary_power, matrix_function,
                                  polar_decompose, positive_power)
 
@@ -283,3 +284,61 @@ class TestDirectLapack:
         assert np.geterrcall() is None
         with pytest.warns(RuntimeWarning, match="invalid value"):
             np.sqrt(np.array(-1.0))
+
+
+# --- the finiteness scan ----------------------------------------------------
+
+def with_bad_entries(a, rng):
+    """A copy of a with one to three of inf, -inf and NaN at random places,
+    each in the real or, for a complex a, the imaginary part."""
+    a = a.copy()
+    for bad in rng.choice([np.inf, -np.inf, np.nan], rng.integers(1, 4)):
+        i = np.unravel_index(rng.integers(a.size), a.shape)
+        if not np.iscomplexobj(a):
+            a[i] = bad
+        elif rng.integers(2):
+            a[i] = complex(a[i].real, bad)   # 1j * inf would be nan + inf j
+        else:
+            a[i] = complex(bad, a[i].imag)
+    return a
+
+
+class TestAllFinite:
+    """_all_finite is np.isfinite(a).all(), exactly, on every array the
+    package scans: real or complex, one matrix or a stack, empty or not."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", [(3, 3), (16, 16), (4, 3, 3), (2, 16, 16),
+                                       (0, 0), (0, 3, 3), (3, 0, 0)])
+    def test_equals_the_full_scan(self, dtype, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1] + (dtype is complex))
+        for trial in range(50):
+            a = rng.standard_normal(shape)
+            if dtype is complex:
+                a = a + 1j * rng.standard_normal(shape)
+            # finite entries near 1e200, whose sum of squares overflows
+            a *= 10.0 ** rng.choice([0, 200, -200])
+            cases = [a, a[..., ::2]]   # and a strided view
+            if a.size:
+                cases.append(with_bad_entries(a, rng))
+            for case in cases:
+                assert _all_finite(case) == np.isfinite(case).all()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_huge_finite_entries_pass(self, dtype):
+        a = np.full((4, 3, 3), 1e200, dtype=dtype)
+        a[1, 2, 0] = -np.finfo(float).max
+        assert _all_finite(a) and _finite(a) is a
+        assert np.isinf(np.vdot(a, a).real)
+        for bad in (np.inf, -np.inf, np.nan):
+            b = a.copy()
+            b[3, 1, 1] = bad
+            assert not _all_finite(b)
+            if dtype is complex:
+                b = a.copy()
+                b[0, 0, 2] = complex(1.0, bad)
+                assert not _all_finite(b)
+            with pytest.raises(NumericalError, match="svd: 4x3x3 input has non-finite"):
+                _svdvals(b)
+        # the SVD of those entries is decomposed again at a power of two
+        assert np.isfinite(_svdvals(a)).all()
